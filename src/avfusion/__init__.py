@@ -7,15 +7,14 @@ __version__ = "0.1.0"
 from .core import (CHANNELS, EMOTION_NAMES, N_CLASSES, DatasetManifest,
                    emotion_index, emotion_name, load_manifest, read_tensor,
                    read_tensor_array, write_tensor, write_tensor_array)
-from .features import (NormalizationModel, PcaModel, average_scores,
-                       k_average_pool, normalize_apply, normalize_fit,
-                       pca_fit, pca_transform)
+from .features import (NormalizationModel, PcaModel, k_average_pool,
+                       normalize_apply, normalize_fit, pca_fit, pca_transform)
 from .fusion import (JOINT_DIM, SEGMENT_DIMS, BnFusionModel, MeasurementModel,
-                     bn_fusion_predict, bn_infer, build_joint_vector,
-                     feature_fusion_predict, feature_fusion_train,
-                     fit_measurement_cpt, scalar_measurement)
+                     bn_infer, build_joint_vector, feature_fusion_predict,
+                     feature_fusion_train, fit_bn, fit_measurement_cpt,
+                     scalar_measurement)
 from .learn import (IslandLossParams, LinearSvmModel, island_loss,
-                    island_loss_grad, softmax_probe_train, svm_predict,
+                    island_loss_grad, softmax_probe_train, svm_predict_batch,
                     svm_train, update_centers)
 from .lbptop import LbpTopParams, build_uniform_mapping, lbp_top_descriptor
 from .metrics import EvalReport, evaluate

@@ -14,18 +14,18 @@ import sys
 import numpy as np
 
 from . import features, fusion, learn, metrics, synth
-from .core import (CHANNELS, check_scores, check_volume, load_manifest,
-                   read_tensor_array, write_tensor_array)
+from .core import (CHANNELS, check_scores, load_manifest, read_tensor_array,
+                   write_tensor_array)
 from .lbptop import LbpTopParams, lbp_top_descriptor
 
 
-def _channel_matrix(manifest, channel, k=7):
+def _channel_matrix(manifest, channel):
     """Per-clip feature rows for one channel of a manifest.
 
     Rank-1 tensors are used as-is; a rank-2 tensor on the cnn channel is
-    a per-frame score matrix and gets k-average pooled.
+    a per-frame score matrix and gets k-average pooled into 7 bins.
     """
-    ids, rows = [], []
+    rows = []
     for entry in manifest.entries:
         path = entry.paths.get(channel)
         if path is None:
@@ -34,33 +34,30 @@ def _channel_matrix(manifest, channel, k=7):
         if not np.all(np.isfinite(arr)):
             raise ValueError(f"{path}: non-finite values in {channel} features")
         if arr.ndim == 2 and channel == "cnn":
-            arr = features.k_average_pool(arr, k)
+            arr = features.k_average_pool(arr)
         elif arr.ndim != 1:
             raise ValueError(f"{path}: expected a feature vector for channel {channel}, "
                              f"got rank {arr.ndim}; run the extraction stages first")
-        ids.append(entry.clip_id)
         rows.append(arr)
-    return ids, np.stack(rows)
+    return np.stack(rows)
 
 
-def _joint_matrix(manifest, k=7):
-    columns = {ch: _channel_matrix(manifest, ch, k)[1] for ch in CHANNELS}
-    ids = [e.clip_id for e in manifest.entries]
-    joint = np.stack([
-        fusion.build_joint_vector(columns["audio"][i], columns["lbptop"][i],
-                                  columns["cnn"][i], columns["blstm"][i])
-        for i in range(len(ids))
-    ])
-    return ids, joint
+def _joint_matrix(manifest):
+    return fusion.build_joint_vector(*(_channel_matrix(manifest, ch) for ch in CHANNELS))
 
 
-def _decisions_by_clip(paths):
-    """Merge decision CSVs into clip_id -> {channel: label}."""
-    merged = {}
-    for path in paths:
-        for clip_id, channel, label in fusion.read_decisions(path):
-            merged.setdefault(clip_id, {})[channel] = label
-    return merged
+def _labelled_decisions(manifest, paths):
+    """Per-channel decisions in manifest order, and the manifest labels."""
+    merged = fusion.decisions_by_clip(paths)
+    channels = sorted({ch for observed in merged.values() for ch in observed})
+    decisions = {ch: [] for ch in channels}
+    for entry in manifest.entries:
+        observed = merged.get(entry.clip_id, {})
+        for channel in channels:
+            if channel not in observed:
+                raise ValueError(f"clip {entry.clip_id!r} has no {channel} decision")
+            decisions[channel].append(observed[channel])
+    return decisions, manifest.labels()
 
 
 def _parse_informativeness(text):
@@ -89,8 +86,7 @@ def cmd_lbptop(args):
                           radius_t=args.radius_t, grid_rows=args.grid_rows,
                           grid_cols=args.grid_cols,
                           normalize_histograms=not args.no_normalize)
-    volume = check_volume(read_tensor_array(args.infile))
-    desc = lbp_top_descriptor(volume, params)
+    desc = lbp_top_descriptor(read_tensor_array(args.infile), params)
     write_tensor_array(args.out, desc)
     print(f"wrote descriptor of length {desc.size} to {args.out}")
 
@@ -118,7 +114,7 @@ def cmd_pool(args):
 
 def cmd_train_svm(args):
     manifest = load_manifest(args.manifest)
-    _, X = _channel_matrix(manifest, args.channel, args.k)
+    X = _channel_matrix(manifest, args.channel)
     model = learn.svm_train(X, manifest.labels(), C=args.c, epochs=args.epochs,
                             seed=args.seed)
     learn.save_svm(model, args.out, epochs=args.epochs, seed=args.seed)
@@ -127,17 +123,16 @@ def cmd_train_svm(args):
 
 def cmd_predict_svm(args):
     manifest = load_manifest(args.manifest)
-    ids, X = _channel_matrix(manifest, args.channel, args.k)
-    model = learn.load_svm(args.model)
-    labels = learn.svm_predict_batch(model, X)
-    fusion.write_decisions(args.out, [(cid, args.channel, int(lab))
-                                      for cid, lab in zip(ids, labels)])
-    print(f"wrote {len(ids)} {args.channel} decisions to {args.out}")
+    X = _channel_matrix(manifest, args.channel)
+    labels = learn.svm_predict_batch(learn.load_svm(args.model), X)
+    fusion.write_decisions(args.out, [(e.clip_id, args.channel, int(lab))
+                                      for e, lab in zip(manifest.entries, labels)])
+    print(f"wrote {len(labels)} {args.channel} decisions to {args.out}")
 
 
 def cmd_fuse_feat_train(args):
     manifest = load_manifest(args.manifest)
-    _, joint = _joint_matrix(manifest, args.k)
+    joint = _joint_matrix(manifest)
     norm, svm = fusion.feature_fusion_train(joint, manifest.labels(), C=args.c,
                                             epochs=args.epochs, seed=args.seed)
     features.save_normalization(norm, args.out_norm)
@@ -148,43 +143,18 @@ def cmd_fuse_feat_train(args):
 
 def cmd_fuse_feat_predict(args):
     manifest = load_manifest(args.manifest)
-    ids, joint = _joint_matrix(manifest, args.k)
-    norm = features.load_normalization(args.norm)
-    svm = learn.load_svm(args.svm)
-    labels = learn.svm_predict_batch(svm, features.normalize_apply(norm, joint))
-    fusion.write_decisions(args.out, [(cid, "joint", int(lab))
-                                      for cid, lab in zip(ids, labels)])
-    print(f"wrote {len(ids)} joint decisions to {args.out}")
+    joint = _joint_matrix(manifest)
+    labels = fusion.feature_fusion_predict(features.load_normalization(args.norm),
+                                           learn.load_svm(args.svm), joint)
+    fusion.write_decisions(args.out, [(e.clip_id, "joint", int(lab))
+                                      for e, lab in zip(manifest.entries, labels)])
+    print(f"wrote {len(labels)} joint decisions to {args.out}")
 
 
 def cmd_fuse_bn_fit(args):
-    manifest = load_manifest(args.manifest)
-    truths = {e.clip_id: e.label for e in manifest.entries}
-    merged = _decisions_by_clip(args.decisions)
-    channels = sorted({ch for obs in merged.values() for ch in obs},
-                      key=lambda c: CHANNELS.index(c) if c in CHANNELS else len(CHANNELS))
-    measurements = []
-    for channel in channels:
-        preds, ys = [], []
-        for entry in manifest.entries:
-            obs = merged.get(entry.clip_id, {})
-            if channel not in obs:
-                raise ValueError(f"clip {entry.clip_id!r} has no {channel} decision")
-            if entry.label is None:
-                raise ValueError(f"clip {entry.clip_id!r} is unlabeled; cannot fit CPTs")
-            preds.append(obs[channel])
-            ys.append(entry.label)
-        if args.scalar:
-            accuracy = float(np.mean(np.asarray(preds) == np.asarray(ys)))
-            measurements.append(fusion.scalar_measurement(accuracy, channel))
-        else:
-            measurements.append(fusion.fit_measurement_cpt(preds, ys, alpha=args.alpha,
-                                                           channel=channel))
-    if args.prior == "empirical":
-        prior = fusion.prior_from_labels([truths[e.clip_id] for e in manifest.entries])
-    else:
-        prior = fusion.uniform_prior()
-    model = fusion.BnFusionModel(prior=prior, measurements=tuple(measurements))
+    decisions, truths = _labelled_decisions(load_manifest(args.manifest), args.decisions)
+    model = fusion.fit_bn(decisions, truths, alpha=args.alpha, scalar=args.scalar,
+                          empirical_prior=args.prior == "empirical")
     smoothing = {"mode": "scalar" if args.scalar else "confusion",
                  "alpha": args.alpha, "prior": args.prior}
     fusion.save_bn(model, args.out, smoothing=smoothing)
@@ -193,11 +163,9 @@ def cmd_fuse_bn_fit(args):
 
 def cmd_fuse_bn_infer(args):
     model = fusion.load_bn(args.model)
-    merged = _decisions_by_clip(args.decisions)
-    rows = []
-    for clip_id in sorted(merged):
-        label = fusion.bn_fusion_predict(model, merged[clip_id])
-        rows.append((clip_id, "bn", label))
+    merged = fusion.decisions_by_clip(args.decisions)
+    rows = [(clip_id, "bn", fusion.bn_infer(model, merged[clip_id])[0])
+            for clip_id in sorted(merged)]
     fusion.write_decisions(args.out, rows)
     print(f"wrote {len(rows)} fused decisions to {args.out}")
 
@@ -228,20 +196,10 @@ def cmd_island_demo(args):
 
 
 def cmd_evaluate(args):
-    manifest = load_manifest(args.manifest)
-    rows = fusion.read_decisions(args.pred)
-    channels = {ch for _, ch, _ in rows}
-    if len(channels) != 1:
-        raise ValueError(f"predictions must come from one channel, found {sorted(channels)}")
-    by_clip = {cid: lab for cid, _, lab in rows}
-    preds, truths = [], []
-    for entry in manifest.entries:
-        if entry.clip_id not in by_clip:
-            raise ValueError(f"no prediction for clip {entry.clip_id!r}")
-        if entry.label is None:
-            raise ValueError(f"clip {entry.clip_id!r} is unlabeled")
-        preds.append(by_clip[entry.clip_id])
-        truths.append(entry.label)
+    decisions, truths = _labelled_decisions(load_manifest(args.manifest), [args.pred])
+    if len(decisions) != 1:
+        raise ValueError(f"predictions must come from one channel, found {list(decisions)}")
+    (preds,) = decisions.values()
     report = metrics.evaluate(preds, truths)
     print(metrics.format_report(report))
     if args.out:
@@ -253,7 +211,6 @@ def _add_common_training_flags(parser):
     parser.add_argument("--c", type=float, default=1.0, help="SVM regularization trade-off")
     parser.add_argument("--epochs", type=int, default=30)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--k", type=int, default=7, help="temporal pooling bins")
 
 
 def build_parser():
@@ -315,7 +272,6 @@ def build_parser():
     p.add_argument("--channel", required=True, choices=CHANNELS)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=7)
     p.set_defaults(func=cmd_predict_svm)
 
     p = sub.add_parser("fuse-feat", help="feature-level fusion")
@@ -331,7 +287,6 @@ def build_parser():
     fp.add_argument("--norm", required=True)
     fp.add_argument("--svm", required=True)
     fp.add_argument("--out", required=True)
-    fp.add_argument("--k", type=int, default=7)
     fp.set_defaults(func=cmd_fuse_feat_predict)
 
     p = sub.add_parser("fuse-bn", help="Bayesian-network model-level fusion")

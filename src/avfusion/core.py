@@ -78,6 +78,10 @@ class LengthMismatch(ValueError):
     """Two parallel sequences differ in length."""
 
 
+class EmptyVolume(ValueError):
+    """A video volume has no pixels."""
+
+
 def emotion_index(name):
     """Map a canonical emotion name to its class index (0..6)."""
     try:
@@ -99,7 +103,7 @@ def check_volume(volume):
     if vol.ndim != 3:
         raise DimensionMismatch(f"video volume must be rank 3 (T,H,W), got rank {vol.ndim}")
     if vol.size == 0:
-        raise ValueError("empty video volume")
+        raise EmptyVolume(f"volume of shape {vol.shape} has no pixels")
     if not np.all(np.isfinite(vol)):
         raise ValueError("video volume contains non-finite values")
     if vol.min() < 0 or vol.max() > 255:
@@ -107,23 +111,13 @@ def check_volume(volume):
     return vol
 
 
-def check_scores(scores, probabilities=False):
-    """Validate a T×7 per-frame score matrix and return it as float64.
-
-    With ``probabilities=True`` every row must additionally be non-negative
-    and sum to 1 within 1e-9.
-    """
+def check_scores(scores):
+    """Validate a T×7 per-frame score matrix and return it as float64."""
     mat = np.asarray(scores, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[1] != N_CLASSES:
         raise DimensionMismatch(f"score matrix must be T×{N_CLASSES}, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
         raise ValueError("score matrix contains non-finite values")
-    if probabilities:
-        if mat.min() < 0:
-            raise ValueError("probability rows must be non-negative")
-        row_sums = mat.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > 1e-9):
-            raise ValueError("probability rows must sum to 1 within 1e-9")
     return mat
 
 

@@ -1,5 +1,5 @@
-"""Channel feature machinery: PCA, score averaging, temporal pooling,
-and the two-stage joint-vector normalization.
+"""Channel feature machinery: PCA, temporal pooling, and the two-stage
+joint-vector normalization.
 
 PCA works on the d×d sample covariance (divide by n-1) via a symmetric
 eigendecomposition with a deterministic sign convention.  Normalization
@@ -19,19 +19,11 @@ class TooFewSamples(ValueError):
     pass
 
 
-class ShapeMismatch(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class PcaModel:
     mean: np.ndarray         # (d,)
     components: np.ndarray   # (q, d), orthonormal rows, descending eigenvalue
     eigenvalues: np.ndarray  # (q,), non-negative, non-increasing
-
-    @property
-    def n_components(self):
-        return self.components.shape[0]
 
 
 @dataclass(frozen=True)
@@ -81,19 +73,6 @@ def pca_transform(model, x):
     if x.shape[-1] != d:
         raise DimensionMismatch(f"expected dimension {d}, got {x.shape[-1]}")
     return (x - model.mean) @ model.components.T
-
-
-def average_scores(stack):
-    """Elementwise mean of a non-empty list of equally shaped score
-    matrices; probability rows stay probability rows."""
-    if len(stack) == 0:
-        raise ValueError("cannot average an empty list of score matrices")
-    mats = [np.asarray(m, dtype=np.float64) for m in stack]
-    shape = mats[0].shape
-    for i, m in enumerate(mats):
-        if m.shape != shape:
-            raise ShapeMismatch(f"matrix {i} has shape {m.shape}, expected {shape}")
-    return np.mean(mats, axis=0)
 
 
 def k_average_pool(scores, k=7):

@@ -19,7 +19,7 @@ import numpy as np
 from .core import (CHANNELS, DimensionMismatch, LengthMismatch, N_CLASSES,
                    emotion_index, emotion_name)
 from .features import normalize_apply, normalize_fit
-from .learn import svm_predict, svm_train
+from .learn import svm_predict_batch, svm_train
 
 SEGMENT_DIMS = {"audio": 20, "lbptop": 150, "cnn": 49, "blstm": 50}
 JOINT_DIM = sum(SEGMENT_DIMS.values())  # 269
@@ -34,6 +34,10 @@ class AllZeroPosterior(ValueError):
 
 
 class UnknownChannel(ValueError):
+    pass
+
+
+class DuplicateDecision(ValueError):
     pass
 
 
@@ -73,15 +77,17 @@ class BnFusionModel:
 
 
 def build_joint_vector(audio, lbptop, cnn, blstm):
-    """Concatenate the four channel features in the fixed layout order."""
-    parts = []
-    for channel, vec in zip(CHANNELS, (audio, lbptop, cnn, blstm)):
-        arr = np.asarray(vec, dtype=np.float64)
-        if arr.shape != (SEGMENT_DIMS[channel],):
-            raise DimensionMismatch(
-                f"{channel}: expected shape ({SEGMENT_DIMS[channel]},), got {arr.shape}")
-        parts.append(arr)
-    return np.concatenate(parts)
+    """Concatenate the four channel features in the fixed layout order.
+
+    Each argument is one clip's feature vector, or an n×dim matrix of
+    per-clip rows; the result is the 269-dim joint vector, or n×269.
+    """
+    parts = [np.asarray(v, dtype=np.float64) for v in (audio, lbptop, cnn, blstm)]
+    for channel, arr in zip(CHANNELS, parts):
+        expected = (*parts[0].shape[:-1], SEGMENT_DIMS[channel])
+        if arr.ndim not in (1, 2) or arr.shape != expected:
+            raise DimensionMismatch(f"{channel}: expected shape {expected}, got {arr.shape}")
+    return np.concatenate(parts, axis=-1)
 
 
 def feature_fusion_train(X, y, C=1.0, epochs=30, seed=0):
@@ -93,9 +99,10 @@ def feature_fusion_train(X, y, C=1.0, epochs=30, seed=0):
     return norm, svm
 
 
-def feature_fusion_predict(norm, svm, x):
-    """Normalize a joint vector and classify it; returns (label, scores)."""
-    return svm_predict(svm, normalize_apply(norm, x))
+def feature_fusion_predict(norm, svm, X):
+    """Normalize rows of an n×269 joint matrix and classify them; returns
+    the n predicted labels."""
+    return svm_predict_batch(svm, normalize_apply(norm, X))
 
 
 def fit_measurement_cpt(predictions, truths, alpha=1.0, channel="joint"):
@@ -146,6 +153,32 @@ def prior_from_labels(labels):
     return counts / counts.sum()
 
 
+def fit_bn(decisions, truths, alpha=1.0, scalar=False, empirical_prior=False):
+    """Fit the fusion network on labelled (validation) decisions.
+
+    ``decisions`` maps channel tags to predicted labels aligned with
+    ``truths``.  Each channel gets a confusion CPT with Laplace smoothing
+    ``alpha`` or, with ``scalar``, the CPT of its scalar accuracy.
+    Measurements follow the fixed channel order, unknown tags after them
+    by name.  The prior is uniform, or with ``empirical_prior`` the class
+    frequencies of ``truths``.
+    """
+    truths = np.asarray(truths, dtype=np.int64)
+    channels = [c for c in CHANNELS if c in decisions] + sorted(set(decisions) - set(CHANNELS))
+    measurements = []
+    for channel in channels:
+        preds = np.asarray(decisions[channel], dtype=np.int64)
+        if preds.shape != truths.shape:
+            raise LengthMismatch(f"{channel}: {preds.size} decisions for {truths.size} labels")
+        if scalar:
+            accuracy = float(np.mean(preds == truths))
+            measurements.append(scalar_measurement(accuracy, channel))
+        else:
+            measurements.append(fit_measurement_cpt(preds, truths, alpha=alpha, channel=channel))
+    prior = prior_from_labels(truths) if empirical_prior else uniform_prior()
+    return BnFusionModel(prior=prior, measurements=tuple(measurements))
+
+
 def bn_infer(model, observed):
     """MAP inference over the fusion network given observed decisions.
 
@@ -173,12 +206,6 @@ def bn_infer(model, observed):
         raise AllZeroPosterior("every class has zero unnormalized mass")
     post = post / total
     return int(np.argmax(post)), post
-
-
-def bn_fusion_predict(model, decisions):
-    """Fused label for one clip's per-channel decisions."""
-    label, _ = bn_infer(model, decisions)
-    return label
 
 
 def save_bn(model, path, smoothing=None):
@@ -230,3 +257,19 @@ def read_decisions(path):
                 raise ValueError(f"{path}: malformed decisions row {row}")
             rows.append((row[0].strip(), row[1].strip(), emotion_index(row[2].strip())))
     return rows
+
+
+def decisions_by_clip(paths):
+    """Read decision CSVs and merge them into clip_id -> {channel: label}.
+
+    Each (clip, channel) pair may appear once across the files; a repeat
+    raises DuplicateDecision rather than letting one decision silently win.
+    """
+    merged = {}
+    for path in paths:
+        for clip_id, channel, label in read_decisions(path):
+            observed = merged.setdefault(clip_id, {})
+            if channel in observed:
+                raise DuplicateDecision(f"{path}: second {channel} decision for {clip_id!r}")
+            observed[channel] = label
+    return merged

@@ -27,14 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch
+from .core import EmptyVolume, check_volume  # EmptyVolume: re-exported for callers
 
 N_BINS = 59
 N_PLANES = 3
-
-
-class EmptyVolume(ValueError):
-    pass
 
 
 class GridLargerThanFrame(ValueError):
@@ -43,7 +39,6 @@ class GridLargerThanFrame(ValueError):
 
 @dataclass(frozen=True)
 class LbpTopParams:
-    neighbors: int = 8
     radius_x: int = 1
     radius_y: int = 1
     radius_t: int = 1
@@ -52,8 +47,6 @@ class LbpTopParams:
     normalize_histograms: bool = True
 
     def __post_init__(self):
-        if self.neighbors != 8:
-            raise ValueError("the 59-bin uniform mapping requires exactly 8 neighbors")
         if min(self.radius_x, self.radius_y, self.radius_t) < 1:
             raise ValueError("radii must be >= 1")
         if min(self.grid_rows, self.grid_cols) < 1:
@@ -79,6 +72,9 @@ def build_uniform_mapping():
             table[code] = next_bin
             next_bin += 1
     return table
+
+
+_UNIFORM_MAPPING = build_uniform_mapping()
 
 
 def _partition(size, blocks):
@@ -159,28 +155,23 @@ def _plane_codes(vol, axis_u, axis_v, radii):
     return codes, lo
 
 
-def lbp_top_descriptor(volume, params=None, mapping=None):
+def lbp_top_descriptor(volume, params=None):
     """Compute the concatenated LBP-TOP descriptor of a video volume.
 
-    ``volume`` is T×H×W with intensities treated as float64.  Layout of
+    ``volume`` is T×H×W with finite intensities in [0, 255], treated as
+    float64; anything else raises a ValueError.  Layout of
     the result: blocks in row-major order; within a block planes XY, XT,
     YT; within a plane bins 0..58.  With ``normalize_histograms`` each
     non-empty 59-bin segment is L1-normalized to sum 1; segments with no
     valid centers stay all-zero.
     """
     params = params or LbpTopParams()
-    vol = np.asarray(volume, dtype=np.float64)
-    if vol.ndim != 3:
-        raise DimensionMismatch(f"expected a rank-3 volume, got rank {vol.ndim}")
-    if vol.size == 0:
-        raise EmptyVolume(f"volume of shape {vol.shape} has no pixels")
+    vol = check_volume(volume)
     _, height, width = vol.shape
     if height < params.grid_rows or width < params.grid_cols:
         raise GridLargerThanFrame(
             f"{params.grid_rows}x{params.grid_cols} grid does not fit a {height}x{width} frame")
 
-    if mapping is None:
-        mapping = build_uniform_mapping()
     radii = (params.radius_t, params.radius_y, params.radius_x)
     row_bounds = _partition(height, params.grid_rows)
     col_bounds = _partition(width, params.grid_cols)
@@ -190,7 +181,7 @@ def lbp_top_descriptor(volume, params=None, mapping=None):
         codes, lo = _plane_codes(vol, axis_u, axis_v, radii)
         if codes is None:
             continue
-        bins = mapping[codes]
+        bins = _UNIFORM_MAPPING[codes]
         # Valid-center span over the spatial axes, in volume coordinates.
         y_lo, x_lo = lo[1], lo[2]
         y_hi, x_hi = y_lo + bins.shape[1], x_lo + bins.shape[2]

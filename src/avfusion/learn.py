@@ -251,26 +251,14 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
     return LinearSvmModel(W=W[:, :dim].copy(), b=W[:, dim].copy(), C=C)
 
 
-def svm_decision(model, X):
-    """Raw scores W x + b for one vector or for rows of a matrix."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[-1] != model.W.shape[1]:
-        raise DimensionMismatch(
-            f"expected dimension {model.W.shape[1]}, got {X.shape[-1]}")
-    return X @ model.W.T + model.b
-
-
-def svm_predict(model, x):
-    """Predicted label (argmax, ties to the lowest index) and scores."""
-    scores = svm_decision(model, x)
-    if scores.ndim != 1:
-        raise DimensionMismatch("svm_predict takes a single feature vector")
-    return int(np.argmax(scores)), scores
-
-
 def svm_predict_batch(model, X):
-    """Predicted labels for rows of an n×D matrix."""
-    return np.argmax(svm_decision(model, X), axis=1)
+    """Predicted labels for rows of an n×D matrix: the argmax of the
+    scores W x + b, ties broken toward the lowest index."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.W.shape[1]:
+        raise DimensionMismatch(
+            f"expected an n×{model.W.shape[1]} matrix, got shape {X.shape}")
+    return np.argmax(X @ model.W.T + model.b, axis=1)
 
 
 def save_svm(model, path, epochs=None, seed=None):

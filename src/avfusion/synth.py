@@ -117,13 +117,12 @@ def synth_generate(config, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = synth_dataset(config)
-    suffix = {"audio": "audio", "lbptop": "lbptop", "cnn": "cnn", "blstm": "blstm"}
     entries = []
     for i in range(config.n_clips):
         clip_id = f"clip_{i:05d}"
         paths = {}
         for channel in CHANNELS:
-            path = out_dir / f"{clip_id}.{suffix[channel]}.fvt"
+            path = out_dir / f"{clip_id}.{channel}.fvt"
             if channel == "cnn":
                 write_tensor_array(path, data.cnn_scores[i])
             else:

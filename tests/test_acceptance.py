@@ -14,9 +14,9 @@ from avfusion.cli import main as cli_main
 from avfusion.core import CHANNELS, read_tensor_array, write_tensor_array
 from avfusion.features import (k_average_pool, normalize_apply, normalize_fit,
                                pca_fit, pca_transform)
-from avfusion.fusion import (SEGMENT_DIMS, BnFusionModel, MeasurementModel,
-                             bn_fusion_predict, bn_infer, feature_fusion_train,
-                             fit_measurement_cpt, uniform_prior)
+from avfusion.fusion import (SEGMENT_DIMS, BnFusionModel, MeasurementModel, bn_infer,
+                             build_joint_vector, feature_fusion_predict,
+                             feature_fusion_train, fit_bn)
 from avfusion.learn import (IslandLossParams, clustering_ratio, island_loss,
                             island_loss_grad, probe_features, softmax_probe_train,
                             svm_predict_batch, svm_train)
@@ -197,6 +197,25 @@ ACC_TARGETS = {"audio": 0.355, "lbptop": 0.389, "cnn": 0.470, "blstm": 0.491}
 N_TRAIN, N_VAL, N_TEST = 2000, 1000, 2000
 
 
+def fusion_predictions(features, y, tr, va, te, epochs, seed):
+    """The fusion pipeline as library calls: per-channel SVMs trained on
+    rows ``tr``, feature-level fusion, and the BN fit on the decisions for
+    rows ``va``.  Returns the predicted labels of rows ``te`` per channel,
+    for "joint" (feature-level) and for "bn" (model-level)."""
+    val_preds, preds = {}, {}
+    for ch in CHANNELS:
+        model = svm_train(features[ch][tr], y[tr], C=1.0, epochs=epochs, seed=seed)
+        val_preds[ch] = svm_predict_batch(model, features[ch][va])
+        preds[ch] = svm_predict_batch(model, features[ch][te])
+    bn = fit_bn(val_preds, y[va])
+    preds["bn"] = np.array([bn_infer(bn, {ch: int(preds[ch][i]) for ch in CHANNELS})[0]
+                            for i in range(len(preds["audio"]))])
+    joint = build_joint_vector(*(features[ch] for ch in CHANNELS))
+    norm, svm = feature_fusion_train(joint[tr], y[tr], C=1.0, epochs=epochs, seed=seed)
+    preds["joint"] = feature_fusion_predict(norm, svm, joint[te])
+    return preds
+
+
 def _fusion_protocol(seed, failed=()):
     """Train per-channel SVMs, both fusion paths; return test accuracies."""
     cfg = SynthConfig(n_clips=N_TRAIN + N_VAL + N_TEST,
@@ -204,31 +223,11 @@ def _fusion_protocol(seed, failed=()):
                       failed_channels=failed, seed=seed)
     data = synth_dataset(cfg)
     y = data.labels
-    tr = slice(0, N_TRAIN)
-    va = slice(N_TRAIN, N_TRAIN + N_VAL)
     te = slice(N_TRAIN + N_VAL, None)
-
-    chan_acc, val_preds, test_preds = {}, {}, {}
-    for ch in CHANNELS:
-        X = data.features[ch]
-        model = svm_train(X[tr], y[tr], C=1.0, epochs=20, seed=seed)
-        val_preds[ch] = svm_predict_batch(model, X[va])
-        test_preds[ch] = svm_predict_batch(model, X[te])
-        chan_acc[ch] = float(np.mean(test_preds[ch] == y[te]))
-
-    joint = np.hstack([data.features[ch] for ch in CHANNELS])
-    norm, svm = feature_fusion_train(joint[tr], y[tr], C=1.0, epochs=20, seed=seed)
-    feat_acc = float(np.mean(
-        svm_predict_batch(svm, normalize_apply(norm, joint[te])) == y[te]))
-
-    measurements = tuple(fit_measurement_cpt(val_preds[ch], y[va], alpha=1.0, channel=ch)
-                         for ch in CHANNELS)
-    bn = BnFusionModel(prior=uniform_prior(), measurements=measurements)
-    bn_preds = np.array([
-        bn_fusion_predict(bn, {ch: int(test_preds[ch][i]) for ch in CHANNELS})
-        for i in range(N_TEST)])
-    bn_acc = float(np.mean(bn_preds == y[te]))
-    return chan_acc, feat_acc, bn_acc
+    preds = fusion_predictions(data.features, y, slice(0, N_TRAIN),
+                               slice(N_TRAIN, N_TRAIN + N_VAL), te, epochs=20, seed=seed)
+    acc = {key: float(np.mean(labels == y[te])) for key, labels in preds.items()}
+    return {ch: acc[ch] for ch in CHANNELS}, acc["joint"], acc["bn"]
 
 
 def test_criterion_08_synthetic_fusion_reproduction():

@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from avfusion.cli import main
-from avfusion.core import read_tensor_array, write_tensor_array
-from avfusion.fusion import read_decisions
+from avfusion.core import CHANNELS, load_manifest, read_tensor_array, write_tensor_array
+from avfusion.features import k_average_pool
+from avfusion.fusion import (BnFusionModel, MeasurementModel, read_decisions, save_bn,
+                             uniform_prior, write_decisions)
+from avfusion.synth import SynthConfig, synth_dataset
+
+from test_acceptance import fusion_predictions
 
 
 def run(*argv):
@@ -13,6 +18,10 @@ def run(*argv):
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         run("lbptop")  # missing required flags
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:  # pooling is fixed at 7 bins
+        run("train-svm", "--manifest", "m.csv", "--channel", "cnn", "--out", "m.json",
+            "--k", 7)
     assert exc.value.code == 2
 
 
@@ -126,6 +135,62 @@ def test_fuse_bn_infer_unknown_channel_exits_1(synth_dirs, tmp_path, capsys):
     assert run("fuse-bn", "infer", "--model", bn_audio_only,
                "--decisions", cnn_dec, "--out", tmp_path / "f.csv") == 1
     assert "UnknownChannel" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("fuse-bn", "fit", "--manifest", "{manifest}", "--decisions", "{dec}", "--out", "{out}"),
+    ("fuse-bn", "infer", "--model", "{bn}", "--decisions", "{dec}", "--out", "{out}"),
+    ("evaluate", "--pred", "{dec}", "--manifest", "{manifest}"),
+], ids=["fuse-bn-fit", "fuse-bn-infer", "evaluate"])
+def test_duplicate_decision_exits_1(synth_dirs, tmp_path, capsys, argv):
+    _, _, manifest = synth_dirs
+    ids = [e.clip_id for e in load_manifest(manifest).entries]
+    dec = tmp_path / "dec.csv"
+    write_decisions(dec, [(cid, "audio", 0) for cid in ids] + [(ids[3], "audio", 1)])
+    bn = tmp_path / "bn.json"
+    save_bn(BnFusionModel(prior=uniform_prior(),
+                          measurements=(MeasurementModel(channel="audio", cpt=np.eye(7)),)), bn)
+    paths = {"manifest": manifest, "dec": dec, "bn": bn, "out": tmp_path / "out.csv"}
+    assert run(*(a.format(**paths) for a in argv)) == 1
+    assert "DuplicateDecision" in capsys.readouterr().err
+
+
+def test_cli_matches_library_pipeline(tmp_path):
+    """The CLI stages give the labels that the library calls of the tested
+    fusion protocol give on the float32-rounded values the CLI reads back."""
+    rho, seed, epochs = (0.3, 0.4, 0.5, 0.6), 3, 5
+    assert run("synth", "--out", tmp_path, "--n-clips", 70, "--seed", seed,
+               "--informativeness", ",".join(map(str, rho))) == 0
+    manifest = tmp_path / "manifest.csv"
+    for ch in CHANNELS:
+        assert run("train-svm", "--manifest", manifest, "--channel", ch, "--epochs", epochs,
+                   "--seed", seed, "--out", tmp_path / f"{ch}.json") == 0
+        assert run("predict-svm", "--manifest", manifest, "--channel", ch,
+                   "--model", tmp_path / f"{ch}.json", "--out", tmp_path / f"{ch}.csv") == 0
+    decisions = [tmp_path / f"{ch}.csv" for ch in CHANNELS]
+    assert run("fuse-bn", "fit", "--manifest", manifest, "--decisions", *decisions,
+               "--out", tmp_path / "bn.json") == 0
+    assert run("fuse-bn", "infer", "--model", tmp_path / "bn.json", "--decisions", *decisions,
+               "--out", tmp_path / "bn.csv") == 0
+    assert run("fuse-feat", "train", "--manifest", manifest, "--epochs", epochs, "--seed", seed,
+               "--out-norm", tmp_path / "norm.json", "--out-svm", tmp_path / "joint.json") == 0
+    assert run("fuse-feat", "predict", "--manifest", manifest, "--norm", tmp_path / "norm.json",
+               "--svm", tmp_path / "joint.json", "--out", tmp_path / "joint.csv") == 0
+
+    data = synth_dataset(SynthConfig(n_clips=70, informativeness=rho, seed=seed))
+
+    def f32(a):
+        return np.asarray(a, dtype=np.float32).astype(np.float64)
+
+    feats = {ch: f32(data.features[ch]) for ch in CHANNELS if ch != "cnn"}
+    feats["cnn"] = np.stack([k_average_pool(f32(s)) for s in data.cnn_scores])
+    every = slice(None)
+    expected = fusion_predictions(feats, data.labels, every, every, every,
+                                  epochs=epochs, seed=seed)
+    assert sorted(expected) == sorted([*CHANNELS, "joint", "bn"])
+    for key, labels in expected.items():
+        cli_labels = [label for _, _, label in read_decisions(tmp_path / f"{key}.csv")]
+        assert cli_labels == labels.tolist(), key
 
 
 def test_island_demo(tmp_path, capsys):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from avfusion.core import DimensionMismatch
-from avfusion.features import (NormalizationModel, ShapeMismatch, TooFewSamples,
-                               average_scores, k_average_pool, load_normalization,
-                               load_pca, normalize_apply, normalize_fit, pca_fit,
-                               pca_transform, save_normalization, save_pca)
+from avfusion.features import (NormalizationModel, TooFewSamples, k_average_pool,
+                               load_normalization, load_pca, normalize_apply,
+                               normalize_fit, pca_fit, pca_transform,
+                               save_normalization, save_pca)
 
 
 def test_pca_axis_aligned():
@@ -86,38 +86,6 @@ def test_pca_errors():
     model = pca_fit(np.random.default_rng(0).standard_normal((10, 3)), 2)
     with pytest.raises(DimensionMismatch):
         pca_transform(model, np.zeros(4))
-
-
-def test_average_scores_identity_and_mean():
-    rng = np.random.default_rng(6)
-    a = rng.standard_normal((5, 7))
-    assert np.array_equal(average_scores([a]), a)
-    assert np.allclose(average_scores([a, 2.0 - a]), np.ones((5, 7)))
-
-
-def test_average_scores_keeps_probability_rows():
-    rng = np.random.default_rng(7)
-    mats = []
-    for _ in range(40):
-        raw = rng.random((6, 7))
-        mats.append(raw / raw.sum(axis=1, keepdims=True))
-    avg = average_scores(mats)
-    assert np.allclose(avg.sum(axis=1), 1.0, atol=1e-9)
-    assert avg.min() >= 0
-
-
-def test_average_scores_permutation_invariant():
-    rng = np.random.default_rng(8)
-    mats = [rng.standard_normal((4, 7)) for _ in range(5)]
-    fwd = average_scores(mats)
-    assert np.allclose(fwd, average_scores(mats[::-1]), atol=1e-12)
-
-
-def test_average_scores_errors():
-    with pytest.raises(ValueError):
-        average_scores([])
-    with pytest.raises(ShapeMismatch):
-        average_scores([np.zeros((3, 7)), np.zeros((4, 7))])
 
 
 def pool_reference(scores, k):

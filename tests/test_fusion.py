@@ -7,12 +7,12 @@ from avfusion.core import DimensionMismatch, LengthMismatch
 from avfusion.features import normalize_apply, normalize_fit
 from avfusion.fusion import (AllZeroPosterior, BnFusionModel, EmptyClassRow,
                              JOINT_DIM, MeasurementModel, SEGMENT_DIMS,
-                             UnknownChannel, bn_fusion_predict, bn_infer,
-                             build_joint_vector, feature_fusion_predict,
-                             feature_fusion_train, fit_measurement_cpt, load_bn,
-                             prior_from_labels, read_decisions, save_bn,
-                             scalar_measurement, uniform_prior, write_decisions)
-from avfusion.learn import svm_predict, svm_train
+                             UnknownChannel, bn_infer, build_joint_vector,
+                             feature_fusion_predict, feature_fusion_train, fit_bn,
+                             fit_measurement_cpt, load_bn, prior_from_labels,
+                             read_decisions, save_bn, scalar_measurement,
+                             uniform_prior, write_decisions)
+from avfusion.learn import svm_predict_batch, svm_train
 
 
 def test_joint_layout_dimensions():
@@ -33,6 +33,13 @@ def test_build_joint_vector_layout_order():
     assert np.all(out[20:170] == 2)
     assert np.all(out[170:219] == 3)
     assert np.all(out[219:] == 4)
+    # per-clip rows give the per-clip joint vectors, row by row
+    rng = np.random.default_rng(0)
+    parts = [rng.standard_normal((5, SEGMENT_DIMS[ch])) for ch in SEGMENT_DIMS]
+    rows = build_joint_vector(*parts)
+    assert rows.shape == (5, 269)
+    for i in range(5):
+        assert np.array_equal(rows[i], build_joint_vector(*(p[i] for p in parts)))
 
 
 def test_build_joint_vector_names_offending_channel():
@@ -40,6 +47,9 @@ def test_build_joint_vector_names_offending_channel():
         build_joint_vector(np.zeros(21), np.zeros(150), np.zeros(49), np.zeros(50))
     with pytest.raises(DimensionMismatch, match="blstm"):
         build_joint_vector(np.zeros(20), np.zeros(150), np.zeros(49), np.zeros(51))
+    with pytest.raises(DimensionMismatch, match="cnn"):
+        build_joint_vector(np.zeros((3, 20)), np.zeros((3, 150)), np.zeros((2, 49)),
+                           np.zeros((3, 50)))
 
 
 def _toy_joint_data(seed=0, n=70):
@@ -54,8 +64,7 @@ def _toy_joint_data(seed=0, n=70):
 def test_feature_fusion_separable():
     X, y = _toy_joint_data()
     norm, svm = feature_fusion_train(X[:50], y[:50], epochs=20, seed=0)
-    preds = [feature_fusion_predict(norm, svm, x)[0] for x in X[50:]]
-    assert np.mean(np.array(preds) == y[50:]) == 1.0
+    assert np.mean(feature_fusion_predict(norm, svm, X[50:]) == y[50:]) == 1.0
 
 
 def test_feature_fusion_equals_manual_chain():
@@ -66,11 +75,8 @@ def test_feature_fusion_equals_manual_chain():
     assert np.array_equal(norm.per_dim_mean, norm2.per_dim_mean)
     assert np.array_equal(svm.W, svm2.W)
     assert np.array_equal(svm.b, svm2.b)
-    x = X[3]
-    label, scores = feature_fusion_predict(norm, svm, x)
-    label2, scores2 = svm_predict(svm2, normalize_apply(norm2, x))
-    assert label == label2
-    assert np.array_equal(scores, scores2)
+    labels = feature_fusion_predict(norm, svm, X)
+    assert np.array_equal(labels, svm_predict_batch(svm2, normalize_apply(norm2, X)))
 
 
 def test_feature_fusion_deterministic():
@@ -88,11 +94,10 @@ def test_feature_fusion_stage1_rescaling_invariance():
     shift = np.linspace(-2.0, 2.0, JOINT_DIM)
     n1, s1 = feature_fusion_train(X, y, epochs=10, seed=0)
     n2, s2 = feature_fusion_train(X * scale + shift, y, epochs=10, seed=0)
-    x = X[5]
-    p1 = feature_fusion_predict(n1, s1, x)
-    p2 = feature_fusion_predict(n2, s2, x * scale + shift)
-    assert p1[0] == p2[0]
-    assert np.allclose(p1[1], p2[1], atol=1e-8)
+    assert np.allclose(normalize_apply(n1, X), normalize_apply(n2, X * scale + shift),
+                       atol=1e-8)
+    assert np.array_equal(feature_fusion_predict(n1, s1, X),
+                          feature_fusion_predict(n2, s2, X * scale + shift))
 
 
 def test_cpt_perfect_predictor():
@@ -167,6 +172,24 @@ def bn_joint_table_posterior(model, observed):
     return post / post.sum()
 
 
+def test_fit_bn_equals_manual_chain():
+    rng = np.random.default_rng(8)
+    truths = rng.integers(0, 7, 60)
+    decisions = {ch: rng.integers(0, 7, 60) for ch in ("cnn", "joint", "audio")}
+    model = fit_bn(decisions, truths, alpha=0.5)
+    assert model.channels == ("audio", "cnn", "joint")
+    assert np.array_equal(model.prior, uniform_prior())
+    for meas in model.measurements:
+        expected = fit_measurement_cpt(decisions[meas.channel], truths, alpha=0.5)
+        assert np.array_equal(meas.cpt, expected.cpt)
+    scalar = fit_bn(decisions, truths, scalar=True, empirical_prior=True)
+    assert np.array_equal(scalar.prior, prior_from_labels(truths))
+    accuracy = float(np.mean(decisions["cnn"] == truths))
+    assert np.array_equal(scalar.measurements[1].cpt, scalar_measurement(accuracy, "cnn").cpt)
+    with pytest.raises(LengthMismatch):
+        fit_bn({"cnn": truths[:-1]}, truths, scalar=True)
+
+
 def test_bn_perfect_channels():
     measurements = tuple(MeasurementModel(channel=ch, cpt=np.eye(7))
                          for ch in ("audio", "lbptop", "cnn", "blstm"))
@@ -232,7 +255,7 @@ def test_bn_single_identity_channel_returns_observation():
     model = BnFusionModel(prior=uniform_prior(),
                           measurements=(MeasurementModel(channel="cnn", cpt=np.eye(7)),))
     for m in range(7):
-        assert bn_fusion_predict(model, {"cnn": m}) == m
+        assert bn_infer(model, {"cnn": m})[0] == m
 
 
 def test_bn_three_agreeing_channels_dominate():
@@ -247,7 +270,7 @@ def test_bn_three_agreeing_channels_dominate():
     model = BnFusionModel(prior=uniform_prior(), measurements=tuple(measurements))
     for fourth in range(7):
         obs = {"audio": 2, "lbptop": 2, "cnn": 2, "blstm": fourth}
-        assert bn_fusion_predict(model, obs) == 2
+        assert bn_infer(model, obs)[0] == 2
         oracle = bn_joint_table_posterior(model, obs)
         assert int(np.argmax(oracle)) == 2
 

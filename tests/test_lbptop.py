@@ -218,8 +218,11 @@ def test_errors():
         lbp_top_descriptor(np.zeros((4, 3, 10)))
     with pytest.raises(DimensionMismatch):
         lbp_top_descriptor(np.zeros((4, 4)))
-    with pytest.raises(ValueError):
-        LbpTopParams(neighbors=4)
+    for bad in (np.nan, -1.0, 256.0):
+        vol = np.zeros((4, 8, 8))
+        vol[2, 3, 3] = bad
+        with pytest.raises(ValueError):
+            lbp_top_descriptor(vol)
     with pytest.raises(ValueError):
         LbpTopParams(radius_x=0)
 

@@ -8,8 +8,7 @@ from avfusion.learn import (DegenerateInput, IslandLossParams, LinearSvmModel,
                             SingleClass, ZeroNormCenter, clustering_ratio,
                             island_loss, island_loss_grad, load_svm,
                             probe_features, save_svm, softmax_probe_train,
-                            svm_decision, svm_predict, svm_predict_batch,
-                            svm_train, update_centers)
+                            svm_predict_batch, svm_train, update_centers)
 from avfusion.synth import gaussian_blobs
 
 
@@ -245,13 +244,11 @@ def test_svm_deterministic_bytes(tmp_path):
 
 def test_svm_predict_tie_breaks():
     model = LinearSvmModel(W=np.zeros((7, 3)), b=np.zeros(7), C=1.0)
-    label, scores = svm_predict(model, np.ones(3))
-    assert label == 0
-    assert np.array_equal(scores, np.zeros(7))
+    assert np.array_equal(svm_predict_batch(model, np.ones((4, 3))), np.zeros(4))
     bias = np.zeros(7)
     bias[5] = 1.0
     model = LinearSvmModel(W=np.zeros((7, 3)), b=bias, C=1.0)
-    assert svm_predict(model, np.ones(3))[0] == 5
+    assert np.array_equal(svm_predict_batch(model, np.ones((4, 3))), np.full(4, 5))
 
 
 def test_svm_predict_matches_direct_computation():
@@ -259,21 +256,21 @@ def test_svm_predict_matches_direct_computation():
     W = rng.standard_normal((7, 4))
     b = rng.standard_normal(7)
     model = LinearSvmModel(W=W, b=b, C=1.0)
-    x = rng.standard_normal(4)
-    label, scores = svm_predict(model, x)
-    direct = np.array([np.dot(W[c], x) + b[c] for c in range(7)])
-    assert np.allclose(scores, direct, atol=1e-12)
-    assert label == int(np.argmax(direct))
+    X = rng.standard_normal((20, 4))
+    labels = svm_predict_batch(model, X)
+    for x, label in zip(X, labels):
+        direct = np.array([np.dot(W[c], x) + b[c] for c in range(7)])
+        assert label == int(np.argmax(direct))
 
 
 def test_svm_predict_scale_invariant_label():
     rng = np.random.default_rng(10)
     W = rng.standard_normal((7, 4))
     b = rng.standard_normal(7)
-    x = rng.standard_normal(4)
-    l1, _ = svm_predict(LinearSvmModel(W=W, b=b, C=1.0), x)
-    l2, _ = svm_predict(LinearSvmModel(W=3.5 * W, b=3.5 * b, C=1.0), x)
-    assert l1 == l2
+    X = rng.standard_normal((20, 4))
+    l1 = svm_predict_batch(LinearSvmModel(W=W, b=b, C=1.0), X)
+    l2 = svm_predict_batch(LinearSvmModel(W=3.5 * W, b=3.5 * b, C=1.0), X)
+    assert np.array_equal(l1, l2)
 
 
 def test_svm_errors():
@@ -281,7 +278,9 @@ def test_svm_errors():
         svm_train(np.zeros((4, 2)), [1, 1, 1, 1])
     model = LinearSvmModel(W=np.zeros((7, 3)), b=np.zeros(7), C=1.0)
     with pytest.raises(DimensionMismatch):
-        svm_decision(model, np.zeros(4))
+        svm_predict_batch(model, np.zeros((2, 4)))
+    with pytest.raises(DimensionMismatch):
+        svm_predict_batch(model, np.zeros(3))
 
 
 def test_svm_serialization_roundtrip(tmp_path):
