@@ -14,8 +14,7 @@ import sys
 import numpy as np
 
 from . import features, fusion, learn, metrics, synth
-from .core import (CHANNELS, check_scores, load_manifest, read_tensor_array,
-                   write_tensor_array)
+from .core import CHANNELS, load_manifest, read_tensor_array, write_tensor_array
 from .lbptop import LbpTopParams, lbp_top_descriptor
 
 
@@ -31,8 +30,6 @@ def _channel_matrix(manifest, channel):
         if path is None:
             raise ValueError(f"clip {entry.clip_id!r} has no {channel} file")
         arr = read_tensor_array(path)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{path}: non-finite values in {channel} features")
         if arr.ndim == 2 and channel == "cnn":
             arr = features.k_average_pool(arr)
         elif arr.ndim != 1:
@@ -106,7 +103,7 @@ def cmd_pca_apply(args):
 
 
 def cmd_pool(args):
-    scores = check_scores(read_tensor_array(args.infile))
+    scores = read_tensor_array(args.infile)
     pooled = features.k_average_pool(scores, args.k)
     write_tensor_array(args.out, pooled)
     print(f"pooled {scores.shape[0]} frames into {args.k} bins -> {args.out}")

@@ -3,7 +3,8 @@
 Tensors are exchanged in the FVT1 binary format: the magic bytes ``FVT1``,
 a little-endian u32 rank, ``rank`` little-endian u32 dims, then
 ``prod(dims)`` little-endian f32 values with no padding.  Values are kept
-as float64 in memory and stored as float32 on disk.
+as float64 in memory and stored as float32 on disk; they must be finite,
+which both writing and reading check.
 
 Dataset manifests are CSV files with the header
 ``clip_id,label,audio,lbptop_video,cnn_scores,blstm_feat``.  The label
@@ -111,14 +112,32 @@ def check_volume(volume):
     return vol
 
 
-def check_scores(scores):
-    """Validate a T×7 per-frame score matrix and return it as float64."""
-    mat = np.asarray(scores, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[1] != N_CLASSES:
-        raise DimensionMismatch(f"score matrix must be T×{N_CLASSES}, got shape {mat.shape}")
+def check_matrix(matrix, cols=None):
+    """Validate a finite rank-2 matrix, ``cols`` wide when given, and
+    return it as float64."""
+    mat = np.asarray(matrix, dtype=np.float64)
+    if mat.ndim != 2 or (cols is not None and mat.shape[1] != cols):
+        raise DimensionMismatch(f"expected an n×{cols or 'd'} matrix, got shape {mat.shape}")
     if not np.all(np.isfinite(mat)):
-        raise ValueError("score matrix contains non-finite values")
+        raise ValueError("matrix contains non-finite values")
     return mat
+
+
+def check_labels(labels, n=None):
+    """Validate class labels and return them as a 1-D int64 array.
+
+    The labels must be a non-empty sequence of integer class indices in
+    0..6, ``n`` of them when ``n`` is given.
+    """
+    raw = np.asarray(labels)
+    if raw.ndim != 1 or raw.size == 0:
+        raise ValueError(f"labels must be a non-empty 1-D sequence, got shape {raw.shape}")
+    if n is not None and raw.size != n:
+        raise LengthMismatch(f"{raw.size} labels where {n} are expected")
+    known = np.isin(raw, np.arange(N_CLASSES))
+    if not known.all():
+        raise UnknownLabel(f"label {raw[~known][0]} is not a class index in 0..{N_CLASSES - 1}")
+    return raw.astype(np.int64)
 
 
 def write_tensor(path, dims, values):
@@ -147,7 +166,8 @@ def read_tensor(path):
     """Read an FVT1 tensor file; returns ``(dims, values)``.
 
     ``values`` is a float64 array of ``prod(dims)`` entries.  Raises
-    BadMagic on a wrong magic and Truncated when the file ends early.
+    BadMagic on a wrong magic, Truncated when the file ends early and
+    ValueError when a value is not finite.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -169,6 +189,8 @@ def read_tensor(path):
     if len(blob) > expected:
         raise TensorFormatError(f"{path}: {len(blob) - expected} trailing bytes after payload")
     values = np.frombuffer(blob, dtype="<f4", count=n, offset=header_end).astype(np.float64)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: tensor values must be finite")
     return dims, values
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, load_tensor_bundle, save_tensor_bundle
+from .core import N_CLASSES, check_matrix, load_tensor_bundle, save_tensor_bundle
 
 
 class TooFewSamples(ValueError):
@@ -44,9 +44,7 @@ def pca_fit(X, q):
     entry made positive.  When the data rank is below q the trailing
     components are an orthonormal completion with eigenvalue 0.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimensionMismatch(f"expected an n×d matrix, got rank {X.ndim}")
+    X = check_matrix(X)
     n, d = X.shape
     if n < 2:
         raise TooFewSamples(f"PCA needs at least 2 samples, got {n}")
@@ -69,14 +67,12 @@ def pca_transform(model, x):
     """Project ``x`` (a d-vector or an n×d matrix of rows) onto the
     retained components: ``components @ (x - mean)``."""
     x = np.asarray(x, dtype=np.float64)
-    d = model.mean.shape[0]
-    if x.shape[-1] != d:
-        raise DimensionMismatch(f"expected dimension {d}, got {x.shape[-1]}")
+    check_matrix(np.atleast_2d(x), cols=model.mean.shape[0])
     return (x - model.mean) @ model.components.T
 
 
 def k_average_pool(scores, k=7):
-    """Pool a T×C per-frame score matrix into a flat k·C vector.
+    """Pool a T×7 per-frame score matrix into a flat 7k vector.
 
     When T < k, frames are repeated in place until the sequence reaches
     k rows: the first ``k mod T`` original frames appear ``ceil(k/T)``
@@ -88,9 +84,7 @@ def k_average_pool(scores, k=7):
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    mat = np.asarray(scores, dtype=np.float64)
-    if mat.ndim != 2:
-        raise DimensionMismatch(f"expected a T×C score matrix, got rank {mat.ndim}")
+    mat = check_matrix(scores, cols=N_CLASSES)
     n_frames = mat.shape[0]
     if n_frames == 0:
         raise ValueError("cannot pool an empty score matrix")
@@ -107,9 +101,7 @@ def k_average_pool(scores, k=7):
 
 def normalize_fit(X):
     """Per-dimension mean and population std over training rows."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimensionMismatch(f"expected an n×D matrix, got rank {X.ndim}")
+    X = check_matrix(X)
     if X.shape[0] < 2:
         raise TooFewSamples(f"normalization needs at least 2 samples, got {X.shape[0]}")
     return NormalizationModel(per_dim_mean=X.mean(axis=0), per_dim_std=X.std(axis=0))
@@ -124,9 +116,7 @@ def normalize_apply(model, x):
     the zero vector.
     """
     x = np.asarray(x, dtype=np.float64)
-    d = model.per_dim_mean.shape[0]
-    if x.shape[-1] != d:
-        raise DimensionMismatch(f"expected dimension {d}, got {x.shape[-1]}")
+    check_matrix(np.atleast_2d(x), cols=model.per_dim_mean.shape[0])
     std = model.per_dim_std
     stage1 = np.where(std > 0, (x - model.per_dim_mean) / np.where(std > 0, std, 1.0), 0.0)
     own_mean = stage1.mean(axis=-1, keepdims=True)

@@ -16,10 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (CHANNELS, DimensionMismatch, LengthMismatch, N_CLASSES,
-                   emotion_index, emotion_name)
+from .core import (CHANNELS, DimensionMismatch, N_CLASSES, check_labels, emotion_index,
+                   emotion_name)
 from .features import normalize_apply, normalize_fit
 from .learn import svm_predict_batch, svm_train
+from .metrics import evaluate
 
 SEGMENT_DIMS = {"audio": 20, "lbptop": 150, "cnn": 49, "blstm": 50}
 JOINT_DIM = sum(SEGMENT_DIMS.values())  # 269
@@ -112,16 +113,9 @@ def fit_measurement_cpt(predictions, truths, alpha=1.0, channel="joint"):
     With alpha == 0 a true class that never occurs leaves its row
     undefined, which is an error.
     """
-    predictions = np.asarray(predictions, dtype=np.int64)
-    truths = np.asarray(truths, dtype=np.int64)
-    if predictions.shape != truths.shape or predictions.ndim != 1:
-        raise LengthMismatch("predictions and truths must be equal-length 1-D sequences")
-    if predictions.size == 0:
-        raise ValueError("cannot fit a CPT from empty lists")
     if alpha < 0:
         raise ValueError("smoothing alpha must be >= 0")
-    counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.float64)
-    np.add.at(counts, (truths, predictions), 1.0)
+    counts = evaluate(predictions, truths).confusion
     row_totals = counts.sum(axis=1)
     if alpha == 0 and np.any(row_totals == 0):
         missing = [emotion_name(e) for e in np.flatnonzero(row_totals == 0)]
@@ -146,10 +140,7 @@ def uniform_prior():
 
 def prior_from_labels(labels):
     """Empirical class frequencies as the prior."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size == 0:
-        raise ValueError("cannot estimate a prior from no labels")
-    counts = np.bincount(labels, minlength=N_CLASSES).astype(np.float64)
+    counts = np.bincount(check_labels(labels), minlength=N_CLASSES).astype(np.float64)
     return counts / counts.sum()
 
 
@@ -163,13 +154,11 @@ def fit_bn(decisions, truths, alpha=1.0, scalar=False, empirical_prior=False):
     by name.  The prior is uniform, or with ``empirical_prior`` the class
     frequencies of ``truths``.
     """
-    truths = np.asarray(truths, dtype=np.int64)
+    truths = check_labels(truths)
     channels = [c for c in CHANNELS if c in decisions] + sorted(set(decisions) - set(CHANNELS))
     measurements = []
     for channel in channels:
-        preds = np.asarray(decisions[channel], dtype=np.int64)
-        if preds.shape != truths.shape:
-            raise LengthMismatch(f"{channel}: {preds.size} decisions for {truths.size} labels")
+        preds = check_labels(decisions[channel], n=truths.size)
         if scalar:
             accuracy = float(np.mean(preds == truths))
             measurements.append(scalar_measurement(accuracy, channel))

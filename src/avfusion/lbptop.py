@@ -23,6 +23,7 @@ Conventions, fixed so that independent reimplementations agree:
   never blocked.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +48,9 @@ class LbpTopParams:
     normalize_histograms: bool = True
 
     def __post_init__(self):
-        if min(self.radius_x, self.radius_y, self.radius_t) < 1:
-            raise ValueError("radii must be >= 1")
-        if min(self.grid_rows, self.grid_cols) < 1:
-            raise ValueError("grid dimensions must be >= 1")
+        sizes = (self.radius_x, self.radius_y, self.radius_t, self.grid_rows, self.grid_cols)
+        if not all(isinstance(v, numbers.Integral) and v >= 1 for v in sizes):
+            raise ValueError(f"radii and grid dimensions must be integers >= 1, got {sizes}")
 
     @property
     def descriptor_length(self):
@@ -137,14 +137,9 @@ def _plane_codes(vol, axis_u, axis_v, radii):
         du, dv = du_all[k], dv_all[k]
         iu, iv = int(np.floor(du)), int(np.floor(dv))
         fu, fv = du - iu, dv - iv
+        # Integer radii put an offset on the lattice or off it on both axes.
         if fu == 0.0 and fv == 0.0:
             sample = corner(iu, iv)
-        elif fu == 0.0:
-            p00 = corner(iu, iv)
-            sample = p00 + fv * (corner(iu, iv + 1) - p00)
-        elif fv == 0.0:
-            p00 = corner(iu, iv)
-            sample = p00 + fu * (corner(iu + 1, iv) - p00)
         else:
             p00 = corner(iu, iv)
             p10 = corner(iu + 1, iv)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionMismatch, N_CLASSES, load_tensor_bundle, save_tensor_bundle
+from .core import (DimensionMismatch, N_CLASSES, check_labels, check_matrix,
+                   load_tensor_bundle, save_tensor_bundle)
 
 
 class ZeroNormCenter(ValueError):
@@ -224,13 +225,9 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
     with lambda_reg = 1/(C*n).  The bias rides along as a constant
     feature.  Identical inputs and seed give identical models.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2:
-        raise DimensionMismatch(f"expected an n×D matrix, got rank {X.ndim}")
+    X = check_matrix(X)
+    y = check_labels(y, n=X.shape[0])
     n, dim = X.shape
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
     if np.unique(y).size < 2:
         raise SingleClass("training data contains a single class")
     lam = 1.0 / (C * n)
@@ -254,10 +251,7 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
 def svm_predict_batch(model, X):
     """Predicted labels for rows of an n×D matrix: the argmax of the
     scores W x + b, ties broken toward the lowest index."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.W.shape[1]:
-        raise DimensionMismatch(
-            f"expected an n×{model.W.shape[1]} matrix, got shape {X.shape}")
+    X = check_matrix(X, cols=model.W.shape[1])
     return np.argmax(X @ model.W.T + model.b, axis=1)
 
 

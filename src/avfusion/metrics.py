@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EMOTION_NAMES, LengthMismatch, N_CLASSES
+from .core import EMOTION_NAMES, N_CLASSES, check_labels
 
 
 @dataclass(frozen=True)
@@ -21,12 +21,8 @@ def evaluate(predictions, truths):
     Per-class accuracy is the diagonal over the row total (0 for classes
     with no truth samples); overall accuracy is trace over total.
     """
-    predictions = np.asarray(predictions, dtype=np.int64)
-    truths = np.asarray(truths, dtype=np.int64)
-    if predictions.shape != truths.shape or predictions.ndim != 1:
-        raise LengthMismatch("predictions and truths must be equal-length 1-D sequences")
-    if predictions.size == 0:
-        raise ValueError("cannot evaluate empty label lists")
+    truths = check_labels(truths)
+    predictions = check_labels(predictions, n=truths.size)
     confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     np.add.at(confusion, (truths, predictions), 1)
     row_totals = confusion.sum(axis=1)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,31 @@ def test_duplicate_decision_exits_1(synth_dirs, tmp_path, capsys, argv):
     paths = {"manifest": manifest, "dec": dec, "bn": bn, "out": tmp_path / "out.csv"}
     assert run(*(a.format(**paths) for a in argv)) == 1
     assert "DuplicateDecision" in capsys.readouterr().err
+
+
+def test_nan_feature_file_exits_1(tmp_path, capsys):
+    """Every stage that reads channel features names a file holding NaN."""
+    assert run("synth", "--out", tmp_path, "--n-clips", 21, "--seed", 4) == 0
+    manifest = tmp_path / "manifest.csv"
+    norm, joint = tmp_path / "norm.json", tmp_path / "joint.json"
+    assert run("train-svm", "--manifest", manifest, "--channel", "audio", "--epochs", 2,
+               "--out", tmp_path / "audio.json") == 0
+    assert run("fuse-feat", "train", "--manifest", manifest, "--epochs", 2,
+               "--out-norm", norm, "--out-svm", joint) == 0
+    bad = load_manifest(manifest).entries[5].paths["audio"]
+    blob = bad.read_bytes()
+    bad.write_bytes(blob[:-4] + struct.pack("<f", np.nan))
+    capsys.readouterr()
+    for argv in (("train-svm", "--manifest", manifest, "--channel", "audio",
+                  "--out", tmp_path / "m.json"),
+                 ("predict-svm", "--manifest", manifest, "--channel", "audio",
+                  "--model", tmp_path / "audio.json", "--out", tmp_path / "d.csv"),
+                 ("fuse-feat", "train", "--manifest", manifest,
+                  "--out-norm", tmp_path / "n.json", "--out-svm", tmp_path / "j.json"),
+                 ("fuse-feat", "predict", "--manifest", manifest, "--norm", norm,
+                  "--svm", joint, "--out", tmp_path / "j.csv")):
+        assert run(*argv) == 1, argv[0]
+        assert str(bad) in capsys.readouterr().err, argv[0]
 
 
 def test_cli_matches_library_pipeline(tmp_path):

@@ -1,10 +1,12 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import avfusion
 from avfusion.core import (BadMagic, DuplicateClipId, DimensionMismatch,
                            EMOTION_NAMES, MalformedRow, Truncated, UnknownLabel,
                            emotion_index, emotion_name, load_manifest,
@@ -66,6 +68,18 @@ def test_tensor_length_mismatch(tmp_path):
 def test_tensor_rejects_nonfinite(tmp_path):
     with pytest.raises(ValueError):
         write_tensor(tmp_path / "t.fvt", [2], [1.0, np.nan])
+    path = tmp_path / "nan.fvt"  # written by hand: write_tensor refuses NaN
+    path.write_bytes(b"FVT1" + struct.pack("<II", 1, 2) + struct.pack("<2f", 1.0, np.nan))
+    with pytest.raises(ValueError, match="nan.fvt"):
+        read_tensor(path)
+
+
+def test_isfinite_only_in_core():
+    """Finiteness is checked in one module; the others call its checkers."""
+    package = Path(avfusion.__file__).parent
+    offenders = [p.name for p in sorted(package.glob("*.py"))
+                 if p.name != "core.py" and "np.isfinite" in p.read_text()]
+    assert offenders == []
 
 
 def test_bad_magic(tmp_path):

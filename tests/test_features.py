@@ -86,6 +86,8 @@ def test_pca_errors():
     model = pca_fit(np.random.default_rng(0).standard_normal((10, 3)), 2)
     with pytest.raises(DimensionMismatch):
         pca_transform(model, np.zeros(4))
+    with pytest.raises(ValueError):
+        pca_transform(model, np.array([[0.0, 1.0, 2.0], [np.nan, 1.0, 2.0]]))
 
 
 def pool_reference(scores, k):
@@ -164,6 +166,10 @@ def test_pool_errors():
         k_average_pool(np.zeros((0, 7)), 7)
     with pytest.raises(ValueError):
         k_average_pool(np.zeros((5, 7)), 0)
+    with pytest.raises(ValueError):
+        k_average_pool(np.full((9, 7), np.nan))
+    with pytest.raises(ValueError):
+        k_average_pool(np.zeros((9, 5)))
 
 
 def test_normalize_fit_hand_case():
@@ -226,6 +232,11 @@ def test_normalize_errors():
     model = normalize_fit(np.random.default_rng(0).standard_normal((5, 4)))
     with pytest.raises(DimensionMismatch):
         normalize_apply(model, np.zeros(5))
+    nan_row = np.array([1.0, np.nan, 0.0, 2.0])
+    with pytest.raises(ValueError):
+        normalize_fit(np.stack([np.zeros(4), nan_row, np.ones(4)]))
+    with pytest.raises(ValueError):
+        normalize_apply(model, nan_row)
 
 
 def test_pca_and_normalization_serialization(tmp_path):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from avfusion.core import DimensionMismatch, LengthMismatch
+from avfusion.core import DimensionMismatch, LengthMismatch, UnknownLabel
 from avfusion.features import normalize_apply, normalize_fit
 from avfusion.fusion import (AllZeroPosterior, BnFusionModel, EmptyClassRow,
                              JOINT_DIM, MeasurementModel, SEGMENT_DIMS,
@@ -135,6 +135,10 @@ def test_cpt_empty_class_row():
 def test_cpt_length_mismatch():
     with pytest.raises(LengthMismatch):
         fit_measurement_cpt([0, 1], [0], alpha=1.0)
+    with pytest.raises(UnknownLabel):
+        fit_measurement_cpt([0, 1], [-1, 1], alpha=1.0)
+    with pytest.raises(UnknownLabel):
+        prior_from_labels([0, 7])
 
 
 def test_scalar_measurement():

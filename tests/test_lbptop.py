@@ -143,13 +143,15 @@ def test_constant_volume_single_bin():
 
 def test_matches_naive_reference_exactly():
     rng = np.random.default_rng(2024)
-    params = LbpTopParams(normalize_histograms=False)
-    for _ in range(8):
-        shape = (rng.integers(8, 13), rng.integers(8, 17), rng.integers(8, 17))
-        vol = rng.integers(0, 256, size=shape).astype(np.float64)
-        fast = lbp_top_descriptor(vol, params)
-        slow = naive_lbp_top(vol, params)
-        assert np.array_equal(fast, slow)
+    for rx, ry, rt in ((1, 1, 1), (2, 1, 1), (1, 2, 3)):  # circular, then elliptical
+        params = LbpTopParams(radius_x=rx, radius_y=ry, radius_t=rt,
+                              normalize_histograms=False)
+        for _ in range(8):
+            shape = (rng.integers(8, 13), rng.integers(8, 17), rng.integers(8, 17))
+            vol = rng.integers(0, 256, size=shape).astype(np.float64)
+            fast = lbp_top_descriptor(vol, params)
+            slow = naive_lbp_top(vol, params)
+            assert np.array_equal(fast, slow), (rx, ry, rt)
 
 
 def test_matches_naive_reference_normalized():
@@ -225,6 +227,8 @@ def test_errors():
             lbp_top_descriptor(vol)
     with pytest.raises(ValueError):
         LbpTopParams(radius_x=0)
+    with pytest.raises(ValueError):
+        LbpTopParams(radius_x=1.5)
 
 
 def test_too_short_time_axis_gives_zero_temporal_planes():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from avfusion.core import DimensionMismatch
+from avfusion.core import DimensionMismatch, UnknownLabel
 from avfusion.learn import (DegenerateInput, IslandLossParams, LinearSvmModel,
                             SingleClass, ZeroNormCenter, clustering_ratio,
                             island_loss, island_loss_grad, load_svm,
@@ -276,7 +276,15 @@ def test_svm_predict_scale_invariant_label():
 def test_svm_errors():
     with pytest.raises(SingleClass):
         svm_train(np.zeros((4, 2)), [1, 1, 1, 1])
+    with pytest.raises(UnknownLabel):
+        svm_train(np.zeros((20, 2)), np.arange(20) % 9)
+    X = np.zeros((4, 3))
+    X[2, 1] = np.nan
+    with pytest.raises(ValueError):
+        svm_train(X, [0, 1, 0, 1])
     model = LinearSvmModel(W=np.zeros((7, 3)), b=np.zeros(7), C=1.0)
+    with pytest.raises(ValueError):
+        svm_predict_batch(model, X)
     with pytest.raises(DimensionMismatch):
         svm_predict_batch(model, np.zeros((2, 4)))
     with pytest.raises(DimensionMismatch):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from avfusion.core import LengthMismatch
+from avfusion.core import LengthMismatch, UnknownLabel
 from avfusion.metrics import evaluate, format_report, write_report_csv
 
 
@@ -47,6 +47,12 @@ def test_errors():
         evaluate([0, 1], [0])
     with pytest.raises(ValueError):
         evaluate([], [])
+    with pytest.raises(UnknownLabel):
+        evaluate([0, 1], [-1, 1])
+    with pytest.raises(UnknownLabel):
+        evaluate([9, 1], [0, 1])
+    with pytest.raises(UnknownLabel):
+        evaluate([1.5, 2], [1, 2])
 
 
 def test_report_csv_and_table(tmp_path):
