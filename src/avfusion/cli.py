@@ -57,18 +57,11 @@ def _labelled_decisions(manifest, paths):
     return decisions, manifest.labels()
 
 
-def _parse_informativeness(text):
-    values = tuple(float(v) for v in text.split(","))
-    if len(values) != len(CHANNELS):
-        raise ValueError(f"--informativeness needs {len(CHANNELS)} comma-separated values")
-    return values
-
-
 def cmd_synth(args):
     config = synth.SynthConfig(
         n_clips=args.n_clips,
-        informativeness=_parse_informativeness(args.informativeness),
-        failed_channels=tuple(c for c in args.fail.split(",") if c) if args.fail else (),
+        informativeness=tuple(float(v) for v in args.informativeness.split(",")),
+        failed_channels=tuple(c for c in args.fail.split(",") if c),
         seed=args.seed,
         base_separation=args.base_separation,
         frames_min=args.frames_min,

@@ -140,6 +140,20 @@ def check_labels(labels, n=None):
     return raw.astype(np.int64)
 
 
+def check_probabilities(table, shape):
+    """Validate a probability table of exactly ``shape`` and return it as
+    float64: every entry finite and non-negative, and every slice along
+    the last axis summing to 1 within 1e-12."""
+    tab = np.asarray(table, dtype=np.float64)
+    if tab.shape != tuple(shape):
+        raise DimensionMismatch(f"expected a probability table of shape {shape}, got {tab.shape}")
+    if not (np.all(np.isfinite(tab)) and np.all(tab >= 0)
+            and np.all(np.abs(tab.sum(axis=-1) - 1.0) <= 1e-12)):
+        raise ValueError("probability table entries must be finite and non-negative, "
+                         "and each row must sum to 1 within 1e-12")
+    return tab
+
+
 def write_tensor(path, dims, values):
     """Write an FVT1 tensor file, byte-exact and deterministic.
 

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (CHANNELS, DimensionMismatch, N_CLASSES, check_labels, emotion_index,
-                   emotion_name)
+from .core import (CHANNELS, DimensionMismatch, N_CLASSES, check_labels, check_probabilities,
+                   emotion_index, emotion_name)
 from .features import normalize_apply, normalize_fit
 from .learn import svm_predict_batch, svm_train
 from .metrics import evaluate
@@ -48,14 +48,7 @@ class MeasurementModel:
     cpt: np.ndarray  # (7, 7), row e is P(measurement | emotion == e)
 
     def __post_init__(self):
-        cpt = np.asarray(self.cpt, dtype=np.float64)
-        if cpt.shape != (N_CLASSES, N_CLASSES):
-            raise DimensionMismatch(f"CPT must be {N_CLASSES}×{N_CLASSES}, got {cpt.shape}")
-        if cpt.min() < 0:
-            raise ValueError("CPT rows must be non-negative")
-        if np.any(np.abs(cpt.sum(axis=1) - 1.0) > 1e-12):
-            raise ValueError("every CPT row must sum to 1 within 1e-12")
-        object.__setattr__(self, "cpt", cpt)
+        object.__setattr__(self, "cpt", check_probabilities(self.cpt, (N_CLASSES, N_CLASSES)))
 
 
 @dataclass(frozen=True)
@@ -64,13 +57,12 @@ class BnFusionModel:
     measurements: tuple      # MeasurementModel per channel, fixed order
 
     def __post_init__(self):
-        prior = np.asarray(self.prior, dtype=np.float64)
-        if prior.shape != (N_CLASSES,) or prior.min() < 0 or abs(prior.sum() - 1.0) > 1e-12:
-            raise ValueError("prior must be a 7-class probability vector")
+        object.__setattr__(self, "prior", check_probabilities(self.prior, (N_CLASSES,)))
+        object.__setattr__(self, "measurements", tuple(self.measurements))
         if len(self.measurements) == 0:
             raise ValueError("at least one measurement channel is required")
-        object.__setattr__(self, "prior", prior)
-        object.__setattr__(self, "measurements", tuple(self.measurements))
+        if len(set(self.channels)) != len(self.channels):
+            raise ValueError(f"each channel may appear once, got {list(self.channels)}")
 
     @property
     def channels(self):
@@ -126,8 +118,6 @@ def fit_measurement_cpt(predictions, truths, alpha=1.0, channel="joint"):
 
 def scalar_measurement(accuracy, channel):
     """CPT from a scalar accuracy: diagonal p, off-diagonal (1-p)/6."""
-    if not 0 <= accuracy <= 1:
-        raise ValueError("accuracy must lie in [0, 1]")
     off = (1.0 - accuracy) / (N_CLASSES - 1)
     cpt = np.full((N_CLASSES, N_CLASSES), off)
     np.fill_diagonal(cpt, accuracy)

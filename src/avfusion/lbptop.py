@@ -77,13 +77,10 @@ def build_uniform_mapping():
 _UNIFORM_MAPPING = build_uniform_mapping()
 
 
-def _partition(size, blocks):
-    """Boundaries splitting ``size`` cells into ``blocks`` near-equal runs."""
+def _block_index(size, blocks):
+    """Block index of each of ``size`` cells split into ``blocks`` near-equal runs."""
     base, extra = divmod(size, blocks)
-    bounds = [0]
-    for i in range(blocks):
-        bounds.append(bounds[-1] + base + (1 if i < extra else 0))
-    return bounds
+    return np.repeat(np.arange(blocks), base + (np.arange(blocks) < extra))
 
 
 def _neighbor_offsets(r_u, r_v):
@@ -168,34 +165,21 @@ def lbp_top_descriptor(volume, params=None):
             f"{params.grid_rows}x{params.grid_cols} grid does not fit a {height}x{width} frame")
 
     radii = (params.radius_t, params.radius_y, params.radius_x)
-    row_bounds = _partition(height, params.grid_rows)
-    col_bounds = _partition(width, params.grid_cols)
-
-    desc = np.zeros(params.descriptor_length, dtype=np.float64)
+    row_block = _block_index(height, params.grid_rows)
+    col_block = _block_index(width, params.grid_cols)
+    n_blocks = params.grid_rows * params.grid_cols
+    hist = np.zeros((n_blocks, N_PLANES, N_BINS), dtype=np.float64)
     for plane_idx, (axis_u, axis_v) in enumerate(_PLANE_AXES):
         codes, lo = _plane_codes(vol, axis_u, axis_v, radii)
         if codes is None:
             continue
-        bins = _UNIFORM_MAPPING[codes]
-        # Valid-center span over the spatial axes, in volume coordinates.
-        y_lo, x_lo = lo[1], lo[2]
-        y_hi, x_hi = y_lo + bins.shape[1], x_lo + bins.shape[2]
-        for br in range(params.grid_rows):
-            ys = max(row_bounds[br], y_lo)
-            ye = min(row_bounds[br + 1], y_hi)
-            if ys >= ye:
-                continue
-            for bc in range(params.grid_cols):
-                xs = max(col_bounds[bc], x_lo)
-                xe = min(col_bounds[bc + 1], x_hi)
-                if xs >= xe:
-                    continue
-                sub = bins[:, ys - y_lo:ye - y_lo, xs - x_lo:xe - x_lo]
-                hist = np.bincount(sub.ravel(), minlength=N_BINS).astype(np.float64)
-                base = ((br * params.grid_cols + bc) * N_PLANES + plane_idx) * N_BINS
-                if params.normalize_histograms:
-                    total = hist.sum()
-                    if total > 0:
-                        hist /= total
-                desc[base:base + N_BINS] = hist
-    return desc
+        _, n_y, n_x = codes.shape  # the valid-center span starts at lo
+        block = (row_block[lo[1]:lo[1] + n_y, None] * params.grid_cols
+                 + col_block[None, lo[2]:lo[2] + n_x])
+        keys = block * N_BINS + _UNIFORM_MAPPING[codes]
+        hist[:, plane_idx] = np.bincount(keys.ravel(), minlength=n_blocks * N_BINS).reshape(
+            n_blocks, N_BINS)
+    if params.normalize_histograms:
+        totals = hist.sum(axis=2, keepdims=True)
+        np.divide(hist, totals, out=hist, where=totals > 0)
+    return hist.reshape(-1)

@@ -53,19 +53,14 @@ class LinearSvmModel:
 
 
 def _check_batch(X, y, centers):
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    centers = np.asarray(centers, dtype=np.float64)
-    if X.ndim != 2 or centers.ndim != 2:
-        raise DimensionMismatch("batch and centers must be 2-D")
-    if X.shape[1] != centers.shape[1]:
-        raise DimensionMismatch(
-            f"batch dimension {X.shape[1]} != center dimension {centers.shape[1]}")
+    centers = check_matrix(centers)
+    X = check_matrix(X, cols=centers.shape[1])
+    y = np.asarray(y)
     if y.shape != (X.shape[0],):
         raise DimensionMismatch("labels must align with batch rows")
-    if y.size and (y.min() < 0 or y.max() >= centers.shape[0]):
+    if not np.isin(y, np.arange(centers.shape[0])).all():
         raise ValueError("labels must index center rows")
-    return X, y, centers
+    return X, y.astype(np.int64), centers
 
 
 def _unit_rows(centers):

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -155,6 +156,27 @@ def test_duplicate_decision_exits_1(synth_dirs, tmp_path, capsys, argv):
     paths = {"manifest": manifest, "dec": dec, "bn": bn, "out": tmp_path / "out.csv"}
     assert run(*(a.format(**paths) for a in argv)) == 1
     assert "DuplicateDecision" in capsys.readouterr().err
+
+
+def test_nan_in_bn_model_exits_1(synth_dirs, tmp_path, capsys):
+    _, _, manifest = synth_dirs
+    dec = tmp_path / "dec.csv"
+    write_decisions(dec, [(e.clip_id, "audio", e.label) for e in load_manifest(manifest).entries])
+    bn = tmp_path / "bn.json"
+    assert run("fuse-bn", "fit", "--manifest", manifest, "--decisions", dec, "--out", bn) == 0
+    doc = json.loads(bn.read_text())
+    doc["measurements"][0]["cpt"][2][2] = float("nan")
+    bn.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("fuse-bn", "infer", "--model", bn, "--decisions", dec,
+               "--out", tmp_path / "f.csv") == 1
+    assert "probability table" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
+
+
+def test_synth_informativeness_count_exits_1(tmp_path, capsys):
+    assert run("synth", "--out", tmp_path, "--informativeness", "1,1,1") == 1
+    assert "informativeness" in capsys.readouterr().err
 
 
 def test_nan_feature_file_exits_1(tmp_path, capsys):

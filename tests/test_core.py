@@ -1,4 +1,6 @@
+import string
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avfusion
-from avfusion.core import (BadMagic, DuplicateClipId, DimensionMismatch,
+from avfusion.core import (CHANNELS, BadMagic, DuplicateClipId, DimensionMismatch,
                            EMOTION_NAMES, MalformedRow, Truncated, UnknownLabel,
                            emotion_index, emotion_name, load_manifest,
                            read_tensor, save_manifest, write_tensor,
@@ -145,6 +147,28 @@ def test_manifest_roundtrip(tmp_path):
     assert manifest.labels() == [3, 2]
     assert all(set(e.paths) == {"audio", "lbptop", "cnn", "blstm"}
                for e in manifest.entries)
+
+
+_CLIP_ID_CHARS = string.ascii_letters + string.digits + '_-.,"'
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.text(_CLIP_ID_CHARS, min_size=1, max_size=8),
+                          st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
+                          st.sets(st.sampled_from(CHANNELS))),
+                max_size=6, unique_by=lambda clip: clip[0]))
+def test_manifest_roundtrip_property(clips):
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        entries = []
+        for i, (clip_id, label, channels) in enumerate(clips):
+            paths = {ch: base / f"{i}.{ch}.fvt" for ch in channels}
+            for p in paths.values():
+                p.touch()
+            entries.append((clip_id, label, paths))
+        save_manifest(base / "manifest.csv", entries)
+        loaded = load_manifest(base / "manifest.csv").entries
+        assert [(e.clip_id, e.label, e.paths) for e in loaded] == entries
 
 
 def test_manifest_unlabeled_and_missing_channels(tmp_path):

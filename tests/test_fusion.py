@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -146,6 +147,9 @@ def test_scalar_measurement():
     assert model.cpt[2, 2] == pytest.approx(0.4)
     assert model.cpt[2, 3] == pytest.approx(0.1)
     assert np.allclose(model.cpt.sum(axis=1), 1.0)
+    for bad in (float("nan"), 1.5, -0.1):  # NaN entries, negative off-diagonal, diagonal
+        with pytest.raises(ValueError):
+            scalar_measurement(bad, "audio")
 
 
 def _random_bn(rng, channels=("audio", "lbptop", "cnn", "blstm")):
@@ -292,6 +296,9 @@ def test_bn_errors():
                           measurements=(MeasurementModel(channel="audio", cpt=hard),))
     with pytest.raises(AllZeroPosterior):
         bn_infer(model, {"audio": 3})
+    audio = MeasurementModel(channel="audio", cpt=np.eye(7))
+    with pytest.raises(ValueError, match="once"):
+        BnFusionModel(prior=uniform_prior(), measurements=(audio, audio))
 
 
 def test_measurement_model_validation():
@@ -299,6 +306,17 @@ def test_measurement_model_validation():
         MeasurementModel(channel="audio", cpt=np.full((7, 7), 0.2))
     with pytest.raises(DimensionMismatch):
         MeasurementModel(channel="audio", cpt=np.eye(6))
+    nan_cpt = np.eye(7)
+    nan_cpt[2, 2] = np.nan
+    with pytest.raises(ValueError):
+        MeasurementModel(channel="audio", cpt=nan_cpt)
+    audio = MeasurementModel(channel="audio", cpt=np.eye(7))
+    nan_prior = uniform_prior()
+    nan_prior[4] = np.nan
+    with pytest.raises(ValueError):
+        BnFusionModel(prior=nan_prior, measurements=(audio,))
+    with pytest.raises(DimensionMismatch):
+        BnFusionModel(prior=np.full(6, 1.0 / 6.0), measurements=(audio,))
 
 
 def test_prior_from_labels():
@@ -317,6 +335,11 @@ def test_bn_serialization_roundtrip(tmp_path):
     assert np.array_equal(loaded.prior, model.prior)
     obs = {"audio": 1, "lbptop": 5, "cnn": 0, "blstm": 3}
     assert np.array_equal(bn_infer(loaded, obs)[1], bn_infer(model, obs)[1])
+    doc = json.loads((tmp_path / "bn.json").read_text())
+    doc["measurements"][1]["cpt"][3][3] = float("nan")
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        load_bn(tmp_path / "bad.json")
 
 
 def test_decisions_csv_roundtrip(tmp_path):

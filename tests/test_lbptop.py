@@ -152,6 +152,13 @@ def test_matches_naive_reference_exactly():
             fast = lbp_top_descriptor(vol, params)
             slow = naive_lbp_top(vol, params)
             assert np.array_equal(fast, slow), (rx, ry, rt)
+    for rows, cols in ((1, 1), (2, 3), (5, 3)):
+        params = LbpTopParams(grid_rows=rows, grid_cols=cols, normalize_histograms=False)
+        for _ in range(4):
+            shape = (rng.integers(3, 13), rng.integers(8, 17), rng.integers(8, 17))
+            vol = rng.integers(0, 256, size=shape).astype(np.float64)
+            assert np.array_equal(lbp_top_descriptor(vol, params), naive_lbp_top(vol, params)), \
+                (rows, cols)
 
 
 def test_matches_naive_reference_normalized():

@@ -90,6 +90,30 @@ def test_island_loss_zero_norm_center():
     island_loss(np.ones((1, 2)), [1], centers, 0.0)
 
 
+def test_island_batch_errors():
+    centers = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    X = np.ones((2, 2))
+    nan_X, nan_centers = X.copy(), centers.copy()
+    nan_X[1, 0] = np.nan
+    nan_centers[2, 1] = np.nan
+    calls = (lambda X, y, c: island_loss(X, y, c, 1.0),
+             lambda X, y, c: island_loss_grad(X, y, c, 1.0),
+             lambda X, y, c: update_centers(X, y, c, 0.5, 1.0))
+    for call in calls:
+        with pytest.raises(ValueError):
+            call(nan_X, [0, 1], centers)
+        with pytest.raises(ValueError):
+            call(X, [0, 1], nan_centers)
+        with pytest.raises(ValueError):
+            call(X, [0, 1.5], centers)  # not a center-row index
+        with pytest.raises(ValueError):
+            call(X, [0, 3], centers)
+        with pytest.raises(DimensionMismatch):
+            call(X, [0], centers)
+        with pytest.raises(DimensionMismatch):
+            call(np.ones((2, 3)), [0, 1], centers)
+
+
 def test_grad_at_stationary_point():
     centers = np.arange(12, dtype=float).reshape(3, 4) + 1.0
     y = np.array([0, 1, 2, 0])
