@@ -15,7 +15,7 @@ import numpy as np
 
 from . import features, fusion, learn, metrics, synth
 from .core import CHANNELS, load_manifest, read_tensor_array, write_tensor_array
-from .lbptop import LbpTopParams, lbp_top_descriptor
+from .lbptop import lbp_top_descriptor
 
 
 def _channel_matrix(manifest, channel):
@@ -63,20 +63,13 @@ def cmd_synth(args):
         informativeness=tuple(float(v) for v in args.informativeness.split(",")),
         failed_channels=tuple(c for c in args.fail.split(",") if c),
         seed=args.seed,
-        base_separation=args.base_separation,
-        frames_min=args.frames_min,
-        frames_max=args.frames_max,
     )
     manifest_path = synth.synth_generate(config, args.out)
     print(f"wrote {config.n_clips} clips under {args.out} (manifest: {manifest_path})")
 
 
 def cmd_lbptop(args):
-    params = LbpTopParams(radius_x=args.radius_x, radius_y=args.radius_y,
-                          radius_t=args.radius_t, grid_rows=args.grid_rows,
-                          grid_cols=args.grid_cols,
-                          normalize_histograms=not args.no_normalize)
-    desc = lbp_top_descriptor(read_tensor_array(args.infile), params)
+    desc = lbp_top_descriptor(read_tensor_array(args.infile))
     write_tensor_array(args.out, desc)
     print(f"wrote descriptor of length {desc.size} to {args.out}")
 
@@ -105,8 +98,7 @@ def cmd_pool(args):
 def cmd_train_svm(args):
     manifest = load_manifest(args.manifest)
     X = _channel_matrix(manifest, args.channel)
-    model = learn.svm_train(X, manifest.labels(), C=args.c, epochs=args.epochs,
-                            seed=args.seed)
+    model = learn.svm_train(X, manifest.labels(), epochs=args.epochs, seed=args.seed)
     learn.save_svm(model, args.out, epochs=args.epochs, seed=args.seed)
     print(f"trained {args.channel} SVM on {X.shape[0]} clips; saved to {args.out}")
 
@@ -123,8 +115,8 @@ def cmd_predict_svm(args):
 def cmd_fuse_feat_train(args):
     manifest = load_manifest(args.manifest)
     joint = _joint_matrix(manifest)
-    norm, svm = fusion.feature_fusion_train(joint, manifest.labels(), C=args.c,
-                                            epochs=args.epochs, seed=args.seed)
+    norm, svm = fusion.feature_fusion_train(joint, manifest.labels(), epochs=args.epochs,
+                                            seed=args.seed)
     features.save_normalization(norm, args.out_norm)
     learn.save_svm(svm, args.out_svm, epochs=args.epochs, seed=args.seed)
     print(f"trained feature fusion on {joint.shape[0]} clips; "
@@ -143,11 +135,9 @@ def cmd_fuse_feat_predict(args):
 
 def cmd_fuse_bn_fit(args):
     decisions, truths = _labelled_decisions(load_manifest(args.manifest), args.decisions)
-    model = fusion.fit_bn(decisions, truths, alpha=args.alpha, scalar=args.scalar,
-                          empirical_prior=args.prior == "empirical")
-    smoothing = {"mode": "scalar" if args.scalar else "confusion",
-                 "alpha": args.alpha, "prior": args.prior}
-    fusion.save_bn(model, args.out, smoothing=smoothing)
+    model = fusion.fit_bn(decisions, truths)
+    fusion.save_bn(model, args.out,
+                   smoothing={"mode": "confusion", "alpha": 1.0, "prior": "uniform"})
     print(f"fit BN fusion over channels {list(model.channels)}; saved to {args.out}")
 
 
@@ -162,12 +152,9 @@ def cmd_fuse_bn_infer(args):
 
 def cmd_island_demo(args):
     X, y = synth.gaussian_blobs(args.n_per_class, seed=args.seed)
-    baseline = learn.softmax_probe_train(
-        X, y, learn.IslandLossParams(lambda1=args.lambda1, lam=0.0, alpha=args.alpha),
-        epochs=args.epochs, seed=args.seed, lr=args.lr)
-    island = learn.softmax_probe_train(
-        X, y, learn.IslandLossParams(lambda1=args.lambda1, lam=args.lam, alpha=args.alpha),
-        epochs=args.epochs, seed=args.seed, lr=args.lr)
+    baseline = learn.softmax_probe_train(X, y, learn.IslandLossParams(lam=0.0),
+                                         epochs=args.epochs, seed=args.seed)
+    island = learn.softmax_probe_train(X, y, epochs=args.epochs, seed=args.seed)
     ratios = {}
     for name, probe in (("baseline", baseline), ("island", island)):
         feats = learn.probe_features(probe, X)
@@ -198,7 +185,6 @@ def cmd_evaluate(args):
 
 
 def _add_common_training_flags(parser):
-    parser.add_argument("--c", type=float, default=1.0, help="SVM regularization trade-off")
     parser.add_argument("--epochs", type=int, default=30)
     parser.add_argument("--seed", type=int, default=0)
 
@@ -215,20 +201,11 @@ def build_parser():
     p.add_argument("--informativeness", default="1,1,1,1",
                    help="per-channel values for audio,lbptop,cnn,blstm")
     p.add_argument("--fail", default="", help="comma-separated channels to fail")
-    p.add_argument("--base-separation", type=float, default=6.0)
-    p.add_argument("--frames-min", type=int, default=8)
-    p.add_argument("--frames-max", type=int, default=24)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("lbptop", help="compute an LBP-TOP descriptor")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--grid-rows", type=int, default=4)
-    p.add_argument("--grid-cols", type=int, default=4)
-    p.add_argument("--radius-x", type=int, default=1)
-    p.add_argument("--radius-y", type=int, default=1)
-    p.add_argument("--radius-t", type=int, default=1)
-    p.add_argument("--no-normalize", action="store_true")
     p.set_defaults(func=cmd_lbptop)
 
     p = sub.add_parser("pca", help="fit or apply a PCA model")
@@ -284,10 +261,6 @@ def build_parser():
     bf = bn_sub.add_parser("fit")
     bf.add_argument("--manifest", required=True)
     bf.add_argument("--decisions", nargs="+", required=True)
-    bf.add_argument("--alpha", type=float, default=1.0, help="Laplace smoothing")
-    bf.add_argument("--scalar", action="store_true",
-                    help="use scalar accuracies instead of confusion CPTs")
-    bf.add_argument("--prior", choices=("uniform", "empirical"), default="uniform")
     bf.add_argument("--out", required=True)
     bf.set_defaults(func=cmd_fuse_bn_fit)
     bi = bn_sub.add_parser("infer")
@@ -298,11 +271,7 @@ def build_parser():
 
     p = sub.add_parser("island-demo", help="island loss vs plain softmax on toy blobs")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lam", type=float, default=0.01)
-    p.add_argument("--lambda1", type=float, default=10.0)
-    p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--epochs", type=int, default=800)
-    p.add_argument("--lr", type=float, default=0.02)
     p.add_argument("--n-per-class", type=int, default=40)
     p.add_argument("--out", default=None, help="optional loss-trace CSV")
     p.set_defaults(func=cmd_island_demo)

@@ -15,6 +15,7 @@ directory.
 
 import csv
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -140,16 +141,17 @@ def check_labels(labels, n=None):
     return raw.astype(np.int64)
 
 
-def check_probabilities(table, shape):
+def check_probabilities(table, shape, name):
     """Validate a probability table of exactly ``shape`` and return it as
     float64: every entry finite and non-negative, and every slice along
-    the last axis summing to 1 within 1e-12."""
+    the last axis summing to 1 within 1e-12.  Errors start with ``name``."""
     tab = np.asarray(table, dtype=np.float64)
     if tab.shape != tuple(shape):
-        raise DimensionMismatch(f"expected a probability table of shape {shape}, got {tab.shape}")
+        raise DimensionMismatch(f"{name}: expected a probability table of shape {shape}, "
+                                f"got {tab.shape}")
     if not (np.all(np.isfinite(tab)) and np.all(tab >= 0)
             and np.all(np.abs(tab.sum(axis=-1) - 1.0) <= 1e-12)):
-        raise ValueError("probability table entries must be finite and non-negative, "
+        raise ValueError(f"{name}: probability table entries must be finite and non-negative, "
                          "and each row must sum to 1 within 1e-12")
     return tab
 
@@ -220,25 +222,37 @@ def write_tensor_array(path, array):
     write_tensor(path, list(arr.shape), arr.reshape(-1))
 
 
+def write_json(path, doc):
+    """Write a JSON document indented by 2, keys sorted, newline-terminated."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def save_tensor_bundle(path, kind, tensors, extra=None):
     """Write a model as a JSON sidecar plus sibling FVT1 tensor files.
 
     Each tensor is stored as ``<stem>.<name>.fvt`` next to the JSON file;
     the sidecar records the kind, the tensor file names, and any extra
-    metadata.  Output is deterministic for identical inputs.
+    metadata.  Output is deterministic for identical inputs.  The save is
+    all-or-nothing: every file is written under a temporary name in the
+    same directory first and renamed into place, sidecar last, only once
+    all writes succeeded, so a failed save leaves the old files untouched.
     """
     path = Path(path)
-    names = {}
-    for name, array in tensors.items():
-        fname = f"{path.stem}.{name}.fvt"
-        write_tensor_array(path.parent / fname, np.asarray(array, dtype=np.float64))
-        names[name] = fname
-    doc = {"kind": kind, "tensors": names}
-    if extra:
-        doc.update(extra)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    names = {name: f"{path.stem}.{name}.fvt" for name in tensors}
+    finals = [path.parent / fname for fname in names.values()] + [path]
+    temps = [final.with_name(f".{final.name}.tmp") for final in finals]
+    try:
+        for tmp, array in zip(temps, tensors.values()):
+            write_tensor_array(tmp, np.asarray(array, dtype=np.float64))
+        write_json(temps[-1], {"kind": kind, "tensors": names, **(extra or {})})
+    except BaseException:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
+        raise
+    for tmp, final in zip(temps, finals):
+        os.replace(tmp, final)
 
 
 def load_tensor_bundle(path, kind):

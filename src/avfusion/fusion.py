@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (CHANNELS, DimensionMismatch, N_CLASSES, check_labels, check_probabilities,
-                   emotion_index, emotion_name)
+from .core import (CHANNELS, DimensionMismatch, N_CLASSES, check_probabilities, emotion_index,
+                   emotion_name, write_json)
 from .features import normalize_apply, normalize_fit
 from .learn import svm_predict_batch, svm_train
 from .metrics import evaluate
@@ -48,7 +48,8 @@ class MeasurementModel:
     cpt: np.ndarray  # (7, 7), row e is P(measurement | emotion == e)
 
     def __post_init__(self):
-        object.__setattr__(self, "cpt", check_probabilities(self.cpt, (N_CLASSES, N_CLASSES)))
+        object.__setattr__(self, "cpt", check_probabilities(self.cpt, (N_CLASSES, N_CLASSES),
+                                                            f"{self.channel} CPT"))
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,7 @@ class BnFusionModel:
     measurements: tuple      # MeasurementModel per channel, fixed order
 
     def __post_init__(self):
-        object.__setattr__(self, "prior", check_probabilities(self.prior, (N_CLASSES,)))
+        object.__setattr__(self, "prior", check_probabilities(self.prior, (N_CLASSES,), "prior"))
         object.__setattr__(self, "measurements", tuple(self.measurements))
         if len(self.measurements) == 0:
             raise ValueError("at least one measurement channel is required")
@@ -116,46 +117,21 @@ def fit_measurement_cpt(predictions, truths, alpha=1.0, channel="joint"):
     return MeasurementModel(channel=channel, cpt=cpt)
 
 
-def scalar_measurement(accuracy, channel):
-    """CPT from a scalar accuracy: diagonal p, off-diagonal (1-p)/6."""
-    off = (1.0 - accuracy) / (N_CLASSES - 1)
-    cpt = np.full((N_CLASSES, N_CLASSES), off)
-    np.fill_diagonal(cpt, accuracy)
-    return MeasurementModel(channel=channel, cpt=cpt)
-
-
 def uniform_prior():
     return np.full(N_CLASSES, 1.0 / N_CLASSES)
 
 
-def prior_from_labels(labels):
-    """Empirical class frequencies as the prior."""
-    counts = np.bincount(check_labels(labels), minlength=N_CLASSES).astype(np.float64)
-    return counts / counts.sum()
-
-
-def fit_bn(decisions, truths, alpha=1.0, scalar=False, empirical_prior=False):
+def fit_bn(decisions, truths):
     """Fit the fusion network on labelled (validation) decisions.
 
     ``decisions`` maps channel tags to predicted labels aligned with
-    ``truths``.  Each channel gets a confusion CPT with Laplace smoothing
-    ``alpha`` or, with ``scalar``, the CPT of its scalar accuracy.
-    Measurements follow the fixed channel order, unknown tags after them
-    by name.  The prior is uniform, or with ``empirical_prior`` the class
-    frequencies of ``truths``.
+    ``truths``.  Each channel gets its confusion CPT with Laplace
+    smoothing 1, and the prior is uniform.  Measurements follow the fixed
+    channel order, unknown tags after them by name.
     """
-    truths = check_labels(truths)
     channels = [c for c in CHANNELS if c in decisions] + sorted(set(decisions) - set(CHANNELS))
-    measurements = []
-    for channel in channels:
-        preds = check_labels(decisions[channel], n=truths.size)
-        if scalar:
-            accuracy = float(np.mean(preds == truths))
-            measurements.append(scalar_measurement(accuracy, channel))
-        else:
-            measurements.append(fit_measurement_cpt(preds, truths, alpha=alpha, channel=channel))
-    prior = prior_from_labels(truths) if empirical_prior else uniform_prior()
-    return BnFusionModel(prior=prior, measurements=tuple(measurements))
+    measurements = tuple(fit_measurement_cpt(decisions[c], truths, channel=c) for c in channels)
+    return BnFusionModel(prior=uniform_prior(), measurements=measurements)
 
 
 def bn_infer(model, observed):
@@ -176,10 +152,11 @@ def bn_infer(model, observed):
     post = model.prior.copy()
     for meas in model.measurements:
         if meas.channel in observed:
-            m = int(observed[meas.channel])
-            if not 0 <= m < N_CLASSES:
-                raise ValueError(f"{meas.channel}: observed label {m} outside 0..6")
-            post = post * meas.cpt[:, m]
+            m = observed[meas.channel]
+            if m not in range(N_CLASSES):
+                raise ValueError(f"{meas.channel}: observed label {m!r} is not a class "
+                                 f"index in 0..{N_CLASSES - 1}")
+            post = post * meas.cpt[:, int(m)]
     total = post.sum()
     if total == 0:
         raise AllZeroPosterior("every class has zero unnormalized mass")
@@ -198,19 +175,22 @@ def save_bn(model, path, smoothing=None):
     }
     if smoothing is not None:
         doc["smoothing"] = smoothing
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_bn(path):
+    """Read a model written by :func:`save_bn`.  An invalid CPT or prior
+    raises its usual error type, with the file named in front."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("kind") != "bn_fusion":
         raise ValueError(f"{path}: expected a bn_fusion model, found {doc.get('kind')!r}")
-    measurements = tuple(MeasurementModel(channel=m["channel"], cpt=np.array(m["cpt"]))
-                         for m in doc["measurements"])
-    return BnFusionModel(prior=np.array(doc["prior"]), measurements=measurements)
+    try:
+        measurements = tuple(MeasurementModel(channel=m["channel"], cpt=np.array(m["cpt"]))
+                             for m in doc["measurements"])
+        return BnFusionModel(prior=np.array(doc["prior"]), measurements=measurements)
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def write_decisions(path, rows):

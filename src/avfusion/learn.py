@@ -146,8 +146,8 @@ def softmax_probe_train(X, y, params=None, epochs=400, seed=0, lr=0.02):
     deterministic given the seed.
     """
     params = params or IslandLossParams()
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    X = check_matrix(X)
+    y = check_labels(y, n=X.shape[0])
     m, d = X.shape
     n_classes = int(y.max()) + 1
     if m < n_classes:
@@ -193,9 +193,7 @@ def clustering_ratio(features, y, centers):
     feature vectors (averaged over classes with at least two samples);
     inter-center distance is the mean pairwise distance among centers.
     """
-    features = np.asarray(features, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    centers = np.asarray(centers, dtype=np.float64)
+    features, y, centers = _check_batch(features, y, centers)
     intra_terms = []
     for j in range(centers.shape[0]):
         grp = features[y == j]

@@ -31,8 +31,6 @@ class SynthConfig:
     failed_channels: tuple = ()
     seed: int = 0
     base_separation: float = 6.0
-    frames_min: int = 8
-    frames_max: int = 24
 
     def __post_init__(self):
         if self.n_clips < 1:
@@ -44,8 +42,6 @@ class SynthConfig:
         unknown = set(self.failed_channels) - set(CHANNELS)
         if unknown:
             raise ValueError(f"unknown failed channels {sorted(unknown)}")
-        if not 1 <= self.frames_min <= self.frames_max:
-            raise ValueError("frame counts must satisfy 1 <= frames_min <= frames_max")
 
     def effective_informativeness(self, channel):
         if channel in self.failed_channels:
@@ -71,6 +67,9 @@ def _softmax_rows(logits):
 # to tune onto a target.
 CNN_LOGIT_NOISE = 3.0
 
+# Inclusive range of the CNN channel's per-clip frame counts.
+CNN_FRAMES = (8, 24)
+
 # Informativeness profile calibrated so the four per-channel SVM baselines
 # land near 35.5 / 38.9 / 47.0 / 49.1 % held-out accuracy at desk scale
 # (2000 training clips, default base separation).
@@ -84,7 +83,7 @@ def synth_dataset(config):
     n = config.n_clips
     labels = np.arange(n) % 7
     rng.shuffle(labels)
-    frames = rng.integers(config.frames_min, config.frames_max + 1, size=n)
+    frames = rng.integers(CNN_FRAMES[0], CNN_FRAMES[1] + 1, size=n)
 
     features = {}
     cnn_scores = []

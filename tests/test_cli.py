@@ -26,6 +26,16 @@ def test_usage_error_exits_2():
         run("train-svm", "--manifest", "m.csv", "--channel", "cnn", "--out", "m.json",
             "--k", 7)
     assert exc.value.code == 2
+    for argv in (("fuse-bn", "fit", "--manifest", "m.csv", "--decisions", "d.csv",
+                  "--out", "bn.json", "--scalar"),
+                 ("lbptop", "--in", "v.fvt", "--out", "d.fvt", "--grid-rows", 2),
+                 ("synth", "--out", "data", "--frames-min", 4),
+                 ("train-svm", "--manifest", "m.csv", "--channel", "cnn", "--out", "m.json",
+                  "--c", 2),
+                 ("island-demo", "--lam", 0)):
+        with pytest.raises(SystemExit) as exc:  # fixed at the library defaults
+            run(*argv)
+        assert exc.value.code == 2, argv
 
 
 def test_unknown_subcommand_exits_2():
@@ -170,7 +180,8 @@ def test_nan_in_bn_model_exits_1(synth_dirs, tmp_path, capsys):
     capsys.readouterr()
     assert run("fuse-bn", "infer", "--model", bn, "--decisions", dec,
                "--out", tmp_path / "f.csv") == 1
-    assert "probability table" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "probability table" in err and "audio CPT" in err and str(bn) in err
     assert not (tmp_path / "f.csv").exists()
 
 

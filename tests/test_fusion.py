@@ -10,8 +10,7 @@ from avfusion.fusion import (AllZeroPosterior, BnFusionModel, EmptyClassRow,
                              JOINT_DIM, MeasurementModel, SEGMENT_DIMS,
                              UnknownChannel, bn_infer, build_joint_vector,
                              feature_fusion_predict, feature_fusion_train, fit_bn,
-                             fit_measurement_cpt, load_bn, prior_from_labels,
-                             read_decisions, save_bn, scalar_measurement,
+                             fit_measurement_cpt, load_bn, read_decisions, save_bn,
                              uniform_prior, write_decisions)
 from avfusion.learn import svm_predict_batch, svm_train
 
@@ -138,18 +137,6 @@ def test_cpt_length_mismatch():
         fit_measurement_cpt([0, 1], [0], alpha=1.0)
     with pytest.raises(UnknownLabel):
         fit_measurement_cpt([0, 1], [-1, 1], alpha=1.0)
-    with pytest.raises(UnknownLabel):
-        prior_from_labels([0, 7])
-
-
-def test_scalar_measurement():
-    model = scalar_measurement(0.4, "audio")
-    assert model.cpt[2, 2] == pytest.approx(0.4)
-    assert model.cpt[2, 3] == pytest.approx(0.1)
-    assert np.allclose(model.cpt.sum(axis=1), 1.0)
-    for bad in (float("nan"), 1.5, -0.1):  # NaN entries, negative off-diagonal, diagonal
-        with pytest.raises(ValueError):
-            scalar_measurement(bad, "audio")
 
 
 def _random_bn(rng, channels=("audio", "lbptop", "cnn", "blstm")):
@@ -184,18 +171,14 @@ def test_fit_bn_equals_manual_chain():
     rng = np.random.default_rng(8)
     truths = rng.integers(0, 7, 60)
     decisions = {ch: rng.integers(0, 7, 60) for ch in ("cnn", "joint", "audio")}
-    model = fit_bn(decisions, truths, alpha=0.5)
+    model = fit_bn(decisions, truths)
     assert model.channels == ("audio", "cnn", "joint")
     assert np.array_equal(model.prior, uniform_prior())
     for meas in model.measurements:
-        expected = fit_measurement_cpt(decisions[meas.channel], truths, alpha=0.5)
+        expected = fit_measurement_cpt(decisions[meas.channel], truths, alpha=1.0)
         assert np.array_equal(meas.cpt, expected.cpt)
-    scalar = fit_bn(decisions, truths, scalar=True, empirical_prior=True)
-    assert np.array_equal(scalar.prior, prior_from_labels(truths))
-    accuracy = float(np.mean(decisions["cnn"] == truths))
-    assert np.array_equal(scalar.measurements[1].cpt, scalar_measurement(accuracy, "cnn").cpt)
     with pytest.raises(LengthMismatch):
-        fit_bn({"cnn": truths[:-1]}, truths, scalar=True)
+        fit_bn({"cnn": truths[:-1]}, truths)
 
 
 def test_bn_perfect_channels():
@@ -290,6 +273,9 @@ def test_bn_errors():
         bn_infer(model, {})
     with pytest.raises(UnknownChannel):
         bn_infer(model, {"cnn": 1})
+    for bad in (1.5, 7, -1):  # not class indices; 1.5 must not truncate to 1
+        with pytest.raises(ValueError, match="class index"):
+            bn_infer(model, {"audio": bad})
     hard = np.zeros((7, 7))
     hard[:, 0] = 1.0
     model = BnFusionModel(prior=uniform_prior(),
@@ -319,13 +305,6 @@ def test_measurement_model_validation():
         BnFusionModel(prior=np.full(6, 1.0 / 6.0), measurements=(audio,))
 
 
-def test_prior_from_labels():
-    prior = prior_from_labels([0, 0, 1, 3])
-    assert prior[0] == pytest.approx(0.5)
-    assert prior[3] == pytest.approx(0.25)
-    assert prior.sum() == pytest.approx(1.0)
-
-
 def test_bn_serialization_roundtrip(tmp_path):
     rng = np.random.default_rng(7)
     model = _random_bn(rng)
@@ -338,7 +317,12 @@ def test_bn_serialization_roundtrip(tmp_path):
     doc = json.loads((tmp_path / "bn.json").read_text())
     doc["measurements"][1]["cpt"][3][3] = float("nan")
     (tmp_path / "bad.json").write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad.json: lbptop CPT"):
+        load_bn(tmp_path / "bad.json")
+    doc = json.loads((tmp_path / "bn.json").read_text())
+    doc["prior"] = doc["prior"][:6]
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    with pytest.raises(DimensionMismatch, match="bad.json: prior"):
         load_bn(tmp_path / "bad.json")
 
 

@@ -228,6 +228,14 @@ def test_probe_degenerate_input():
         softmax_probe_train(np.zeros((3, 2)), [0, 1, 6], epochs=5, seed=0)
 
 
+def test_probe_and_ratio_refuse_fractional_labels():
+    X = np.arange(12, dtype=float).reshape(6, 2)
+    with pytest.raises(UnknownLabel):
+        softmax_probe_train(X, [0, 0.5, 1, 1.5, 1, 0], epochs=3, seed=0)
+    with pytest.raises(ValueError):
+        clustering_ratio(X, [0, 0.7, 1, 1.2, 1, 0], np.eye(2))
+
+
 def test_svm_separable_blobs():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((60, 2)) + [4, 0]
@@ -313,6 +321,18 @@ def test_svm_errors():
         svm_predict_batch(model, np.zeros((2, 4)))
     with pytest.raises(DimensionMismatch):
         svm_predict_batch(model, np.zeros(3))
+
+
+def test_svm_save_is_all_or_nothing(tmp_path):
+    path = tmp_path / "m.json"
+    save_svm(LinearSvmModel(W=np.ones((7, 3)), b=np.zeros(7), C=1.0), path)
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    bias = np.zeros(7)
+    bias[4] = np.nan
+    with pytest.raises(ValueError):
+        save_svm(LinearSvmModel(W=np.full((7, 3), 2.0), b=bias, C=1.0), path)
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+    assert sorted(before) == ["m.bias.fvt", "m.json", "m.weights.fvt"]
 
 
 def test_svm_serialization_roundtrip(tmp_path):
