@@ -84,6 +84,10 @@ class EmptyVolume(ValueError):
     """A video volume has no pixels."""
 
 
+class MissingKey(ValueError):
+    """A model file lacks an entry its format requires."""
+
+
 def emotion_index(name):
     """Map a canonical emotion name to its class index (0..6)."""
     try:
@@ -141,14 +145,22 @@ def check_labels(labels, n=None):
     return raw.astype(np.int64)
 
 
+def check_shape(array, shape, name):
+    """Return ``array`` as float64 when its shape is ``shape``, where a
+    None entry matches any length; else raise DimensionMismatch, starting
+    with ``name``."""
+    arr = np.asarray(array, dtype=np.float64)
+    if arr.ndim != len(shape) or any(want is not None and got != want
+                                     for got, want in zip(arr.shape, shape)):
+        raise DimensionMismatch(f"{name}: expected shape {tuple(shape)}, got {arr.shape}")
+    return arr
+
+
 def check_probabilities(table, shape, name):
     """Validate a probability table of exactly ``shape`` and return it as
     float64: every entry finite and non-negative, and every slice along
     the last axis summing to 1 within 1e-12.  Errors start with ``name``."""
-    tab = np.asarray(table, dtype=np.float64)
-    if tab.shape != tuple(shape):
-        raise DimensionMismatch(f"{name}: expected a probability table of shape {shape}, "
-                                f"got {tab.shape}")
+    tab = check_shape(table, shape, name)
     if not (np.all(np.isfinite(tab)) and np.all(tab >= 0)
             and np.all(np.abs(tab.sum(axis=-1) - 1.0) <= 1e-12)):
         raise ValueError(f"{name}: probability table entries must be finite and non-negative, "
@@ -222,6 +234,14 @@ def write_tensor_array(path, array):
     write_tensor(path, list(arr.shape), arr.reshape(-1))
 
 
+def require_key(doc, key, where):
+    """Return ``doc[key]`` from a parsed JSON object; a missing key, or a
+    ``doc`` that is not an object, raises MissingKey naming ``where``."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise MissingKey(f"{where}: missing key {key!r}")
+    return doc[key]
+
+
 def write_json(path, doc):
     """Write a JSON document indented by 2, keys sorted, newline-terminated."""
     with open(path, "w") as fh:
@@ -259,15 +279,17 @@ def load_tensor_bundle(path, kind):
     """Read a JSON sidecar written by :func:`save_tensor_bundle`.
 
     Returns ``(doc, tensors)`` where tensors maps each recorded name to
-    its array.  Raises ValueError when the sidecar's kind differs.
+    its array.  Raises ValueError when the sidecar's kind differs and
+    MissingKey when it lacks its kind or its tensors.
     """
     path = Path(path)
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("kind") != kind:
-        raise ValueError(f"{path}: expected a {kind!r} bundle, found {doc.get('kind')!r}")
+    found = require_key(doc, "kind", path)
+    if found != kind:
+        raise ValueError(f"{path}: expected a {kind!r} bundle, found {found!r}")
     tensors = {name: read_tensor_array(path.parent / fname)
-               for name, fname in doc["tensors"].items()}
+               for name, fname in require_key(doc, "tensors", path).items()}
     return doc, tensors
 
 

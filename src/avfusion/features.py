@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import N_CLASSES, check_matrix, load_tensor_bundle, save_tensor_bundle
+from .core import (N_CLASSES, check_matrix, load_tensor_bundle, require_key,
+                   save_tensor_bundle)
 
 
 class TooFewSamples(ValueError):
@@ -134,8 +135,9 @@ def save_pca(model, path):
 
 def load_pca(path):
     _, tensors = load_tensor_bundle(path, "pca")
-    return PcaModel(mean=tensors["mean"], components=tensors["components"],
-                    eigenvalues=tensors["eigenvalues"])
+    return PcaModel(mean=require_key(tensors, "mean", path),
+                    components=require_key(tensors, "components", path),
+                    eigenvalues=require_key(tensors, "eigenvalues", path))
 
 
 def save_normalization(model, path):
@@ -147,4 +149,5 @@ def save_normalization(model, path):
 
 def load_normalization(path):
     _, tensors = load_tensor_bundle(path, "normalization")
-    return NormalizationModel(per_dim_mean=tensors["mean"], per_dim_std=tensors["std"])
+    return NormalizationModel(per_dim_mean=require_key(tensors, "mean", path),
+                              per_dim_std=require_key(tensors, "std", path))

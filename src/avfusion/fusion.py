@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (CHANNELS, DimensionMismatch, N_CLASSES, check_probabilities, emotion_index,
-                   emotion_name, write_json)
+                   emotion_name, require_key, write_json)
 from .features import normalize_apply, normalize_fit
 from .learn import svm_predict_batch, svm_train
 from .metrics import evaluate
@@ -179,16 +179,22 @@ def save_bn(model, path, smoothing=None):
 
 
 def load_bn(path):
-    """Read a model written by :func:`save_bn`.  An invalid CPT or prior
-    raises its usual error type, with the file named in front."""
+    """Read a model written by :func:`save_bn`.  A missing key raises
+    MissingKey, and an invalid CPT or prior its usual error type, with
+    the file named in front."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("kind") != "bn_fusion":
-        raise ValueError(f"{path}: expected a bn_fusion model, found {doc.get('kind')!r}")
+    kind = require_key(doc, "kind", path)
+    if kind != "bn_fusion":
+        raise ValueError(f"{path}: expected a bn_fusion model, found {kind!r}")
+    entries = [(require_key(m, "channel", f"{path}: measurements[{k}]"),
+                require_key(m, "cpt", f"{path}: measurements[{k}]"))
+               for k, m in enumerate(require_key(doc, "measurements", path))]
+    prior = require_key(doc, "prior", path)
     try:
-        measurements = tuple(MeasurementModel(channel=m["channel"], cpt=np.array(m["cpt"]))
-                             for m in doc["measurements"])
-        return BnFusionModel(prior=np.array(doc["prior"]), measurements=measurements)
+        measurements = tuple(MeasurementModel(channel=channel, cpt=np.array(cpt))
+                             for channel, cpt in entries)
+        return BnFusionModel(prior=np.array(prior), measurements=measurements)
     except ValueError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DimensionMismatch, N_CLASSES, check_labels, check_matrix,
-                   load_tensor_bundle, save_tensor_bundle)
+from .core import (DimensionMismatch, N_CLASSES, check_labels, check_matrix, check_shape,
+                   load_tensor_bundle, require_key, save_tensor_bundle)
 
 
 class ZeroNormCenter(ValueError):
@@ -217,6 +217,13 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
     drawn from the seed; step t uses learning rate 1/(lambda_reg * t)
     with lambda_reg = 1/(C*n).  The bias rides along as a constant
     feature.  Identical inputs and seed give identical models.
+
+    Each step is one dense update of all 7 rows, written into buffers
+    allocated once: W shrinks by 1 - eta*lambda_reg, then gains
+    (violated * s * eta) ⊗ x, where s holds the sample's ±1 class signs.
+    A row whose margin is not violated gains ±0 and keeps its bits (W
+    starts at +0 and a sum is -0 only when both terms are), so the model
+    is byte-identical to updating only the violated rows.
     """
     X = check_matrix(X)
     y = check_labels(y, n=X.shape[0])
@@ -227,17 +234,26 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
     Xa = np.hstack([X, np.ones((n, 1))])
     signs = np.where(y[:, None] == np.arange(N_CLASSES)[None, :], 1.0, -1.0)
     W = np.zeros((N_CLASSES, dim + 1))
+    margin = np.empty(N_CLASSES)
+    violated = np.empty(N_CLASSES, dtype=bool)
+    coef = np.empty(N_CLASSES)
+    coef_column = coef[:, None]  # a view of coef, shaped for the outer product
+    update = np.empty_like(W)
     rng = np.random.default_rng(seed)
     t = 0
     for _ in range(epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             t += 1
             eta = 1.0 / (lam * t)
-            xi = Xa[i]
-            violated = signs[i] * (W @ xi) < 1.0
+            xi, s = Xa[i], signs[i]
+            np.dot(W, xi, out=margin)
+            np.multiply(margin, s, out=margin)
+            np.less(margin, 1.0, out=violated)
+            np.multiply(s, eta, out=coef)
+            np.multiply(coef, violated, out=coef)
             W *= 1.0 - eta * lam
-            if violated.any():
-                W[violated] += np.outer(eta * signs[i, violated], xi)
+            np.multiply(coef_column, xi, out=update)
+            W += update
     return LinearSvmModel(W=W[:, :dim].copy(), b=W[:, dim].copy(), C=C)
 
 
@@ -260,5 +276,9 @@ def save_svm(model, path, epochs=None, seed=None):
 
 
 def load_svm(path):
+    """Read a model written by :func:`save_svm`.  The weights must be
+    7×D and the bias 7 long, else DimensionMismatch names the file."""
     doc, tensors = load_tensor_bundle(path, "linear_svm")
-    return LinearSvmModel(W=tensors["weights"], b=tensors["bias"], C=float(doc["C"]))
+    W = check_shape(require_key(tensors, "weights", path), (N_CLASSES, None), f"{path}: weights")
+    b = check_shape(require_key(tensors, "bias", path), (N_CLASSES,), f"{path}: bias")
+    return LinearSvmModel(W=W, b=b, C=float(require_key(doc, "C", path)))

@@ -185,6 +185,19 @@ def test_nan_in_bn_model_exits_1(synth_dirs, tmp_path, capsys):
     assert not (tmp_path / "f.csv").exists()
 
 
+def test_bn_model_missing_key_exits_1(synth_dirs, tmp_path, capsys):
+    _, _, manifest = synth_dirs
+    dec = tmp_path / "dec.csv"
+    write_decisions(dec, [(e.clip_id, "audio", e.label) for e in load_manifest(manifest).entries])
+    bn = tmp_path / "bn.json"
+    bn.write_text(json.dumps({"kind": "bn_fusion", "measurements": []}))
+    capsys.readouterr()
+    assert run("fuse-bn", "infer", "--model", bn, "--decisions", dec,
+               "--out", tmp_path / "f.csv") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: MissingKey: {bn}: missing key 'prior'\n"
+
+
 def test_synth_informativeness_count_exits_1(tmp_path, capsys):
     assert run("synth", "--out", tmp_path, "--informativeness", "1,1,1") == 1
     assert "informativeness" in capsys.readouterr().err

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from avfusion.core import DimensionMismatch
+from avfusion.core import DimensionMismatch, MissingKey
 from avfusion.features import (NormalizationModel, TooFewSamples, k_average_pool,
                                load_normalization, load_pca, normalize_apply,
                                normalize_fit, pca_fit, pca_transform,
@@ -254,3 +256,21 @@ def test_pca_and_normalization_serialization(tmp_path):
     loaded_norm = load_normalization(tmp_path / "norm.json")
     assert np.allclose(loaded_norm.per_dim_mean, norm.per_dim_mean, atol=1e-6)
     assert np.allclose(loaded_norm.per_dim_std, norm.per_dim_std, atol=1e-6)
+
+
+@pytest.mark.parametrize("kind, drop", [("pca", "eigenvalues"), ("norm", "std"),
+                                        ("pca", "kind"), ("norm", None)])
+def test_pca_and_normalization_missing_key(tmp_path, kind, drop):
+    X = np.random.default_rng(19).standard_normal((20, 6))
+    path = tmp_path / f"{kind}.json"
+    save, load = {"pca": (save_pca, load_pca),
+                  "norm": (save_normalization, load_normalization)}[kind]
+    save(pca_fit(X, 3) if kind == "pca" else normalize_fit(X), path)
+    doc = json.loads(path.read_text())
+    if drop is None:
+        doc, drop = [doc], "kind"  # a sidecar that is not a JSON object
+    else:
+        del (doc if drop == "kind" else doc["tensors"])[drop]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MissingKey, match=f"{kind}.json: missing key '{drop}'"):
+        load(path)

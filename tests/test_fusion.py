@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from avfusion.core import DimensionMismatch, LengthMismatch, UnknownLabel
+from avfusion.core import DimensionMismatch, LengthMismatch, MissingKey, UnknownLabel
 from avfusion.features import normalize_apply, normalize_fit
 from avfusion.fusion import (AllZeroPosterior, BnFusionModel, EmptyClassRow,
                              JOINT_DIM, MeasurementModel, SEGMENT_DIMS,
@@ -323,6 +323,18 @@ def test_bn_serialization_roundtrip(tmp_path):
     doc["prior"] = doc["prior"][:6]
     (tmp_path / "bad.json").write_text(json.dumps(doc))
     with pytest.raises(DimensionMismatch, match="bad.json: prior"):
+        load_bn(tmp_path / "bad.json")
+
+
+@pytest.mark.parametrize("drop, where", [
+    ("kind", "bad.json"), ("prior", "bad.json"), ("measurements", "bad.json"),
+    ("channel", r"bad.json: measurements\[2\]"), ("cpt", r"bad.json: measurements\[2\]")])
+def test_load_bn_missing_key(tmp_path, drop, where):
+    save_bn(_random_bn(np.random.default_rng(8)), tmp_path / "bn.json")
+    doc = json.loads((tmp_path / "bn.json").read_text())
+    del (doc["measurements"][2] if drop in ("channel", "cpt") else doc)[drop]
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    with pytest.raises(MissingKey, match=f"{where}: missing key '{drop}'"):
         load_bn(tmp_path / "bad.json")
 
 

@@ -1,15 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from avfusion.core import DimensionMismatch, UnknownLabel
+from avfusion.core import (CHANNELS, N_CLASSES, DimensionMismatch, MissingKey, UnknownLabel,
+                           read_tensor_array, write_tensor_array)
+from avfusion.features import normalize_apply, normalize_fit
 from avfusion.learn import (DegenerateInput, IslandLossParams, LinearSvmModel,
                             SingleClass, ZeroNormCenter, clustering_ratio,
                             island_loss, island_loss_grad, load_svm,
                             probe_features, save_svm, softmax_probe_train,
                             svm_predict_batch, svm_train, update_centers)
-from avfusion.synth import gaussian_blobs
+from avfusion.synth import BASELINE_INFORMATIVENESS, SynthConfig, gaussian_blobs, synth_dataset
 
 
 def island_loss_reference(X, y, centers, lambda1):
@@ -345,3 +348,79 @@ def test_svm_serialization_roundtrip(tmp_path):
     assert loaded.C == 0.5
     assert np.allclose(loaded.W, model.W, atol=1e-6)
     assert np.array_equal(svm_predict_batch(loaded, X), svm_predict_batch(model, X))
+
+
+def svm_train_reference(X, y, C, epochs, seed):
+    """The per-row Pegasos loop: only the violated rows get an update.
+    Returns W, b and the number of steps that violated no margin."""
+    n, dim = X.shape
+    lam = 1.0 / (C * n)
+    Xa = np.hstack([X, np.ones((n, 1))])
+    signs = np.where(y[:, None] == np.arange(N_CLASSES)[None, :], 1.0, -1.0)
+    W = np.zeros((N_CLASSES, dim + 1))
+    rng = np.random.default_rng(seed)
+    t = quiet = 0
+    for _ in range(epochs):
+        for i in rng.permutation(n):
+            t += 1
+            eta = 1.0 / (lam * t)
+            xi = Xa[i]
+            violated = signs[i] * (W @ xi) < 1.0
+            W *= 1.0 - eta * lam
+            if violated.any():
+                W[violated] += np.outer(eta * signs[i, violated], xi)
+            else:
+                quiet += 1
+    return W[:, :dim], W[:, dim], quiet
+
+
+def _assert_matches_reference(X, y, C, epochs, seed):
+    model = svm_train(X, y, C=C, epochs=epochs, seed=seed)
+    W, b, quiet = svm_train_reference(X, y, C, epochs, seed)
+    assert model.W.tobytes() == W.tobytes()
+    assert model.b.tobytes() == b.tobytes()
+    return quiet
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("C", [1.0, 0.5])
+def test_svm_train_matches_reference_loop(seed, C):
+    """The dense update trains the per-row loop's model, bit for bit, on
+    every synthetic channel and the normalized joint vector."""
+    data = synth_dataset(SynthConfig(n_clips=400, informativeness=BASELINE_INFORMATIVENESS,
+                                     seed=seed))
+    joint = np.hstack([data.features[ch] for ch in CHANNELS])
+    inputs = [data.features[ch] for ch in CHANNELS]
+    inputs.append(normalize_apply(normalize_fit(joint), joint))
+    for X in inputs:
+        _assert_matches_reference(X, data.labels, C, epochs=3, seed=seed)
+    X, y = gaussian_blobs(n_per_class=30, dim=5, radius=12.0, noise=0.5, seed=seed)
+    assert _assert_matches_reference(X, y, C, epochs=10, seed=seed) > 0
+
+
+def _saved_svm(tmp_path):
+    rng = np.random.default_rng(12)
+    model = svm_train(rng.standard_normal((30, 4)), rng.integers(0, 7, 30), epochs=2)
+    save_svm(model, tmp_path / "svm.json")
+    return tmp_path / "svm.json"
+
+
+@pytest.mark.parametrize("name, shape", [("weights", (6, 4)), ("weights", (28,)),
+                                          ("bias", (1,)), ("bias", (7, 1))])
+def test_load_svm_checks_shapes(tmp_path, name, shape):
+    path = _saved_svm(tmp_path)
+    tensor = tmp_path / f"svm.{name}.fvt"
+    values = read_tensor_array(tensor).reshape(-1)
+    write_tensor_array(tensor, np.resize(values, shape))
+    with pytest.raises(DimensionMismatch, match=f"svm.json: {name}"):
+        load_svm(path)
+
+
+@pytest.mark.parametrize("drop", ["C", "tensors", "weights", "bias"])
+def test_load_svm_missing_key(tmp_path, drop):
+    path = _saved_svm(tmp_path)
+    doc = json.loads(path.read_text())
+    del (doc["tensors"] if drop in ("weights", "bias") else doc)[drop]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MissingKey, match=f"svm.json: missing key '{drop}'"):
+        load_svm(path)
