@@ -136,8 +136,7 @@ def cmd_fuse_feat_predict(args):
 def cmd_fuse_bn_fit(args):
     decisions, truths = _labelled_decisions(load_manifest(args.manifest), args.decisions)
     model = fusion.fit_bn(decisions, truths)
-    fusion.save_bn(model, args.out,
-                   smoothing={"mode": "confusion", "alpha": 1.0, "prior": "uniform"})
+    fusion.save_bn(model, args.out)
     print(f"fit BN fusion over channels {list(model.channels)}; saved to {args.out}")
 
 

@@ -149,7 +149,10 @@ def check_shape(array, shape, name):
     """Return ``array`` as float64 when its shape is ``shape``, where a
     None entry matches any length; else raise DimensionMismatch, starting
     with ``name``."""
-    arr = np.asarray(array, dtype=np.float64)
+    try:
+        arr = np.asarray(array, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: expected an array of numbers") from None
     if arr.ndim != len(shape) or any(want is not None and got != want
                                      for got, want in zip(arr.shape, shape)):
         raise DimensionMismatch(f"{name}: expected shape {tuple(shape)}, got {arr.shape}")
@@ -234,11 +237,11 @@ def write_tensor_array(path, array):
     write_tensor(path, list(arr.shape), arr.reshape(-1))
 
 
-def require_key(doc, key, where):
+def require_key(doc, key):
     """Return ``doc[key]`` from a parsed JSON object; a missing key, or a
-    ``doc`` that is not an object, raises MissingKey naming ``where``."""
+    ``doc`` that is not an object, raises MissingKey."""
     if not isinstance(doc, dict) or key not in doc:
-        raise MissingKey(f"{where}: missing key {key!r}")
+        raise MissingKey(f"missing key {key!r}")
     return doc[key]
 
 
@@ -275,22 +278,28 @@ def save_tensor_bundle(path, kind, tensors, extra=None):
         os.replace(tmp, final)
 
 
-def load_tensor_bundle(path, kind):
-    """Read a JSON sidecar written by :func:`save_tensor_bundle`.
-
-    Returns ``(doc, tensors)`` where tensors maps each recorded name to
-    its array.  Raises ValueError when the sidecar's kind differs and
-    MissingKey when it lacks its kind or its tensors.
-    """
+def read_model(path, kind, build):
+    """Read a model file and return ``build(doc, tensor)``: ``doc`` is the
+    parsed JSON, whose ``kind`` must be ``kind``, and ``tensor(name)``
+    reads the bundle tensor it records under ``name``.  A ValueError on
+    the way is re-raised, same type, with the path in front."""
     path = Path(path)
     with open(path) as fh:
         doc = json.load(fh)
-    found = require_key(doc, "kind", path)
-    if found != kind:
-        raise ValueError(f"{path}: expected a {kind!r} bundle, found {found!r}")
-    tensors = {name: read_tensor_array(path.parent / fname)
-               for name, fname in require_key(doc, "tensors", path).items()}
-    return doc, tensors
+
+    def tensor(name):
+        fname = require_key(require_key(doc, "tensors"), name)
+        if not isinstance(fname, str):
+            raise ValueError(f"tensor {name!r}: expected a file name, got {fname!r}")
+        return read_tensor_array(path.parent / fname)
+
+    try:
+        found = require_key(doc, "kind")
+        if found != kind:
+            raise ValueError(f"expected a {kind!r} model, found {found!r}")
+        return build(doc, tensor)
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (N_CLASSES, check_matrix, load_tensor_bundle, require_key,
-                   save_tensor_bundle)
+from .core import N_CLASSES, check_matrix, check_shape, read_model, save_tensor_bundle
 
 
 class TooFewSamples(ValueError):
@@ -26,15 +25,26 @@ class PcaModel:
     components: np.ndarray   # (q, d), orthonormal rows, descending eigenvalue
     eigenvalues: np.ndarray  # (q,), non-negative, non-increasing
 
+    def __post_init__(self):
+        components = check_shape(self.components, (None, None), "components")
+        q, d = components.shape
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "mean", check_shape(self.mean, (d,), "mean"))
+        object.__setattr__(self, "eigenvalues", check_shape(self.eigenvalues, (q,), "eigenvalues"))
+
 
 @dataclass(frozen=True)
 class NormalizationModel:
     per_dim_mean: np.ndarray  # (D,)
     per_dim_std: np.ndarray   # (D,), population std; zeros mark constant dims
 
-    @property
-    def zero_std_dims(self):
-        return self.per_dim_std == 0
+    def __post_init__(self):
+        mean = check_shape(self.per_dim_mean, (None,), "mean")
+        std = check_shape(self.per_dim_std, mean.shape, "std")
+        if not np.all(std >= 0):
+            raise ValueError("std: entries must be non-negative")
+        object.__setattr__(self, "per_dim_mean", mean)
+        object.__setattr__(self, "per_dim_std", std)
 
 
 def pca_fit(X, q):
@@ -126,28 +136,20 @@ def normalize_apply(model, x):
 
 
 def save_pca(model, path):
-    save_tensor_bundle(path, "pca", {
-        "mean": model.mean,
-        "components": model.components,
-        "eigenvalues": model.eigenvalues,
-    })
+    save_tensor_bundle(path, "pca", {"mean": model.mean, "components": model.components,
+                                     "eigenvalues": model.eigenvalues})
 
 
 def load_pca(path):
-    _, tensors = load_tensor_bundle(path, "pca")
-    return PcaModel(mean=require_key(tensors, "mean", path),
-                    components=require_key(tensors, "components", path),
-                    eigenvalues=require_key(tensors, "eigenvalues", path))
+    return read_model(path, "pca", lambda doc, tensor: PcaModel(
+        mean=tensor("mean"), components=tensor("components"), eigenvalues=tensor("eigenvalues")))
 
 
 def save_normalization(model, path):
-    save_tensor_bundle(path, "normalization", {
-        "mean": model.per_dim_mean,
-        "std": model.per_dim_std,
-    })
+    save_tensor_bundle(path, "normalization", {"mean": model.per_dim_mean,
+                                               "std": model.per_dim_std})
 
 
 def load_normalization(path):
-    _, tensors = load_tensor_bundle(path, "normalization")
-    return NormalizationModel(per_dim_mean=require_key(tensors, "mean", path),
-                              per_dim_std=require_key(tensors, "std", path))
+    return read_model(path, "normalization", lambda doc, tensor: NormalizationModel(
+        per_dim_mean=tensor("mean"), per_dim_std=tensor("std")))

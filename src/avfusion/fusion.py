@@ -10,14 +10,13 @@ multiplies the prior with the observed channels' CPT columns.
 """
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import (CHANNELS, DimensionMismatch, N_CLASSES, check_probabilities, emotion_index,
-                   emotion_name, require_key, write_json)
+from .core import (CHANNELS, DimensionMismatch, MissingKey, N_CLASSES, check_probabilities,
+                   emotion_index, emotion_name, read_model, require_key, write_json)
 from .features import normalize_apply, normalize_fit
 from .learn import svm_predict_batch, svm_train
 from .metrics import evaluate
@@ -48,6 +47,8 @@ class MeasurementModel:
     cpt: np.ndarray  # (7, 7), row e is P(measurement | emotion == e)
 
     def __post_init__(self):
+        if not isinstance(self.channel, str):
+            raise ValueError(f"channel must be a string, got {self.channel!r}")
         object.__setattr__(self, "cpt", check_probabilities(self.cpt, (N_CLASSES, N_CLASSES),
                                                             f"{self.channel} CPT"))
 
@@ -87,7 +88,6 @@ def build_joint_vector(audio, lbptop, cnn, blstm):
 def feature_fusion_train(X, y, C=1.0, epochs=30, seed=0):
     """Fit normalization on joint vectors, then a linear SVM on the
     normalized rows; returns ``(NormalizationModel, LinearSvmModel)``."""
-    X = np.asarray(X, dtype=np.float64)
     norm = normalize_fit(X)
     svm = svm_train(normalize_apply(norm, X), y, C=C, epochs=epochs, seed=seed)
     return norm, svm
@@ -164,39 +164,31 @@ def bn_infer(model, observed):
     return int(np.argmax(post)), post
 
 
-def save_bn(model, path, smoothing=None):
-    doc = {
-        "kind": "bn_fusion",
-        "prior": [float(v) for v in model.prior],
-        "measurements": [
-            {"channel": m.channel, "cpt": [[float(v) for v in row] for row in m.cpt]}
-            for m in model.measurements
-        ],
-    }
-    if smoothing is not None:
-        doc["smoothing"] = smoothing
-    write_json(path, doc)
+def save_bn(model, path):
+    """Write the model as JSON, recording the smoothing :func:`fit_bn` uses."""
+    write_json(path, {"kind": "bn_fusion", "prior": model.prior.tolist(),
+                      "measurements": [{"channel": m.channel, "cpt": m.cpt.tolist()}
+                                       for m in model.measurements],
+                      "smoothing": {"mode": "confusion", "alpha": 1.0, "prior": "uniform"}})
 
 
 def load_bn(path):
-    """Read a model written by :func:`save_bn`.  A missing key raises
-    MissingKey, and an invalid CPT or prior its usual error type, with
-    the file named in front."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    kind = require_key(doc, "kind", path)
-    if kind != "bn_fusion":
-        raise ValueError(f"{path}: expected a bn_fusion model, found {kind!r}")
-    entries = [(require_key(m, "channel", f"{path}: measurements[{k}]"),
-                require_key(m, "cpt", f"{path}: measurements[{k}]"))
-               for k, m in enumerate(require_key(doc, "measurements", path))]
-    prior = require_key(doc, "prior", path)
-    try:
-        measurements = tuple(MeasurementModel(channel=channel, cpt=np.array(cpt))
-                             for channel, cpt in entries)
-        return BnFusionModel(prior=np.array(prior), measurements=measurements)
-    except ValueError as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    """Read a model written by :func:`save_bn`; errors name the file."""
+    return read_model(path, "bn_fusion", lambda doc, tensor: BnFusionModel(
+        prior=require_key(doc, "prior"), measurements=_measurements(doc)))
+
+
+def _measurements(doc):
+    """Yield the MeasurementModels of a parsed bn.json; a missing key names its entry."""
+    entries = require_key(doc, "measurements")
+    if not isinstance(entries, list):
+        raise ValueError(f"measurements: expected a list, got {type(entries).__name__}")
+    for k, entry in enumerate(entries):
+        try:
+            channel, cpt = require_key(entry, "channel"), require_key(entry, "cpt")
+        except MissingKey as exc:
+            raise MissingKey(f"measurements[{k}]: {exc}") from None
+        yield MeasurementModel(channel=channel, cpt=cpt)
 
 
 def write_decisions(path, rows):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DimensionMismatch, N_CLASSES, check_labels, check_matrix, check_shape,
-                   load_tensor_bundle, require_key, save_tensor_bundle)
+                   read_model, require_key, save_tensor_bundle)
 
 
 class ZeroNormCenter(ValueError):
@@ -50,6 +50,11 @@ class LinearSvmModel:
     W: np.ndarray  # (7, D)
     b: np.ndarray  # (7,)
     C: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "W", check_shape(self.W, (N_CLASSES, None), "weights"))
+        object.__setattr__(self, "b", check_shape(self.b, (N_CLASSES,), "bias"))
+        object.__setattr__(self, "C", float(check_shape(self.C, (), "C")))
 
 
 def _check_batch(X, y, centers):
@@ -265,20 +270,12 @@ def svm_predict_batch(model, X):
 
 
 def save_svm(model, path, epochs=None, seed=None):
-    extra = {"C": model.C, "shapes": {"weights": list(model.W.shape),
-                                      "bias": list(model.b.shape)}}
-    if epochs is not None:
-        extra["epochs"] = int(epochs)
-    if seed is not None:
-        extra["seed"] = int(seed)
-    save_tensor_bundle(path, "linear_svm", {"weights": model.W, "bias": model.b},
-                       extra=extra)
+    extra = {"C": model.C, "shapes": {"weights": list(model.W.shape), "bias": list(model.b.shape)},
+             **{key: int(v) for key, v in (("epochs", epochs), ("seed", seed)) if v is not None}}
+    save_tensor_bundle(path, "linear_svm", {"weights": model.W, "bias": model.b}, extra=extra)
 
 
 def load_svm(path):
-    """Read a model written by :func:`save_svm`.  The weights must be
-    7×D and the bias 7 long, else DimensionMismatch names the file."""
-    doc, tensors = load_tensor_bundle(path, "linear_svm")
-    W = check_shape(require_key(tensors, "weights", path), (N_CLASSES, None), f"{path}: weights")
-    b = check_shape(require_key(tensors, "bias", path), (N_CLASSES,), f"{path}: bias")
-    return LinearSvmModel(W=W, b=b, C=float(require_key(doc, "C", path)))
+    """Read a model written by :func:`save_svm`; errors name the file."""
+    return read_model(path, "linear_svm", lambda doc, tensor: LinearSvmModel(
+        W=tensor("weights"), b=tensor("bias"), C=require_key(doc, "C")))

@@ -288,3 +288,16 @@ def test_stage_determinism(tmp_path):
     for name in ("manifest.csv", "clip_00000.blstm.fvt", "m.json", "m.weights.fvt",
                  "m.bias.fvt", "dec.csv"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_wrong_typed_bn_field_exits_1(synth_dirs, tmp_path, capsys):
+    _, _, manifest = synth_dirs
+    dec = tmp_path / "dec.csv"
+    write_decisions(dec, [(e.clip_id, "audio", e.label) for e in load_manifest(manifest).entries])
+    bn = tmp_path / "bn.json"
+    bn.write_text(json.dumps({"kind": "bn_fusion", "prior": [1 / 7] * 7, "measurements": 5}))
+    capsys.readouterr()
+    assert run("fuse-bn", "infer", "--model", bn, "--decisions", dec,
+               "--out", tmp_path / "f.csv") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: ValueError: {bn}: measurements: expected a list, got int\n"

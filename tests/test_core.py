@@ -1,3 +1,4 @@
+import json
 import string
 import struct
 import tempfile
@@ -9,10 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avfusion
+from avfusion.features import (load_normalization, load_pca, normalize_fit, pca_fit,
+                               save_normalization, save_pca)
+from avfusion.fusion import BnFusionModel, MeasurementModel, load_bn, save_bn, uniform_prior
+from avfusion.learn import LinearSvmModel, load_svm, save_svm
 from avfusion.core import (CHANNELS, BadMagic, DuplicateClipId, DimensionMismatch,
                            EMOTION_NAMES, MalformedRow, Truncated, UnknownLabel,
                            emotion_index, emotion_name, load_manifest,
-                           read_tensor, save_manifest, write_tensor,
+                           read_tensor, read_tensor_array, save_manifest, write_tensor,
                            write_tensor_array)
 
 
@@ -82,6 +87,106 @@ def test_isfinite_only_in_core():
     offenders = [p.name for p in sorted(package.glob("*.py"))
                  if p.name != "core.py" and "np.isfinite" in p.read_text()]
     assert offenders == []
+
+
+def test_json_load_only_in_core():
+    """Model files are parsed in one module; the others call its reader."""
+    package = Path(avfusion.__file__).parent
+    offenders = [p.name for p in sorted(package.glob("*.py"))
+                 if p.name != "core.py" and "json.load" in p.read_text()]
+    assert offenders == []
+
+
+def _model_kinds():
+    """Each model kind: its save, its load, a model, and the arrays of a
+    loaded model as bytes."""
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((12, 4))
+    cpts = rng.random((2, 7, 7)) + 0.05
+    bn = BnFusionModel(prior=uniform_prior(), measurements=[
+        MeasurementModel(channel=ch, cpt=cpt / cpt.sum(axis=1, keepdims=True))
+        for ch, cpt in zip(("audio", "cnn"), cpts)])
+    return {
+        "linear_svm": (lambda model, path: save_svm(model, path, epochs=2, seed=0), load_svm,
+                       LinearSvmModel(W=rng.standard_normal((7, 4)), b=rng.standard_normal(7),
+                                      C=0.5),
+                       lambda m: (m.W.tobytes(), m.b.tobytes(), m.C)),
+        "pca": (save_pca, load_pca, pca_fit(X, 2),
+                lambda m: (m.mean.tobytes(), m.components.tobytes(), m.eigenvalues.tobytes())),
+        "normalization": (save_normalization, load_normalization, normalize_fit(X),
+                          lambda m: (m.per_dim_mean.tobytes(), m.per_dim_std.tobytes())),
+        "bn_fusion": (save_bn, load_bn, bn,
+                      lambda m: (m.prior.tobytes(), *((x.channel, x.cpt.tobytes())
+                                                      for x in m.measurements))),
+    }
+
+
+def _mutations(doc):
+    """Every single-step mutation of a saved model whose sidecar is ``doc``:
+    drop a key (of the sidecar, its tensors or a BN measurement), truncate
+    or reshape a tensor, or claim another model kind."""
+    tensors = doc.get("tensors", {})
+    measurements = doc.get("measurements", [])
+    drops = [(key,) for key in doc] + [("tensors", key) for key in tensors]
+    drops += [("measurements", k, key) for k, m in enumerate(measurements) for key in m]
+    json_tensors = [("prior",)] * ("prior" in doc)
+    json_tensors += [("measurements", k, "cpt") for k in range(len(measurements))]
+    return ([("drop", where) for where in drops]
+            + [("truncate", fname) for fname in tensors.values()]
+            + [("reshape", fname) for fname in tensors.values()]
+            + [("reshape", where) for where in json_tensors]
+            + [("kind", kind) for kind in _MODEL_KINDS if kind != doc["kind"]])
+
+
+_MODEL_KINDS = _model_kinds()
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(_MODEL_KINDS)), st.data())
+def test_model_file_mutation_property(kind, data):
+    """A model file with one part dropped, truncated, reshaped or relabelled
+    loads as before or raises a ValueError naming the sidecar; never a
+    KeyError, TypeError, AttributeError or IndexError."""
+    save, load, model, arrays = _MODEL_KINDS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save(model, path)
+        expected = arrays(load(path))
+        doc = json.loads(path.read_text())
+        action, target = data.draw(st.sampled_from(_mutations(doc)))
+        if action == "kind":
+            doc["kind"] = target
+        elif isinstance(target, str):  # a tensor file
+            fvt = path.parent / target
+            if action == "truncate":
+                blob = fvt.read_bytes()
+                fvt.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+            else:
+                values = read_tensor_array(fvt)
+                write_tensor_array(fvt, values.reshape(data.draw(_other_shape(values.shape))))
+        else:  # a path of keys into the sidecar
+            *parents, last = target
+            node = doc
+            for key in parents:
+                node = node[key]
+            if action == "drop":
+                del node[last]
+            else:
+                values = np.array(node[last])
+                node[last] = values.reshape(data.draw(_other_shape(values.shape))).tolist()
+        path.write_text(json.dumps(doc))
+        try:
+            loaded = load(path)
+        except ValueError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert arrays(loaded) == expected
+
+
+def _other_shape(shape):
+    size = int(np.prod(shape))
+    return st.sampled_from(sorted({(size,), (1, size), (size, 1), tuple(shape[::-1])}
+                                  - {tuple(shape)}))
 
 
 def test_bad_magic(tmp_path):

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from avfusion.core import DimensionMismatch, MissingKey
-from avfusion.features import (NormalizationModel, TooFewSamples, k_average_pool,
+from avfusion.core import DimensionMismatch, MissingKey, read_tensor_array, write_tensor_array
+from avfusion.features import (NormalizationModel, PcaModel, TooFewSamples, k_average_pool,
                                load_normalization, load_pca, normalize_apply,
                                normalize_fit, pca_fit, pca_transform,
                                save_normalization, save_pca)
@@ -178,7 +178,6 @@ def test_normalize_fit_hand_case():
     model = normalize_fit(np.array([[0.0, 2.0], [2.0, 2.0]]))
     assert model.per_dim_mean.tolist() == [1.0, 2.0]
     assert model.per_dim_std.tolist() == [1.0, 0.0]
-    assert model.zero_std_dims.tolist() == [False, True]
 
 
 def test_normalize_stage1_zero_std_column():
@@ -274,3 +273,40 @@ def test_pca_and_normalization_missing_key(tmp_path, kind, drop):
     path.write_text(json.dumps(doc))
     with pytest.raises(MissingKey, match=f"{kind}.json: missing key '{drop}'"):
         load(path)
+
+
+@pytest.mark.parametrize("kind, name, shape", [
+    ("norm", "std", (1,)), ("norm", "mean", (2, 3)), ("pca", "mean", (4,)),
+    ("pca", "eigenvalues", (1,)), ("pca", "components", (18,))])
+def test_load_checks_model_shapes(tmp_path, kind, name, shape):
+    """A tensor rewritten to the wrong shape fails the load, naming the
+    sidecar and the tensor, instead of broadcasting in the next call."""
+    X = np.random.default_rng(20).standard_normal((20, 6))
+    path = tmp_path / f"{kind}.json"
+    if kind == "pca":
+        save_pca(pca_fit(X, 3), path)
+    else:
+        save_normalization(normalize_fit(X), path)
+    tensor = tmp_path / f"{kind}.{name}.fvt"
+    write_tensor_array(tensor, np.resize(read_tensor_array(tensor).reshape(-1), shape))
+    with pytest.raises(DimensionMismatch, match=f"{kind}.json: {name}: expected shape"):
+        (load_pca if kind == "pca" else load_normalization)(path)
+
+
+@pytest.mark.parametrize("fields, error, name", [
+    ({"mean": np.zeros(4)}, DimensionMismatch, "mean"),
+    ({"eigenvalues": np.ones(1)}, DimensionMismatch, "eigenvalues"),
+    ({"components": np.ones(18)}, DimensionMismatch, "components"),
+    ({"per_dim_std": np.ones(1)}, DimensionMismatch, "std"),
+    ({"per_dim_mean": np.zeros((6, 1))}, DimensionMismatch, "mean"),
+    ({"per_dim_std": -np.ones(6)}, ValueError, "std"),
+    ({"per_dim_std": [{}] * 6}, ValueError, "std")])
+def test_models_check_shapes_when_built(fields, error, name):
+    if {"mean", "eigenvalues", "components"} & fields.keys():
+        build = PcaModel, dict(mean=np.zeros(6), components=np.eye(3, 6), eigenvalues=np.ones(3))
+    else:
+        build = NormalizationModel, dict(per_dim_mean=np.zeros(6), per_dim_std=np.ones(6))
+    cls, kwargs = build
+    cls(**kwargs)
+    with pytest.raises(error, match=f"^{name}: "):
+        cls(**{**kwargs, **fields})

@@ -338,6 +338,20 @@ def test_load_bn_missing_key(tmp_path, drop, where):
         load_bn(tmp_path / "bad.json")
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda doc: doc.update(measurements=5), "measurements: expected a list"),
+    (lambda doc: doc.update(prior=[{}] * 7), "prior: expected an array of numbers"),
+    (lambda doc: doc["measurements"][1].update(channel=[1]), "channel must be a string"),
+    (lambda doc: doc["measurements"][0].update(cpt="eye"), "audio CPT: expected an array")])
+def test_load_bn_wrong_typed_field(tmp_path, change, message):
+    save_bn(_random_bn(np.random.default_rng(9)), tmp_path / "bn.json")
+    doc = json.loads((tmp_path / "bn.json").read_text())
+    change(doc)
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^{tmp_path / 'bad.json'}: {message}"):
+        load_bn(tmp_path / "bad.json")
+
+
 def test_decisions_csv_roundtrip(tmp_path):
     rows = [("c1", "audio", 3), ("c2", "audio", 0), ("c1", "cnn", 6)]
     path = tmp_path / "dec.csv"

@@ -424,3 +424,25 @@ def test_load_svm_missing_key(tmp_path, drop):
     path.write_text(json.dumps(doc))
     with pytest.raises(MissingKey, match=f"svm.json: missing key '{drop}'"):
         load_svm(path)
+
+
+@pytest.mark.parametrize("W, b, name", [(np.ones((6, 3)), np.zeros(6), "weights"),
+                                        (np.ones(21), np.zeros(7), "weights"),
+                                        (np.ones((7, 3)), np.zeros(6), "bias")])
+def test_svm_model_checks_shapes(W, b, name):
+    """A hand-built model with fewer than 7 rows would predict only some
+    classes; it fails when built."""
+    with pytest.raises(DimensionMismatch, match=f"^{name}: expected shape"):
+        LinearSvmModel(W=W, b=b, C=1.0)
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("C", [1], DimensionMismatch), ("C", {"a": 1}, ValueError), ("tensors", ["x"], MissingKey),
+    ("tensors", {"weights": 5, "bias": "svm.bias.fvt"}, ValueError)])
+def test_load_svm_wrong_typed_field(tmp_path, key, value, error):
+    path = _saved_svm(tmp_path)
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error, match=f"^{path}: "):
+        load_svm(path)
