@@ -1,4 +1,4 @@
-"""Shared domain types, the 7-class emotion label set, and file formats.
+"""Shared domain types, the 7-class label set, the channel layout, file formats.
 
 Tensors are exchanged in the FVT1 binary format: the magic bytes ``FVT1``,
 a little-endian u32 rank, ``rank`` little-endian u32 dims, then
@@ -29,19 +29,15 @@ N_CLASSES = 7
 
 _NAME_TO_INDEX = {name: i for i, name in enumerate(EMOTION_NAMES)}
 
-# Channel tags in their fixed fusion order.
-CHANNELS = ("audio", "lbptop", "cnn", "blstm")
+# Channel tags in their fixed fusion order, with their joint-vector widths.
+SEGMENT_DIMS = {"audio": 20, "lbptop": 150, "cnn": 49, "blstm": 50}
+CHANNELS = tuple(SEGMENT_DIMS)
+JOINT_DIM = sum(SEGMENT_DIMS.values())  # 269
 
 _MAGIC = b"FVT1"
 
-# CSV columns of a dataset manifest; the last four hold per-channel paths.
+# CSV columns of a dataset manifest; the last four hold CHANNELS' paths, in order.
 MANIFEST_COLUMNS = ("clip_id", "label", "audio", "lbptop_video", "cnn_scores", "blstm_feat")
-_PATH_COLUMN_TO_CHANNEL = {
-    "audio": "audio",
-    "lbptop_video": "lbptop",
-    "cnn_scores": "cnn",
-    "blstm_feat": "blstm",
-}
 
 
 class TensorFormatError(ValueError):
@@ -86,6 +82,10 @@ class EmptyVolume(ValueError):
 
 class MissingKey(ValueError):
     """A model file lacks an entry its format requires."""
+
+
+class ModelFormatError(ValueError):
+    """A model file is not a UTF-8 JSON document."""
 
 
 def emotion_index(name):
@@ -245,31 +245,24 @@ def require_key(doc, key):
     return doc[key]
 
 
-def write_json(path, doc):
-    """Write a JSON document indented by 2, keys sorted, newline-terminated."""
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def save_tensor_bundle(path, kind, tensors, extra=None):
-    """Write a model as a JSON sidecar plus sibling FVT1 tensor files.
-
-    Each tensor is stored as ``<stem>.<name>.fvt`` next to the JSON file;
-    the sidecar records the kind, the tensor file names, and any extra
-    metadata.  Output is deterministic for identical inputs.  The save is
-    all-or-nothing: every file is written under a temporary name in the
-    same directory first and renamed into place, sidecar last, only once
-    all writes succeeded, so a failed save leaves the old files untouched.
-    """
+def write_model(path, kind, tensors, **fields):
+    """Write the model file ``{"kind": kind, **fields}`` as JSON (indent 2,
+    sorted keys, trailing newline).  Each of ``tensors`` goes to a sibling
+    FVT1 file ``<stem>.<name>.fvt``, listed under ``tensors`` when there
+    are any.  The save is all-or-nothing: each file is written under a
+    temporary name and renamed into place, JSON last, once all writes
+    succeeded, so a failed save leaves the old files untouched."""
     path = Path(path)
     names = {name: f"{path.stem}.{name}.fvt" for name in tensors}
+    doc = {"kind": kind, **fields, **({"tensors": names} if names else {})}
     finals = [path.parent / fname for fname in names.values()] + [path]
     temps = [final.with_name(f".{final.name}.tmp") for final in finals]
     try:
         for tmp, array in zip(temps, tensors.values()):
-            write_tensor_array(tmp, np.asarray(array, dtype=np.float64))
-        write_json(temps[-1], {"kind": kind, "tensors": names, **(extra or {})})
+            write_tensor_array(tmp, array)
+        with open(temps[-1], "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     except BaseException:
         for tmp in temps:
             tmp.unlink(missing_ok=True)
@@ -282,10 +275,14 @@ def read_model(path, kind, build):
     """Read a model file and return ``build(doc, tensor)``: ``doc`` is the
     parsed JSON, whose ``kind`` must be ``kind``, and ``tensor(name)``
     reads the bundle tensor it records under ``name``.  A ValueError on
-    the way is re-raised, same type, with the path in front."""
+    the way is re-raised with the path in front: as ModelFormatError when
+    the file is not UTF-8 JSON, else with its type kept."""
     path = Path(path)
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ModelFormatError(f"{path}: {exc}") from exc
 
     def tensor(name):
         fname = require_key(require_key(doc, "tensors"), name)
@@ -349,14 +346,14 @@ def load_manifest(path):
             label_cell = row[1].strip()
             label = emotion_index(label_cell) if label_cell else None
             paths = {}
-            for col, cell in zip(MANIFEST_COLUMNS[2:], row[2:]):
+            for col, channel, cell in zip(MANIFEST_COLUMNS[2:], CHANNELS, row[2:]):
                 cell = cell.strip()
                 if not cell:
                     continue
                 resolved = base / cell
                 if not resolved.exists():
                     raise MalformedRow(f"{path}:{lineno}: {col} file {resolved} does not exist")
-                paths[_PATH_COLUMN_TO_CHANNEL[col]] = resolved
+                paths[channel] = resolved
             entries.append(ManifestEntry(clip_id=clip_id, label=label, paths=paths))
     return DatasetManifest(entries=entries)
 
@@ -372,8 +369,7 @@ def save_manifest(path, entries):
         writer.writerow(MANIFEST_COLUMNS)
         for clip_id, label, paths in entries:
             row = [clip_id, "" if label is None else emotion_name(label)]
-            for col in MANIFEST_COLUMNS[2:]:
-                channel = _PATH_COLUMN_TO_CHANNEL[col]
+            for channel in CHANNELS:
                 cell = paths.get(channel)
                 row.append("" if cell is None else str(Path(cell).relative_to(path.parent)))
             writer.writerow(row)

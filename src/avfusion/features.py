@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import N_CLASSES, check_matrix, check_shape, read_model, save_tensor_bundle
+from .core import N_CLASSES, check_matrix, check_shape, read_model, write_model
 
 
 class TooFewSamples(ValueError):
@@ -136,8 +136,8 @@ def normalize_apply(model, x):
 
 
 def save_pca(model, path):
-    save_tensor_bundle(path, "pca", {"mean": model.mean, "components": model.components,
-                                     "eigenvalues": model.eigenvalues})
+    write_model(path, "pca", {"mean": model.mean, "components": model.components,
+                              "eigenvalues": model.eigenvalues})
 
 
 def load_pca(path):
@@ -146,8 +146,7 @@ def load_pca(path):
 
 
 def save_normalization(model, path):
-    save_tensor_bundle(path, "normalization", {"mean": model.per_dim_mean,
-                                               "std": model.per_dim_std})
+    write_model(path, "normalization", {"mean": model.per_dim_mean, "std": model.per_dim_std})
 
 
 def load_normalization(path):

@@ -15,14 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (CHANNELS, DimensionMismatch, MissingKey, N_CLASSES, check_probabilities,
-                   emotion_index, emotion_name, read_model, require_key, write_json)
+from .core import (CHANNELS, SEGMENT_DIMS, DimensionMismatch, MissingKey, N_CLASSES,
+                   check_probabilities, emotion_index, emotion_name, read_model, require_key,
+                   write_model)
 from .features import normalize_apply, normalize_fit
 from .learn import svm_predict_batch, svm_train
 from .metrics import evaluate
-
-SEGMENT_DIMS = {"audio": 20, "lbptop": 150, "cnn": 49, "blstm": 50}
-JOINT_DIM = sum(SEGMENT_DIMS.values())  # 269
 
 
 class EmptyClassRow(ValueError):
@@ -166,10 +164,10 @@ def bn_infer(model, observed):
 
 def save_bn(model, path):
     """Write the model as JSON, recording the smoothing :func:`fit_bn` uses."""
-    write_json(path, {"kind": "bn_fusion", "prior": model.prior.tolist(),
-                      "measurements": [{"channel": m.channel, "cpt": m.cpt.tolist()}
-                                       for m in model.measurements],
-                      "smoothing": {"mode": "confusion", "alpha": 1.0, "prior": "uniform"}})
+    write_model(path, "bn_fusion", {}, prior=model.prior.tolist(),
+                measurements=[{"channel": m.channel, "cpt": m.cpt.tolist()}
+                              for m in model.measurements],
+                smoothing={"mode": "confusion", "alpha": 1.0, "prior": "uniform"})
 
 
 def load_bn(path):

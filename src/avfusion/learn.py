@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DimensionMismatch, N_CLASSES, check_labels, check_matrix, check_shape,
-                   read_model, require_key, save_tensor_bundle)
+                   read_model, require_key, write_model)
 
 
 class ZeroNormCenter(ValueError):
@@ -55,6 +55,11 @@ class LinearSvmModel:
         object.__setattr__(self, "W", check_shape(self.W, (N_CLASSES, None), "weights"))
         object.__setattr__(self, "b", check_shape(self.b, (N_CLASSES,), "bias"))
         object.__setattr__(self, "C", float(check_shape(self.C, (), "C")))
+
+
+def _check_epochs(epochs):
+    if not (isinstance(epochs, (int, np.integer)) and epochs >= 1):
+        raise ValueError(f"epochs must be an integer >= 1, got {epochs!r}")
 
 
 def _check_batch(X, y, centers):
@@ -151,6 +156,7 @@ def softmax_probe_train(X, y, params=None, epochs=400, seed=0, lr=0.02):
     deterministic given the seed.
     """
     params = params or IslandLossParams()
+    _check_epochs(epochs)
     X = check_matrix(X)
     y = check_labels(y, n=X.shape[0])
     m, d = X.shape
@@ -230,6 +236,9 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
     starts at +0 and a sum is -0 only when both terms are), so the model
     is byte-identical to updating only the violated rows.
     """
+    if not 0 < C < np.inf:
+        raise ValueError(f"C must be finite and > 0, got {C!r}")
+    _check_epochs(epochs)
     X = check_matrix(X)
     y = check_labels(y, n=X.shape[0])
     n, dim = X.shape
@@ -270,9 +279,9 @@ def svm_predict_batch(model, X):
 
 
 def save_svm(model, path, epochs=None, seed=None):
-    extra = {"C": model.C, "shapes": {"weights": list(model.W.shape), "bias": list(model.b.shape)},
-             **{key: int(v) for key, v in (("epochs", epochs), ("seed", seed)) if v is not None}}
-    save_tensor_bundle(path, "linear_svm", {"weights": model.W, "bias": model.b}, extra=extra)
+    write_model(path, "linear_svm", {"weights": model.W, "bias": model.b}, C=model.C,
+                shapes={"weights": list(model.W.shape), "bias": list(model.b.shape)},
+                **{key: int(v) for key, v in (("epochs", epochs), ("seed", seed)) if v is not None})
 
 
 def load_svm(path):

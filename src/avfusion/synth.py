@@ -4,7 +4,7 @@ information.
 Each clip draws a balanced emotion label.  A channel with
 informativeness rho emits a feature vector from a class-conditional
 Gaussian whose mean is a fixed random unit direction scaled by
-``base_separation * rho``; at rho = 0 (or for failed channels) the
+``BASE_SEPARATION * rho``; at rho = 0 (or for failed channels) the
 output carries no label information at all.  The CNN channel emits a
 T×7 per-frame score matrix (softmax rows whose logits favor the true
 class by the same scaled margin) so temporal pooling is exercised on
@@ -19,9 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CHANNELS, save_manifest, write_tensor_array
+from .core import CHANNELS, SEGMENT_DIMS, save_manifest, write_tensor_array
 from .features import k_average_pool
-from .fusion import SEGMENT_DIMS
 
 
 @dataclass(frozen=True)
@@ -30,7 +29,6 @@ class SynthConfig:
     informativeness: tuple = (1.0, 1.0, 1.0, 1.0)  # audio, lbptop, cnn, blstm
     failed_channels: tuple = ()
     seed: int = 0
-    base_separation: float = 6.0
 
     def __post_init__(self):
         if self.n_clips < 1:
@@ -42,11 +40,6 @@ class SynthConfig:
         unknown = set(self.failed_channels) - set(CHANNELS)
         if unknown:
             raise ValueError(f"unknown failed channels {sorted(unknown)}")
-
-    def effective_informativeness(self, channel):
-        if channel in self.failed_channels:
-            return 0.0
-        return self.informativeness[CHANNELS.index(channel)]
 
 
 @dataclass
@@ -62,6 +55,9 @@ def _softmax_rows(logits):
     return expd / expd.sum(axis=1, keepdims=True)
 
 
+# Class-mean separation of a channel at informativeness 1.
+BASE_SEPARATION = 6.0
+
 # Per-frame logit noise of the CNN channel.  Softmax saturates quickly, so
 # without this the accuracy response to informativeness would be too steep
 # to tune onto a target.
@@ -72,7 +68,7 @@ CNN_FRAMES = (8, 24)
 
 # Informativeness profile calibrated so the four per-channel SVM baselines
 # land near 35.5 / 38.9 / 47.0 / 49.1 % held-out accuracy at desk scale
-# (2000 training clips, default base separation).
+# (2000 training clips).
 BASELINE_INFORMATIVENESS = (0.203, 0.229, 0.231, 0.275)
 
 
@@ -89,7 +85,8 @@ def synth_dataset(config):
     cnn_scores = []
     for idx, channel in enumerate(CHANNELS):
         chan_rng = np.random.default_rng(streams[idx + 1])
-        sep = config.base_separation * config.effective_informativeness(channel)
+        rho = 0.0 if channel in config.failed_channels else config.informativeness[idx]
+        sep = BASE_SEPARATION * rho
         if channel == "cnn":
             # Per-frame logits favor the true class by sep; rows softmaxed.
             for i in range(n):

@@ -301,3 +301,41 @@ def test_wrong_typed_bn_field_exits_1(synth_dirs, tmp_path, capsys):
                "--out", tmp_path / "f.csv") == 1
     err = capsys.readouterr().err
     assert err == f"error: ValueError: {bn}: measurements: expected a list, got int\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("train-svm", "--manifest", "{manifest}", "--channel", "audio", "--out", "{out}"),
+    ("fuse-feat", "train", "--manifest", "{manifest}", "--out-norm", "{norm}", "--out-svm", "{out}"),
+    ("island-demo", "--n-per-class", 5, "--out", "{out}"),
+], ids=["train-svm", "fuse-feat-train", "island-demo"])
+def test_zero_epochs_exits_1(synth_dirs, tmp_path, capsys, argv):
+    _, manifest, _ = synth_dirs
+    paths = {"manifest": manifest, "norm": tmp_path / "norm.json", "out": tmp_path / "out"}
+    assert run(*(str(a).format(**paths) for a in argv), "--epochs", 0) == 1
+    assert capsys.readouterr().err == "error: ValueError: epochs must be an integer >= 1, got 0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("stage", ["fuse-bn-infer", "pca-apply"])
+def test_model_file_not_json_exits_1(synth_dirs, tmp_path, capsys, stage):
+    """A model file that is not a JSON document is reported in one line
+    that names it."""
+    _, manifest, _ = synth_dirs
+    if stage == "fuse-bn-infer":
+        model = tmp_path / "bn.json"
+        model.write_text('{"kind": "bn_fusion", ')
+        dec = tmp_path / "dec.csv"
+        write_decisions(dec, [(e.clip_id, "audio", e.label)
+                              for e in load_manifest(manifest).entries])
+        argv = ("fuse-bn", "infer", "--model", model, "--decisions", dec,
+                "--out", tmp_path / "out")
+    else:
+        model = tmp_path / "pca.json"
+        model.write_bytes(b"\xff\xfe")
+        write_tensor_array(tmp_path / "X.fvt", np.ones((3, 4)))
+        argv = ("pca", "apply", "--model", model, "--in", tmp_path / "X.fvt",
+                "--out", tmp_path / "out")
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ModelFormatError: {model}: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()

@@ -90,10 +90,11 @@ def test_isfinite_only_in_core():
 
 
 def test_json_load_only_in_core():
-    """Model files are parsed in one module; the others call its reader."""
+    """Model files are parsed and written in one module; the others call
+    its reader and writer."""
     package = Path(avfusion.__file__).parent
-    offenders = [p.name for p in sorted(package.glob("*.py"))
-                 if p.name != "core.py" and "json.load" in p.read_text()]
+    offenders = [(p.name, call) for p in sorted(package.glob("*.py")) if p.name != "core.py"
+                 for call in ("json.load", "json.dump", "os.replace") if call in p.read_text()]
     assert offenders == []
 
 
@@ -121,10 +122,11 @@ def _model_kinds():
     }
 
 
-def _mutations(doc):
-    """Every single-step mutation of a saved model whose sidecar is ``doc``:
-    drop a key (of the sidecar, its tensors or a BN measurement), truncate
-    or reshape a tensor, or claim another model kind."""
+def _mutations(doc, name):
+    """Every single-step mutation of a saved model whose sidecar, named
+    ``name``, is ``doc``: drop a key (of the sidecar, its tensors or a BN
+    measurement), truncate the sidecar or a tensor, reshape a tensor, or
+    claim another model kind."""
     tensors = doc.get("tensors", {})
     measurements = doc.get("measurements", [])
     drops = [(key,) for key in doc] + [("tensors", key) for key in tensors]
@@ -132,7 +134,7 @@ def _mutations(doc):
     json_tensors = [("prior",)] * ("prior" in doc)
     json_tensors += [("measurements", k, "cpt") for k in range(len(measurements))]
     return ([("drop", where) for where in drops]
-            + [("truncate", fname) for fname in tensors.values()]
+            + [("truncate", fname) for fname in [name, *tensors.values()]]
             + [("reshape", fname) for fname in tensors.values()]
             + [("reshape", where) for where in json_tensors]
             + [("kind", kind) for kind in _MODEL_KINDS if kind != doc["kind"]])
@@ -146,25 +148,18 @@ _MODEL_KINDS = _model_kinds()
 def test_model_file_mutation_property(kind, data):
     """A model file with one part dropped, truncated, reshaped or relabelled
     loads as before or raises a ValueError naming the sidecar; never a
-    KeyError, TypeError, AttributeError or IndexError."""
+    KeyError, TypeError, AttributeError or IndexError, nor a JSON error
+    that does not say which file it is in."""
     save, load, model, arrays = _MODEL_KINDS[kind]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
         save(model, path)
         expected = arrays(load(path))
         doc = json.loads(path.read_text())
-        action, target = data.draw(st.sampled_from(_mutations(doc)))
+        action, target = data.draw(st.sampled_from(_mutations(doc, path.name)))
         if action == "kind":
             doc["kind"] = target
-        elif isinstance(target, str):  # a tensor file
-            fvt = path.parent / target
-            if action == "truncate":
-                blob = fvt.read_bytes()
-                fvt.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
-            else:
-                values = read_tensor_array(fvt)
-                write_tensor_array(fvt, values.reshape(data.draw(_other_shape(values.shape))))
-        else:  # a path of keys into the sidecar
+        elif isinstance(target, tuple):  # a path of keys into the sidecar
             *parents, last = target
             node = doc
             for key in parents:
@@ -175,12 +170,46 @@ def test_model_file_mutation_property(kind, data):
                 values = np.array(node[last])
                 node[last] = values.reshape(data.draw(_other_shape(values.shape))).tolist()
         path.write_text(json.dumps(doc))
+        if action in ("truncate", "reshape") and isinstance(target, str):  # a file's bytes
+            file = path.parent / target
+            if action == "truncate":
+                blob = file.read_bytes()
+                file.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+            else:
+                values = read_tensor_array(file)
+                write_tensor_array(file, values.reshape(data.draw(_other_shape(values.shape))))
         try:
             loaded = load(path)
         except ValueError as exc:
             assert str(path) in str(exc)
         else:
             assert arrays(loaded) == expected
+
+
+@pytest.mark.parametrize("kind", sorted(_MODEL_KINDS))
+def test_model_save_is_all_or_nothing(tmp_path, monkeypatch, kind):
+    """A save that fails while writing the JSON document, after any tensor
+    files, leaves the directory's bytes as they were and no temporary file."""
+    save, _, model, _ = _MODEL_KINDS[kind]
+    X = np.random.default_rng(22).standard_normal((12, 4))
+    other = {"linear_svm": LinearSvmModel(W=np.full((7, 4), 2.0), b=np.zeros(7), C=1.0),
+             "pca": pca_fit(X, 2), "normalization": normalize_fit(X),
+             "bn_fusion": BnFusionModel(prior=uniform_prior(),
+                                        measurements=[MeasurementModel("audio", np.eye(7))])}[kind]
+    path = tmp_path / "model.json"
+    save(model, path)
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+
+    def dump_then_fail(doc, fh, **kwargs):
+        fh.write(json.dumps(doc, **kwargs)[:20])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(avfusion.core.json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="No space left"):
+        save(other, path)
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+    tensors = json.loads(before["model.json"]).get("tensors", {})
+    assert sorted(before) == sorted(["model.json", *tensors.values()])
 
 
 def _other_shape(shape):

@@ -4,11 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from avfusion.core import DimensionMismatch, LengthMismatch, MissingKey, UnknownLabel
+from avfusion.core import (JOINT_DIM, SEGMENT_DIMS, DimensionMismatch, LengthMismatch,
+                           MissingKey, UnknownLabel)
 from avfusion.features import normalize_apply, normalize_fit
 from avfusion.fusion import (AllZeroPosterior, BnFusionModel, EmptyClassRow,
-                             JOINT_DIM, MeasurementModel, SEGMENT_DIMS,
-                             UnknownChannel, bn_infer, build_joint_vector,
+                             MeasurementModel, UnknownChannel, bn_infer, build_joint_vector,
                              feature_fusion_predict, feature_fusion_train, fit_bn,
                              fit_measurement_cpt, load_bn, read_decisions, save_bn,
                              uniform_prior, write_decisions)
@@ -65,6 +65,15 @@ def test_feature_fusion_separable():
     X, y = _toy_joint_data()
     norm, svm = feature_fusion_train(X[:50], y[:50], epochs=20, seed=0)
     assert np.mean(feature_fusion_predict(norm, svm, X[50:]) == y[50:]) == 1.0
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"C": 0.0}, "C must be finite and > 0"), ({"epochs": 0}, "epochs must be an integer >= 1"),
+], ids=["C=0", "epochs=0"])
+def test_feature_fusion_rejects_untrainable_settings(setting, message):
+    X, y = _toy_joint_data()
+    with pytest.raises(ValueError, match=message):
+        feature_fusion_train(X, y, **setting)
 
 
 def test_feature_fusion_equals_manual_chain():

@@ -239,6 +239,27 @@ def test_probe_and_ratio_refuse_fractional_labels():
         clustering_ratio(X, [0, 0.7, 1, 1.2, 1, 0], np.eye(2))
 
 
+@pytest.mark.parametrize("epochs", [0, -3])
+def test_probe_rejects_too_few_epochs(epochs):
+    X, y = gaussian_blobs(3, seed=0)
+    with pytest.raises(ValueError, match="epochs must be an integer >= 1"):
+        softmax_probe_train(X, y, epochs=epochs)
+
+
+@pytest.mark.parametrize("C", [0, -1.0, np.nan, np.inf])
+def test_svm_rejects_bad_c(C):
+    X = np.random.default_rng(12).standard_normal((20, 3))
+    with pytest.raises(ValueError, match="C must be finite and > 0"):
+        svm_train(X, np.arange(20) % 7, C=C, epochs=1)
+
+
+@pytest.mark.parametrize("epochs", [0, -3, 2.5])
+def test_svm_rejects_bad_epochs(epochs):
+    X = np.random.default_rng(13).standard_normal((20, 3))
+    with pytest.raises(ValueError, match="epochs must be an integer >= 1"):
+        svm_train(X, np.arange(20) % 7, epochs=epochs)
+
+
 def test_svm_separable_blobs():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((60, 2)) + [4, 0]
@@ -324,18 +345,6 @@ def test_svm_errors():
         svm_predict_batch(model, np.zeros((2, 4)))
     with pytest.raises(DimensionMismatch):
         svm_predict_batch(model, np.zeros(3))
-
-
-def test_svm_save_is_all_or_nothing(tmp_path):
-    path = tmp_path / "m.json"
-    save_svm(LinearSvmModel(W=np.ones((7, 3)), b=np.zeros(7), C=1.0), path)
-    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
-    bias = np.zeros(7)
-    bias[4] = np.nan
-    with pytest.raises(ValueError):
-        save_svm(LinearSvmModel(W=np.full((7, 3), 2.0), b=bias, C=1.0), path)
-    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
-    assert sorted(before) == ["m.bias.fvt", "m.json", "m.weights.fvt"]
 
 
 def test_svm_serialization_roundtrip(tmp_path):

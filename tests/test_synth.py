@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from avfusion import synth
 from avfusion.core import CHANNELS, load_manifest, read_tensor_array
 from avfusion.learn import svm_predict_batch, svm_train
 from avfusion.synth import (BASELINE_INFORMATIVENESS, SynthConfig, gaussian_blobs,
@@ -33,9 +34,9 @@ def test_dataset_shapes_and_balance():
         assert scores.min() >= 0
 
 
-def test_high_informativeness_separable():
-    cfg = SynthConfig(n_clips=420, informativeness=(1, 1, 1, 1),
-                      base_separation=12.0, seed=0)
+def test_high_informativeness_separable(monkeypatch):
+    monkeypatch.setattr(synth, "BASE_SEPARATION", 12.0)
+    cfg = SynthConfig(n_clips=420, informativeness=(1, 1, 1, 1), seed=0)
     data = synth_dataset(cfg)
     y = data.labels
     for ch in CHANNELS:
