@@ -145,6 +145,13 @@ def check_labels(labels, n=None):
     return raw.astype(np.int64)
 
 
+def check_count(value, name):
+    """Return an int or numpy integer (not bool) >= 1 as int, else raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def check_shape(array, shape, name):
     """Return ``array`` as float64 when its shape is ``shape``, where a
     None entry matches any length; else raise DimensionMismatch, starting

@@ -1,8 +1,8 @@
 """Channel feature machinery: PCA, temporal pooling, and the two-stage
 joint-vector normalization.
 
-PCA works on the d×d sample covariance (divide by n-1) via a symmetric
-eigendecomposition with a deterministic sign convention.  Normalization
+PCA takes the thin SVD of the centered data, eigenvalues s²/(n-1), with
+a deterministic sign convention; no d×d covariance is formed.  Normalization
 is two-stage: per-dimension standardization with training-set statistics
 (population std, divide by n), then per-vector standardization across
 the vector's own entries.
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import N_CLASSES, check_matrix, check_shape, read_model, write_model
+from .core import N_CLASSES, check_count, check_matrix, check_shape, read_model, write_model
 
 
 class TooFewSamples(ValueError):
@@ -30,7 +30,10 @@ class PcaModel:
         q, d = components.shape
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "mean", check_shape(self.mean, (d,), "mean"))
-        object.__setattr__(self, "eigenvalues", check_shape(self.eigenvalues, (q,), "eigenvalues"))
+        eigenvalues = check_shape(self.eigenvalues, (q,), "eigenvalues")
+        if not (np.all(eigenvalues >= 0) and np.all(np.diff(eigenvalues) <= 0)):
+            raise ValueError("eigenvalues: entries must be non-negative and non-increasing")
+        object.__setattr__(self, "eigenvalues", eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -50,28 +53,24 @@ class NormalizationModel:
 def pca_fit(X, q):
     """Fit PCA with ``q`` retained components on rows of ``X``.
 
-    Requires n >= 2 samples and 1 <= q <= min(n-1, d).  Components are
-    the top-q covariance eigenvectors with each row's largest-magnitude
-    entry made positive.  When the data rank is below q the trailing
-    components are an orthonormal completion with eigenvalue 0.
+    Requires n >= 2 samples and 1 <= q <= min(n-1, d).  Through the thin
+    SVD U diag(s) Vt of the centered data, the components are the top-q
+    rows of Vt with each row's largest-magnitude entry made positive, and
+    the eigenvalues are s²/(n-1).  When the data rank is below q the
+    trailing components are an orthonormal completion with eigenvalue 0.
     """
     X = check_matrix(X)
     n, d = X.shape
+    q = check_count(q, "q")
     if n < 2:
         raise TooFewSamples(f"PCA needs at least 2 samples, got {n}")
-    if not 1 <= q <= min(n - 1, d):
+    if q > min(n - 1, d):
         raise ValueError(f"q={q} outside 1..min(n-1, d)=min({n - 1}, {d})")
     mean = X.mean(axis=0)
-    centered = X - mean
-    cov = centered.T @ centered / (n - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1][:q]
-    eigvals = np.maximum(eigvals[order], 0.0)
-    components = eigvecs[:, order].T.copy()
-    for row in components:
-        if row[np.argmax(np.abs(row))] < 0:
-            row *= -1.0
-    return PcaModel(mean=mean, components=components, eigenvalues=eigvals)
+    _, singular, vt = np.linalg.svd(X - mean, full_matrices=False)
+    components = vt[:q].copy()
+    components *= np.sign(components[np.arange(q), np.abs(components).argmax(axis=1)])[:, None]
+    return PcaModel(mean=mean, components=components, eigenvalues=singular[:q] ** 2 / (n - 1))
 
 
 def pca_transform(model, x):
@@ -93,8 +92,7 @@ def k_average_pool(scores, k=7):
     tail.  The remaining rows are split into k contiguous equal bins,
     each bin is averaged, and the bin means are concatenated in order.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    k = check_count(k, "k")
     mat = check_matrix(scores, cols=N_CLASSES)
     n_frames = mat.shape[0]
     if n_frames == 0:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DimensionMismatch, N_CLASSES, check_labels, check_matrix, check_shape,
-                   read_model, require_key, write_model)
+from .core import (DimensionMismatch, N_CLASSES, check_count, check_labels, check_matrix,
+                   check_shape, read_model, require_key, write_model)
 
 
 class ZeroNormCenter(ValueError):
@@ -55,11 +55,6 @@ class LinearSvmModel:
         object.__setattr__(self, "W", check_shape(self.W, (N_CLASSES, None), "weights"))
         object.__setattr__(self, "b", check_shape(self.b, (N_CLASSES,), "bias"))
         object.__setattr__(self, "C", float(check_shape(self.C, (), "C")))
-
-
-def _check_epochs(epochs):
-    if not (isinstance(epochs, (int, np.integer)) and epochs >= 1):
-        raise ValueError(f"epochs must be an integer >= 1, got {epochs!r}")
 
 
 def _check_batch(X, y, centers):
@@ -156,7 +151,7 @@ def softmax_probe_train(X, y, params=None, epochs=400, seed=0, lr=0.02):
     deterministic given the seed.
     """
     params = params or IslandLossParams()
-    _check_epochs(epochs)
+    epochs = check_count(epochs, "epochs")
     X = check_matrix(X)
     y = check_labels(y, n=X.shape[0])
     m, d = X.shape
@@ -238,7 +233,7 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
     """
     if not 0 < C < np.inf:
         raise ValueError(f"C must be finite and > 0, got {C!r}")
-    _check_epochs(epochs)
+    epochs = check_count(epochs, "epochs")
     X = check_matrix(X)
     y = check_labels(y, n=X.shape[0])
     n, dim = X.shape

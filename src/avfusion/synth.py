@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CHANNELS, SEGMENT_DIMS, save_manifest, write_tensor_array
+from .core import CHANNELS, SEGMENT_DIMS, check_count, save_manifest, write_tensor_array
 from .features import k_average_pool
 
 
@@ -31,8 +31,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_clips < 1:
-            raise ValueError("n_clips must be >= 1")
+        check_count(self.n_clips, "n_clips")
         if len(self.informativeness) != len(CHANNELS):
             raise ValueError(f"need one informativeness value per channel {CHANNELS}")
         if any(not 0 <= v <= 1 for v in self.informativeness):

@@ -16,7 +16,7 @@ from avfusion.fusion import BnFusionModel, MeasurementModel, load_bn, save_bn, u
 from avfusion.learn import LinearSvmModel, load_svm, save_svm
 from avfusion.core import (CHANNELS, BadMagic, DuplicateClipId, DimensionMismatch,
                            EMOTION_NAMES, MalformedRow, Truncated, UnknownLabel,
-                           emotion_index, emotion_name, load_manifest,
+                           check_count, emotion_index, emotion_name, load_manifest,
                            read_tensor, read_tensor_array, save_manifest, write_tensor,
                            write_tensor_array)
 
@@ -38,6 +38,14 @@ def test_unknown_label_rejected():
         emotion_index("Joy")
     with pytest.raises(UnknownLabel):
         emotion_name(7)
+
+
+def test_check_count():
+    for value in (1, 7, np.int32(3), np.uint8(2)):
+        assert check_count(value, "n") == value and type(check_count(value, "n")) is int
+    for value in (0, -2, 2.0, np.float64(3.0), "3", None, True, np.bool_(True)):
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got "):
+            check_count(value, "n")
 
 
 def test_tensor_roundtrip_2x2(tmp_path):

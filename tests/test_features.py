@@ -1,7 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avfusion.core import DimensionMismatch, MissingKey, read_tensor_array, write_tensor_array
 from avfusion.features import (NormalizationModel, PcaModel, TooFewSamples, k_average_pool,
@@ -78,6 +81,78 @@ def test_pca_rank_deficient_padding():
     assert model.eigenvalues[1] == pytest.approx(0.0, abs=1e-12)
     gram = model.components @ model.components.T
     assert np.max(np.abs(gram - np.eye(2))) < 1e-9
+
+
+def pca_by_covariance(X):
+    """Oracle for ``pca_fit``: all d eigenpairs of the d×d sample
+    covariance from a symmetric eigendecomposition, in descending order,
+    with each eigenvector's largest-magnitude entry made positive."""
+    centered = X - X.mean(axis=0)
+    eigvals, eigvecs = np.linalg.eigh(centered.T @ centered / (X.shape[0] - 1))
+    order = np.argsort(eigvals)[::-1]
+    components = eigvecs[:, order].T.copy()
+    for row in components:
+        if row[np.argmax(np.abs(row))] < 0:
+            row *= -1.0
+    return np.maximum(eigvals[order], 0.0), components
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 12), d=st.integers(1, 12), data=st.data())
+def test_pca_fit_matches_covariance_oracle(n, d, data):
+    """Planted data of a drawn rank (below q too) whose singular values
+    come from a small set, so eigenvalues often tie: the SVD fit and the
+    covariance oracle agree on every eigenvalue, on the projector of
+    every distinct eigenvector and on the span of every tied or zero
+    group.  A group cut by q has no unique retained basis, so its
+    retained rows only have to lie in the oracle's eigenspace."""
+    q = data.draw(st.integers(1, min(n - 1, d)), label="q")
+    rank = data.draw(st.integers(0, min(n - 1, d)), label="rank")
+    singular = data.draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=rank,
+                                  max_size=rank), label="singular")
+    scale = 10.0 ** data.draw(st.integers(-2, 2), label="log10 scale")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    # columns orthonormal and orthogonal to the all-ones column, so centering keeps them
+    u = np.linalg.qr(np.hstack([np.ones((n, 1)), rng.standard_normal((n, rank))]))[0][:, 1:]
+    v = np.linalg.qr(rng.standard_normal((d, rank)))[0]
+    X = (u * scale * np.array(singular)) @ v.T + rng.integers(-3, 4, size=d)
+
+    model = pca_fit(X, q)
+    values, vectors = pca_by_covariance(X)
+    tol = 1e-8 * values[0]
+    assert np.all(np.abs(model.eigenvalues - values[:q]) <= 1e-10 * values[0])
+    assert np.max(np.abs(model.components @ model.components.T - np.eye(q))) < 1e-9
+    start = 0
+    while start < q:
+        stop = start + 1
+        while stop < d and values[start] - values[stop] <= tol:
+            stop += 1
+        projector = vectors[start:stop].T @ vectors[start:stop]
+        rows = model.components[start:stop]
+        if stop <= q:
+            assert np.max(np.abs(rows.T @ rows - projector)) < 1e-8
+        else:
+            assert np.max(np.abs(rows @ projector - rows)) < 1e-8
+        start = stop
+    largest = model.components[np.arange(q), np.abs(model.components).argmax(axis=1)]
+    assert np.all(largest > 0)  # sign convention
+
+
+def test_pca_fit_never_forms_a_d_by_d_matrix():
+    X = np.random.default_rng(21).standard_normal((40, 5000))
+    tracemalloc.start()
+    try:
+        pca_fit(X, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * X.nbytes  # a 5000×5000 covariance alone is 125 × X.nbytes
+
+
+@pytest.mark.parametrize("q", [2.5, np.float64(2.0), "2", True, 0])
+def test_pca_rejects_a_non_integer_q(q):
+    with pytest.raises(ValueError, match="^q must be an integer >= 1"):
+        pca_fit(np.random.default_rng(22).standard_normal((10, 3)), q)
 
 
 def test_pca_errors():
@@ -168,6 +243,9 @@ def test_pool_errors():
         k_average_pool(np.zeros((0, 7)), 7)
     with pytest.raises(ValueError):
         k_average_pool(np.zeros((5, 7)), 0)
+    for k in (2.5, np.float64(7.0), "7", True):
+        with pytest.raises(ValueError, match="^k must be an integer >= 1"):
+            k_average_pool(np.zeros((9, 7)), k)
     with pytest.raises(ValueError):
         k_average_pool(np.full((9, 7), np.nan))
     with pytest.raises(ValueError):
@@ -300,7 +378,9 @@ def test_load_checks_model_shapes(tmp_path, kind, name, shape):
     ({"per_dim_std": np.ones(1)}, DimensionMismatch, "std"),
     ({"per_dim_mean": np.zeros((6, 1))}, DimensionMismatch, "mean"),
     ({"per_dim_std": -np.ones(6)}, ValueError, "std"),
-    ({"per_dim_std": [{}] * 6}, ValueError, "std")])
+    ({"per_dim_std": [{}] * 6}, ValueError, "std"),
+    ({"eigenvalues": [-1.0, 0.0, 0.0]}, ValueError, "eigenvalues"),
+    ({"eigenvalues": [1.0, 2.0, 2.0]}, ValueError, "eigenvalues")])
 def test_models_check_shapes_when_built(fields, error, name):
     if {"mean", "eigenvalues", "components"} & fields.keys():
         build = PcaModel, dict(mean=np.zeros(6), components=np.eye(3, 6), eigenvalues=np.ones(3))
@@ -310,3 +390,11 @@ def test_models_check_shapes_when_built(fields, error, name):
     cls(**kwargs)
     with pytest.raises(error, match=f"^{name}: "):
         cls(**{**kwargs, **fields})
+
+
+def test_load_pca_refuses_bad_eigenvalues(tmp_path):
+    path = tmp_path / "pca.json"
+    save_pca(PcaModel(mean=np.zeros(2), components=np.eye(2), eigenvalues=[3.0, 1.0]), path)
+    write_tensor_array(tmp_path / "pca.eigenvalues.fvt", np.array([-1.0, 3.0]))
+    with pytest.raises(ValueError, match="pca.json: eigenvalues: entries must be non-negative"):
+        load_pca(path)

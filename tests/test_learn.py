@@ -239,7 +239,7 @@ def test_probe_and_ratio_refuse_fractional_labels():
         clustering_ratio(X, [0, 0.7, 1, 1.2, 1, 0], np.eye(2))
 
 
-@pytest.mark.parametrize("epochs", [0, -3])
+@pytest.mark.parametrize("epochs", [0, -3, True])
 def test_probe_rejects_too_few_epochs(epochs):
     X, y = gaussian_blobs(3, seed=0)
     with pytest.raises(ValueError, match="epochs must be an integer >= 1"):
@@ -253,7 +253,7 @@ def test_svm_rejects_bad_c(C):
         svm_train(X, np.arange(20) % 7, C=C, epochs=1)
 
 
-@pytest.mark.parametrize("epochs", [0, -3, 2.5])
+@pytest.mark.parametrize("epochs", [0, -3, 2.5, True])
 def test_svm_rejects_bad_epochs(epochs):
     X = np.random.default_rng(13).standard_normal((20, 3))
     with pytest.raises(ValueError, match="epochs must be an integer >= 1"):

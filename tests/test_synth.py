@@ -9,8 +9,9 @@ from avfusion.synth import (BASELINE_INFORMATIVENESS, SynthConfig, gaussian_blob
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SynthConfig(n_clips=0)
+    for n_clips in (0, 2.5, True):
+        with pytest.raises(ValueError, match="^n_clips must be an integer >= 1"):
+            SynthConfig(n_clips=n_clips)
     with pytest.raises(ValueError):
         SynthConfig(informativeness=(1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
