@@ -145,10 +145,10 @@ def check_labels(labels, n=None):
     return raw.astype(np.int64)
 
 
-def check_count(value, name):
-    """Return an int or numpy integer (not bool) >= 1 as int, else raise ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def check_count(value, name, least=1):
+    """Return an int or numpy integer (not bool) >= ``least`` as int, else raise ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 

@@ -21,6 +21,17 @@ Conventions, fixed so that independent reimplementations agree:
 * Blocks partition H and W as evenly as possible; the first ``H mod
   grid_rows`` row-blocks get one extra row (same for columns).  Time is
   never blocked.
+
+Codes are computed on one flat run per plane.  In the C-ordered volume a
+sample at in-plane offset (su, sv) sits at the fixed flat offset
+``su*stride_u + sv*stride_v`` from every center, so each numpy call over
+a ``CHUNK``-voxel piece of the run from the first valid center to the
+last reads contiguous slices and writes into buffers allocated once.
+Centers inside the run that are not valid get codes that nothing reads;
+their reads stay inside the volume, since the run ends at valid centers.
+The result is exact: each valid center goes through the same float64
+operations in the same order as a per-pixel evaluation, and integer
+counts of the 256 codes per block are folded into the 59 bins.
 """
 
 import numbers
@@ -74,7 +85,9 @@ def build_uniform_mapping():
     return table
 
 
-_UNIFORM_MAPPING = build_uniform_mapping()
+# Row c is the one-hot bin of code c: (per-code counts) @ _FOLD gives the
+# 59-bin histogram, exactly, since the counts are integers.
+_FOLD = np.eye(N_BINS)[build_uniform_mapping()]
 
 
 def _block_index(size, blocks):
@@ -97,15 +110,19 @@ def _neighbor_offsets(r_u, r_v):
 # volume axes are (t, y, x) = (0, 1, 2).
 _PLANE_AXES = ((2, 1), (2, 0), (1, 0))  # XY, XT, YT
 
+# Voxels per piece of the flat run: a few float64 buffers of this length
+# stay in L2.
+CHUNK = 32768
 
-def _plane_codes(vol, axis_u, axis_v, radii):
-    """LBP codes for all valid centers of one orthogonal plane.
 
-    Returns ``(codes, lo)`` where ``codes`` spans the valid-center region
-    and ``lo`` gives that region's start index per volume axis, or None
-    when the plane has no valid centers.
+def _plane_codes(flat, shape, axis_u, axis_v, radii, codes):
+    """Write LBP codes of one orthogonal plane into the flat ``codes``.
+
+    ``flat`` is the C-ordered volume of ``shape``, raveled.  Every center
+    from the first valid one to the last gets a code at its own flat index;
+    only the valid region, returned as three slices, is meaningful.
+    Returns None when the plane has no valid centers.
     """
-    shape = vol.shape
     r_u, r_v = radii[axis_u], radii[axis_v]
     lo = [0, 0, 0]
     hi = list(shape)
@@ -114,37 +131,43 @@ def _plane_codes(vol, axis_u, axis_v, radii):
     lo[axis_v] += r_v
     hi[axis_v] -= r_v
     if lo[axis_u] >= hi[axis_u] or lo[axis_v] >= hi[axis_v]:
-        return None, lo
-
-    def corner(shift_u, shift_v):
-        sl = []
-        for axis in range(3):
-            s = lo[axis], hi[axis]
-            if axis == axis_u:
-                s = (s[0] + shift_u, s[1] + shift_u)
-            elif axis == axis_v:
-                s = (s[0] + shift_v, s[1] + shift_v)
-            sl.append(slice(*s))
-        return vol[tuple(sl)]
-
-    center = corner(0, 0)
-    codes = np.zeros(center.shape, dtype=np.uint8)
-    du_all, dv_all = _neighbor_offsets(r_u, r_v)
-    for k in range(8):
-        du, dv = du_all[k], dv_all[k]
+        return None
+    strides = (shape[1] * shape[2], shape[2], 1)
+    s_u, s_v = strides[axis_u], strides[axis_v]
+    first = sum(l * s for l, s in zip(lo, strides))
+    stop = sum((h - 1) * s for h, s in zip(hi, strides)) + 1
+    taps = []  # per neighbor: flat offset of its (floor, floor) corner, fu, fv
+    for du, dv in zip(*_neighbor_offsets(r_u, r_v)):
         iu, iv = int(np.floor(du)), int(np.floor(dv))
-        fu, fv = du - iu, dv - iv
-        # Integer radii put an offset on the lattice or off it on both axes.
-        if fu == 0.0 and fv == 0.0:
-            sample = corner(iu, iv)
-        else:
-            p00 = corner(iu, iv)
-            p10 = corner(iu + 1, iv)
-            a = p00 + fv * (corner(iu, iv + 1) - p00)
-            b = p10 + fv * (corner(iu + 1, iv + 1) - p10)
-            sample = a + fu * (b - a)
-        codes |= (sample >= center).astype(np.uint8) << k
-    return codes, lo
+        taps.append((iu * s_u + iv * s_v, du - iu, dv - iv))
+
+    def at(offset):  # the sample at flat offset ``offset`` of every center in [c0, c1)
+        return flat[c0 + offset:c1 + offset]
+
+    n = min(CHUNK, stop - first)
+    a, b = np.empty(n), np.empty(n)
+    ge, bit = np.empty(n, dtype=bool), np.empty(n, dtype=np.uint8)
+    for c0 in range(first, stop, CHUNK):
+        c1 = min(c0 + CHUNK, stop)
+        m = c1 - c0
+        a_m, b_m, ge_m, bit_m, out = a[:m], b[:m], ge[:m], bit[:m], codes[c0:c1]
+        out.fill(0)
+        for k, (o00, fu, fv) in enumerate(taps):
+            # Integer radii put an offset on the lattice or off it on both axes.
+            if fu == 0.0 and fv == 0.0:
+                sample = at(o00)
+            else:  # a = p00 + fv*(p01-p00); b = p10 + fv*(p11-p10); a + fu*(b-a)
+                for dst, o in ((a_m, o00), (b_m, o00 + s_u)):
+                    np.subtract(at(o + s_v), at(o), out=dst)
+                    np.multiply(dst, fv, out=dst)
+                    np.add(at(o), dst, out=dst)
+                np.subtract(b_m, a_m, out=b_m)
+                np.multiply(b_m, fu, out=b_m)
+                sample = np.add(a_m, b_m, out=a_m)
+            np.greater_equal(sample, at(0), out=ge_m)
+            np.multiply(ge_m.view(np.uint8), np.uint8(1 << k), out=bit_m)
+            np.bitwise_or(out, bit_m, out=out)
+    return tuple(slice(l, h) for l, h in zip(lo, hi))
 
 
 def lbp_top_descriptor(volume, params=None):
@@ -169,16 +192,17 @@ def lbp_top_descriptor(volume, params=None):
     col_block = _block_index(width, params.grid_cols)
     n_blocks = params.grid_rows * params.grid_cols
     hist = np.zeros((n_blocks, N_PLANES, N_BINS), dtype=np.float64)
+    flat = vol.reshape(-1)  # C order, a copy only when vol is not C-contiguous
+    codes = np.empty(flat.size, dtype=np.uint8)
     for plane_idx, (axis_u, axis_v) in enumerate(_PLANE_AXES):
-        codes, lo = _plane_codes(vol, axis_u, axis_v, radii)
-        if codes is None:
+        region = _plane_codes(flat, vol.shape, axis_u, axis_v, radii, codes)
+        if region is None:
             continue
-        _, n_y, n_x = codes.shape  # the valid-center span starts at lo
-        block = (row_block[lo[1]:lo[1] + n_y, None] * params.grid_cols
-                 + col_block[None, lo[2]:lo[2] + n_x])
-        keys = block * N_BINS + _UNIFORM_MAPPING[codes]
-        hist[:, plane_idx] = np.bincount(keys.ravel(), minlength=n_blocks * N_BINS).reshape(
-            n_blocks, N_BINS)
+        _, rows, cols = region
+        block = (row_block[rows, None] * params.grid_cols + col_block[None, cols]) << 8
+        counts = np.bincount((block + codes.reshape(vol.shape)[region]).reshape(-1),
+                             minlength=n_blocks << 8)
+        hist[:, plane_idx] = counts.reshape(n_blocks, 256) @ _FOLD
     if params.normalize_histograms:
         totals = hist.sum(axis=2, keepdims=True)
         np.divide(hist, totals, out=hist, where=totals > 0)

@@ -151,7 +151,10 @@ def softmax_probe_train(X, y, params=None, epochs=400, seed=0, lr=0.02):
     deterministic given the seed.
     """
     params = params or IslandLossParams()
+    if not 0 < lr < np.inf:
+        raise ValueError(f"lr must be finite and > 0, got {lr!r}")
     epochs = check_count(epochs, "epochs")
+    seed = check_count(seed, "seed", least=0)
     X = check_matrix(X)
     y = check_labels(y, n=X.shape[0])
     m, d = X.shape
@@ -234,6 +237,7 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
     if not 0 < C < np.inf:
         raise ValueError(f"C must be finite and > 0, got {C!r}")
     epochs = check_count(epochs, "epochs")
+    seed = check_count(seed, "seed", least=0)
     X = check_matrix(X)
     y = check_labels(y, n=X.shape[0])
     n, dim = X.shape

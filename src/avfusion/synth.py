@@ -32,6 +32,7 @@ class SynthConfig:
 
     def __post_init__(self):
         check_count(self.n_clips, "n_clips")
+        check_count(self.seed, "seed", least=0)
         if len(self.informativeness) != len(CHANNELS):
             raise ValueError(f"need one informativeness value per channel {CHANNELS}")
         if any(not 0 <= v <= 1 for v in self.informativeness):
@@ -131,7 +132,7 @@ def synth_generate(config, out_dir):
 
 def gaussian_blobs(n_per_class, n_classes=7, dim=2, radius=3.0, noise=1.0, seed=0):
     """Toy blobs with class means spaced on a circle (first two dims)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count(seed, "seed", least=0))
     angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
     means = np.zeros((n_classes, dim))
     means[:, 0] = radius * np.cos(angles)

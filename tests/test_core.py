@@ -46,6 +46,10 @@ def test_check_count():
     for value in (0, -2, 2.0, np.float64(3.0), "3", None, True, np.bool_(True)):
         with pytest.raises(ValueError, match=r"^n must be an integer >= 1, got "):
             check_count(value, "n")
+    assert check_count(0, "seed", least=0) == 0
+    for value in (-1, 0.0, True):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
+            check_count(value, "seed", least=0)
 
 
 def test_tensor_roundtrip_2x2(tmp_path):

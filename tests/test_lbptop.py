@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from avfusion import lbptop
 from avfusion.core import DimensionMismatch
 from avfusion.lbptop import (EmptyVolume, GridLargerThanFrame, LbpTopParams,
                              build_uniform_mapping, lbp_top_descriptor)
@@ -159,6 +164,51 @@ def test_matches_naive_reference_exactly():
             vol = rng.integers(0, 256, size=shape).astype(np.float64)
             assert np.array_equal(lbp_top_descriptor(vol, params), naive_lbp_top(vol, params)), \
                 (rows, cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(radii=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+       grid=st.tuples(st.integers(1, 4), st.integers(1, 4)), data=st.data())
+def test_matches_naive_reference_property(radii, grid, data):
+    """Any radii, grid, intensities and memory layout, and chunk edges that
+    fall inside rows and planes: the flat-run kernel equals the per-pixel
+    oracle exactly.  T reaches down to 2*radius_t, where the temporal
+    planes have no valid center."""
+    rx, ry, rt = radii
+    params = LbpTopParams(radius_x=rx, radius_y=ry, radius_t=rt, grid_rows=grid[0],
+                          grid_cols=grid[1], normalize_histograms=data.draw(st.booleans()))
+    shape = (data.draw(st.integers(2 * rt, 2 * rt + 3), label="T"),
+             data.draw(st.integers(max(3, grid[0]), 9), label="H"),
+             data.draw(st.integers(max(3, grid[1]), 9), label="W"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    layout = data.draw(st.sampled_from(["C", "transposed", "stepped"]), label="layout")
+    size = (shape[0], 2 * shape[1], shape[2]) if layout == "stepped" else shape
+    if data.draw(st.booleans(), label="integer intensities"):
+        vol = rng.integers(0, 256, size=size).astype(np.float64)
+    else:
+        vol = rng.uniform(0.0, 255.0, size=size)
+    if layout == "transposed":
+        vol = vol.T.copy().T  # Fortran order
+    elif layout == "stepped":
+        vol = vol[:, ::2]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lbptop, "CHUNK", data.draw(st.sampled_from([1, 7, 64, lbptop.CHUNK]),
+                                              label="CHUNK"))
+        fast = lbp_top_descriptor(vol, params)
+    assert np.array_equal(fast, naive_lbp_top(vol, params))
+
+
+def test_descriptor_allocates_less_than_twice_the_volume():
+    vol = np.random.default_rng(12).integers(0, 256, size=(24, 96, 96)).astype(np.float64)
+    lbp_top_descriptor(vol)  # warm-up
+    tracemalloc.start()
+    try:
+        lbp_top_descriptor(vol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # full-size float64 windows per neighbor corner would reach about 5 × vol.nbytes
+    assert peak < 2 * vol.nbytes
 
 
 def test_matches_naive_reference_normalized():

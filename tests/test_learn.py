@@ -246,6 +246,30 @@ def test_probe_rejects_too_few_epochs(epochs):
         softmax_probe_train(X, y, epochs=epochs)
 
 
+@pytest.mark.parametrize("lr", [-1.0, 0.0, np.nan, np.inf])
+def test_probe_rejects_bad_lr(lr):
+    X, y = gaussian_blobs(3, seed=0)
+    with pytest.raises(ValueError, match="^lr must be finite and > 0"):
+        softmax_probe_train(X, y, epochs=2, lr=lr)
+
+
+@pytest.mark.parametrize("seed", [2.5, -1, True, "0", None, np.float64(1.0)])
+def test_trainers_reject_bad_seed(seed):
+    X, y = gaussian_blobs(3, seed=0)
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+        svm_train(X, y, epochs=1, seed=seed)
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+        softmax_probe_train(X, y, epochs=1, seed=seed)
+
+
+def test_trainers_take_numpy_integer_seeds():
+    X, y = gaussian_blobs(3, seed=0)
+    assert np.array_equal(svm_train(X, y, epochs=2, seed=np.int64(4)).W,
+                          svm_train(X, y, epochs=2, seed=4).W)
+    assert np.array_equal(softmax_probe_train(X, y, epochs=2, seed=np.uint8(0)).W,
+                          softmax_probe_train(X, y, epochs=2, seed=0).W)
+
+
 @pytest.mark.parametrize("C", [0, -1.0, np.nan, np.inf])
 def test_svm_rejects_bad_c(C):
     X = np.random.default_rng(12).standard_normal((20, 3))

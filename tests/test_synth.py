@@ -12,6 +12,12 @@ def test_config_validation():
     for n_clips in (0, 2.5, True):
         with pytest.raises(ValueError, match="^n_clips must be an integer >= 1"):
             SynthConfig(n_clips=n_clips)
+    for seed in (2.5, -1, True, "0"):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+            SynthConfig(n_clips=5, seed=seed)
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+            gaussian_blobs(3, seed=seed)
+    assert synth_dataset(SynthConfig(n_clips=7, seed=np.int64(0))).labels.size == 7
     with pytest.raises(ValueError):
         SynthConfig(informativeness=(1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
