@@ -45,7 +45,7 @@ def _joint_matrix(manifest):
 
 def _labelled_decisions(manifest, paths):
     """Per-channel decisions in manifest order, and the manifest labels."""
-    merged = fusion.decisions_by_clip(paths)
+    merged = fusion.read_decisions(paths)
     channels = sorted({ch for observed in merged.values() for ch in observed})
     decisions = {ch: [] for ch in channels}
     for entry in manifest.entries:
@@ -142,7 +142,7 @@ def cmd_fuse_bn_fit(args):
 
 def cmd_fuse_bn_infer(args):
     model = fusion.load_bn(args.model)
-    merged = fusion.decisions_by_clip(args.decisions)
+    merged = fusion.read_decisions(args.decisions)
     rows = [(clip_id, "bn", fusion.bn_infer(model, merged[clip_id])[0])
             for clip_id in sorted(merged)]
     fusion.write_decisions(args.out, rows)

@@ -10,7 +10,8 @@ Dataset manifests are CSV files with the header
 ``clip_id,label,audio,lbptop_video,cnn_scores,blstm_feat``.  The label
 cell may be empty (test-set mode), and any path cell may be empty when
 that channel is absent.  Paths are resolved relative to the manifest's
-directory.
+directory; a path is checked when a stage reads its file, so a stage
+ignores the columns it does not read.
 """
 
 import csv
@@ -97,9 +98,10 @@ def emotion_index(name):
 
 
 def emotion_name(index):
-    """Map a class index (0..6) back to its canonical name."""
-    if not 0 <= int(index) < N_CLASSES:
-        raise UnknownLabel(f"emotion index {index} outside 0..{N_CLASSES - 1}")
+    """Map a class index (0..6) back to its canonical name.  Anything not
+    equal to one of those integers (1.5, -0.5, "1") raises UnknownLabel."""
+    if index not in range(N_CLASSES):
+        raise UnknownLabel(f"emotion index {index!r} is not a class index in 0..{N_CLASSES - 1}")
     return EMOTION_NAMES[int(index)]
 
 
@@ -328,16 +330,16 @@ class DatasetManifest:
 
 
 def load_manifest(path):
-    """Load a dataset manifest CSV; validates labels, ids, and file paths."""
+    """Load a dataset manifest CSV; validates labels and ids.  Path cells
+    are resolved but not opened: a missing file fails where a stage reads it."""
     path = Path(path)
     base = path.parent
     entries = []
     seen = set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = next(reader, None)
+        if header is None:
             raise MalformedRow(f"{path}: empty manifest")
         if tuple(h.strip() for h in header) != MANIFEST_COLUMNS:
             raise MalformedRow(f"{path}: header must be {','.join(MANIFEST_COLUMNS)}")
@@ -352,15 +354,8 @@ def load_manifest(path):
             seen.add(clip_id)
             label_cell = row[1].strip()
             label = emotion_index(label_cell) if label_cell else None
-            paths = {}
-            for col, channel, cell in zip(MANIFEST_COLUMNS[2:], CHANNELS, row[2:]):
-                cell = cell.strip()
-                if not cell:
-                    continue
-                resolved = base / cell
-                if not resolved.exists():
-                    raise MalformedRow(f"{path}:{lineno}: {col} file {resolved} does not exist")
-                paths[channel] = resolved
+            paths = {channel: base / cell.strip()
+                     for channel, cell in zip(CHANNELS, row[2:]) if cell.strip()}
             entries.append(ManifestEntry(clip_id=clip_id, label=label, paths=paths))
     return DatasetManifest(entries=entries)
 

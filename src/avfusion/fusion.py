@@ -10,8 +10,8 @@ multiplies the prior with the observed channels' CPT columns.
 """
 
 import csv
+import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -37,6 +37,10 @@ class UnknownChannel(ValueError):
 
 class DuplicateDecision(ValueError):
     pass
+
+
+# CSV columns of a decisions file; the label is a canonical emotion name.
+DECISION_COLUMNS = ("clip_id", "channel", "predicted_label")
 
 
 @dataclass(frozen=True)
@@ -193,38 +197,34 @@ def write_decisions(path, rows):
     """Write a decisions CSV of (clip_id, channel, label index) rows."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["clip_id", "channel", "predicted_label"])
+        writer.writerow(DECISION_COLUMNS)
         for clip_id, channel, label in rows:
             writer.writerow([clip_id, channel, emotion_name(label)])
 
 
-def read_decisions(path):
-    """Read a decisions CSV; returns (clip_id, channel, label index) rows."""
-    path = Path(path)
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["clip_id", "channel", "predicted_label"]:
-            raise ValueError(f"{path}: expected header clip_id,channel,predicted_label")
-        for row in reader:
-            if len(row) != 3:
-                raise ValueError(f"{path}: malformed decisions row {row}")
-            rows.append((row[0].strip(), row[1].strip(), emotion_index(row[2].strip())))
-    return rows
-
-
-def decisions_by_clip(paths):
-    """Read decision CSVs and merge them into clip_id -> {channel: label}.
+def read_decisions(paths):
+    """Read decisions CSVs into clip_id -> {channel: label index}, clips in
+    the order they first appear across the files.
 
     Each (clip, channel) pair may appear once across the files; a repeat
     raises DuplicateDecision rather than letting one decision silently win.
     """
+    if isinstance(paths, (str, os.PathLike)):
+        raise TypeError(f"read_decisions takes a list of paths, got {paths!r}")
     merged = {}
     for path in paths:
-        for clip_id, channel, label in read_decisions(path):
-            observed = merged.setdefault(clip_id, {})
-            if channel in observed:
-                raise DuplicateDecision(f"{path}: second {channel} decision for {clip_id!r}")
-            observed[channel] = label
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or tuple(h.strip() for h in header) != DECISION_COLUMNS:
+                raise ValueError(f"{path}: expected header {','.join(DECISION_COLUMNS)}")
+            for row in reader:
+                if len(row) != len(DECISION_COLUMNS):
+                    raise ValueError(f"{path}: malformed decisions row {row}")
+                clip_id, channel = row[0].strip(), row[1].strip()
+                label = emotion_index(row[2].strip())
+                observed = merged.setdefault(clip_id, {})
+                if channel in observed:
+                    raise DuplicateDecision(f"{path}: second {channel} decision for {clip_id!r}")
+                observed[channel] = label
     return merged

@@ -1,3 +1,4 @@
+import csv
 import json
 import struct
 
@@ -115,9 +116,9 @@ def test_full_pipeline(synth_dirs):
     fused = base / "fused.csv"
     assert run("fuse-bn", "infer", "--model", bn_model,
                "--decisions", *test_decisions, "--out", fused) == 0
-    rows = read_decisions(fused)
-    assert len(rows) == 70
-    assert all(ch == "bn" for _, ch, _ in rows)
+    merged = read_decisions([fused])
+    assert len(merged) == 70
+    assert all(list(observed) == ["bn"] for observed in merged.values())
 
     # feature-level fusion
     assert run("fuse-feat", "train", "--manifest", train_manifest, "--epochs", 15,
@@ -262,8 +263,8 @@ def test_cli_matches_library_pipeline(tmp_path):
                                   epochs=epochs, seed=seed)
     assert sorted(expected) == sorted([*CHANNELS, "joint", "bn"])
     for key, labels in expected.items():
-        cli_labels = [label for _, _, label in read_decisions(tmp_path / f"{key}.csv")]
-        assert cli_labels == labels.tolist(), key
+        merged = read_decisions([tmp_path / f"{key}.csv"])
+        assert [observed[key] for observed in merged.values()] == labels.tolist(), key
 
 
 def test_island_demo(tmp_path, capsys):
@@ -338,4 +339,116 @@ def test_model_file_not_json_exits_1(synth_dirs, tmp_path, capsys, stage):
     assert run(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: ModelFormatError: {model}: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_missing_feature_file_fails_where_read(tmp_path, capsys):
+    """A manifest naming a missing file loads; each stage that reads the
+    file exits 1 naming it and writes nothing, and the stages that read
+    only labels and decisions still run."""
+    assert run("synth", "--out", tmp_path, "--n-clips", 21, "--seed", 4) == 0
+    manifest = tmp_path / "manifest.csv"
+    norm, joint, dec = tmp_path / "norm.json", tmp_path / "joint.json", tmp_path / "audio.csv"
+    assert run("train-svm", "--manifest", manifest, "--channel", "audio", "--epochs", 2,
+               "--out", tmp_path / "audio.json") == 0
+    assert run("predict-svm", "--manifest", manifest, "--channel", "audio",
+               "--model", tmp_path / "audio.json", "--out", dec) == 0
+    assert run("fuse-feat", "train", "--manifest", manifest, "--epochs", 2,
+               "--out-norm", norm, "--out-svm", joint) == 0
+    gone = load_manifest(manifest).entries[5].paths["audio"]
+    gone.unlink()
+    assert load_manifest(manifest).entries[5].paths["audio"] == gone
+    out = tmp_path / "out"
+    capsys.readouterr()
+    for argv in (("train-svm", "--manifest", manifest, "--channel", "audio", "--out", out),
+                 ("predict-svm", "--manifest", manifest, "--channel", "audio",
+                  "--model", tmp_path / "audio.json", "--out", out),
+                 ("fuse-feat", "train", "--manifest", manifest,
+                  "--out-norm", out, "--out-svm", out),
+                 ("fuse-feat", "predict", "--manifest", manifest, "--norm", norm,
+                  "--svm", joint, "--out", out)):
+        assert run(*argv) == 1, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileNotFoundError: ") and str(gone) in err, argv[0]
+        assert not out.exists(), argv[0]
+    assert run("fuse-bn", "fit", "--manifest", manifest, "--decisions", dec,
+               "--out", tmp_path / "bn.json") == 0
+    assert run("evaluate", "--pred", dec, "--manifest", manifest) == 0
+
+
+def _edit_manifest(d, row, column, value):
+    """Set one cell of ``d``'s manifest; ``row`` 0 is the header."""
+    with open(d / "manifest.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[row][column] = value
+    with open(d / "manifest.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+def _edit_text(path, old, new):
+    path.write_text(path.read_text().replace(old, new))
+
+
+def _append(path, data):
+    path.write_bytes(path.read_bytes() + data)
+
+
+# Each data error: how to make it in a fresh 7-clip dataset ``d`` whose
+# ``dec.csv`` holds one audio decision per clip, the stage that meets
+# it, and the message it reports.
+TRAIN_AUDIO = ("train-svm", "--manifest", "{d}/manifest.csv", "--channel", "audio",
+               "--out", "{d}/out")
+EVALUATE = ("evaluate", "--pred", "{d}/dec.csv", "--manifest", "{d}/manifest.csv",
+            "--out", "{d}/out")
+DATA_ERRORS = {
+    "manifest-empty": (lambda d: (d / "manifest.csv").write_text(""), TRAIN_AUDIO,
+                       "MalformedRow: {d}/manifest.csv: empty manifest"),
+    "manifest-header": (lambda d: _edit_manifest(d, 0, 0, "clip"), TRAIN_AUDIO,
+                        "MalformedRow: {d}/manifest.csv: header must be "
+                        "clip_id,label,audio,lbptop_video,cnn_scores,blstm_feat"),
+    "manifest-clip-id": (lambda d: _edit_manifest(d, 3, 0, " "), TRAIN_AUDIO,
+                         "MalformedRow: {d}/manifest.csv:4: empty clip_id"),
+    "no-channel-file": (lambda d: _edit_manifest(d, 3, 2, ""), TRAIN_AUDIO,
+                        "ValueError: clip 'clip_00002' has no audio file"),
+    "rank-2-feature": (lambda d: write_tensor_array(d / "clip_00002.audio.fvt", np.ones((2, 10))),
+                       TRAIN_AUDIO, "ValueError: {d}/clip_00002.audio.fvt: expected a feature "
+                       "vector for channel audio, got rank 2; run the extraction stages first"),
+    "trailing-bytes": (lambda d: _append(d / "clip_00002.audio.fvt", b"\0\0\0\0"), TRAIN_AUDIO,
+                       "TensorFormatError: {d}/clip_00002.audio.fvt: "
+                       "4 trailing bytes after payload"),
+    "unlabeled-clip": (lambda d: _edit_manifest(d, 3, 1, ""), EVALUATE,
+                       "ManifestError: clip 'clip_00002' has no label"),
+    "missing-decision": (lambda d: _edit_text(d / "dec.csv", "clip_00002,", "clip_00099,"),
+                         EVALUATE, "ValueError: clip 'clip_00002' has no audio decision"),
+    "two-channels": (lambda d: _append(d / "dec.csv", "".join(
+                         row.replace(",audio,", ",cnn,") + "\n"
+                         for row in (d / "dec.csv").read_text().splitlines()[1:]).encode()),
+                     EVALUATE,
+                     "ValueError: predictions must come from one channel, "
+                     "found ['audio', 'cnn']"),
+    "decisions-header": (lambda d: _edit_text(d / "dec.csv", "channel", "chan"), EVALUATE,
+                         "ValueError: {d}/dec.csv: expected header "
+                         "clip_id,channel,predicted_label"),
+    "decisions-row": (lambda d: _append(d / "dec.csv", b"clip_00002,audio\n"), EVALUATE,
+                      "ValueError: {d}/dec.csv: malformed decisions row "
+                      "['clip_00002', 'audio']"),
+    "bn-no-measurements": (lambda d: (d / "bn.json").write_text(json.dumps(
+                               {"kind": "bn_fusion", "prior": [1 / 7] * 7, "measurements": []})),
+                           ("fuse-bn", "infer", "--model", "{d}/bn.json",
+                            "--decisions", "{d}/dec.csv", "--out", "{d}/out"),
+                           "ValueError: {d}/bn.json: at least one measurement channel "
+                           "is required"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DATA_ERRORS))
+def test_data_error_exits_1(tmp_path, capsys, case):
+    make, argv, message = DATA_ERRORS[case]
+    assert run("synth", "--out", tmp_path, "--n-clips", 7, "--seed", 1) == 0
+    entries = load_manifest(tmp_path / "manifest.csv").entries
+    write_decisions(tmp_path / "dec.csv", [(e.clip_id, "audio", e.label) for e in entries])
+    make(tmp_path)
+    capsys.readouterr()
+    assert run(*(a.format(d=tmp_path) for a in argv)) == 1
+    assert capsys.readouterr().err == f"error: {message.format(d=tmp_path)}\n"
     assert not (tmp_path / "out").exists()

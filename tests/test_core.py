@@ -1,4 +1,6 @@
+import ast
 import json
+import re
 import string
 import struct
 import tempfile
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 import avfusion
 from avfusion.features import (load_normalization, load_pca, normalize_fit, pca_fit,
                                save_normalization, save_pca)
-from avfusion.fusion import BnFusionModel, MeasurementModel, load_bn, save_bn, uniform_prior
+from avfusion.fusion import (BnFusionModel, MeasurementModel, load_bn, save_bn, uniform_prior,
+                             write_decisions)
 from avfusion.learn import LinearSvmModel, load_svm, save_svm
 from avfusion.core import (CHANNELS, BadMagic, DuplicateClipId, DimensionMismatch,
                            EMOTION_NAMES, MalformedRow, Truncated, UnknownLabel,
@@ -38,6 +41,16 @@ def test_unknown_label_rejected():
         emotion_index("Joy")
     with pytest.raises(UnknownLabel):
         emotion_name(7)
+
+
+def test_emotion_name_takes_only_class_indices(tmp_path):
+    """A value that only rounds or parses to a class index names no emotion."""
+    for value in (1.5, -0.5, 6.9, "1"):
+        with pytest.raises(UnknownLabel, match="is not a class index in 0..6"):
+            emotion_name(value)
+    assert [emotion_name(v) for v in (np.int64(1), 6.0)] == ["Disgust", "Surprise"]
+    with pytest.raises(UnknownLabel):
+        write_decisions(tmp_path / "dec.csv", [("c1", "audio", 2), ("c2", "audio", 1.5)])
 
 
 def test_check_count():
@@ -82,6 +95,9 @@ def test_tensor_empty_dims(tmp_path):
 def test_tensor_length_mismatch(tmp_path):
     with pytest.raises(DimensionMismatch):
         write_tensor(tmp_path / "t.fvt", [2, 2], [1, 2, 3])
+    with pytest.raises(DimensionMismatch, match=r"negative dimension in \[2, -1\]"):
+        write_tensor(tmp_path / "t.fvt", [2, -1], [])
+    assert not (tmp_path / "t.fvt").exists()
 
 
 def test_tensor_rejects_nonfinite(tmp_path):
@@ -108,6 +124,21 @@ def test_json_load_only_in_core():
     offenders = [(p.name, call) for p in sorted(package.glob("*.py")) if p.name != "core.py"
                  for call in ("json.load", "json.dump", "os.replace") if call in p.read_text()]
     assert offenders == []
+
+
+def test_one_reader_per_csv_kind():
+    """Manifests and decisions files each have one reader, and no module
+    checks a path before opening it: the open is the check."""
+    package = Path(avfusion.__file__).parent
+    readers = set()
+    for p in sorted(package.glob("*.py")):
+        tree = ast.parse(p.read_text())
+        owner = {node: func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                 for node in ast.walk(func)}
+        readers.update((p.name, owner.get(node)) for node in ast.walk(tree)
+                       if ast.unparse(node) == "csv.reader")
+    assert readers == {("core.py", "load_manifest"), ("fusion.py", "read_decisions")}
+    assert [p.name for p in sorted(package.glob("*.py")) if ".exists(" in p.read_text()] == []
 
 
 def _model_kinds():
@@ -352,8 +383,12 @@ def test_manifest_malformed_row(tmp_path):
 
 
 def test_manifest_missing_file(tmp_path):
+    """A manifest may name a file that is not there; reading it fails and
+    names the path."""
     mpath = tmp_path / "manifest.csv"
     mpath.write_text("clip_id,label,audio,lbptop_video,cnn_scores,blstm_feat\n"
                      "c1,Happy,nope.fvt,,,\n")
-    with pytest.raises(MalformedRow):
-        load_manifest(mpath)
+    (entry,) = load_manifest(mpath).entries
+    assert entry.paths == {"audio": tmp_path / "nope.fvt"}
+    with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / "nope.fvt"))):
+        read_tensor(entry.paths["audio"])

@@ -139,6 +139,8 @@ def test_cpt_empty_class_row():
     # smoothing fills the empty rows
     model = fit_measurement_cpt([0, 1], [0, 1], alpha=1.0)
     assert np.allclose(model.cpt[3], np.full(7, 1.0 / 7.0))
+    with pytest.raises(ValueError, match="^smoothing alpha must be >= 0$"):
+        fit_measurement_cpt([0, 1], [0, 1], alpha=-1)
 
 
 def test_cpt_length_mismatch():
@@ -365,7 +367,12 @@ def test_decisions_csv_roundtrip(tmp_path):
     rows = [("c1", "audio", 3), ("c2", "audio", 0), ("c1", "cnn", 6)]
     path = tmp_path / "dec.csv"
     write_decisions(path, rows)
-    assert read_decisions(path) == rows
+    merged = read_decisions([path])
+    assert merged == {"c1": {"audio": 3, "cnn": 6}, "c2": {"audio": 0}}
+    assert list(merged) == ["c1", "c2"] and list(merged["c1"]) == ["audio", "cnn"]
+    for one_path in (path, str(path)):
+        with pytest.raises(TypeError, match="takes a list of paths"):
+            read_decisions(one_path)
     text = path.read_text().splitlines()
     assert text[0] == "clip_id,channel,predicted_label"
     assert text[1] == "c1,audio,Happy"

@@ -117,6 +117,15 @@ def test_island_batch_errors():
             call(np.ones((2, 3)), [0, 1], centers)
 
 
+def test_island_params_and_ratio_reject_degenerate_settings():
+    with pytest.raises(ValueError, match="^lambda1 and lam must be >= 0$"):
+        IslandLossParams(lam=-0.01)
+    with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\]$"):
+        IslandLossParams(alpha=0)
+    with pytest.raises(DegenerateInput, match="no class has two samples"):
+        clustering_ratio(np.eye(3), [0, 1, 2], np.eye(3))
+
+
 def test_grad_at_stationary_point():
     centers = np.arange(12, dtype=float).reshape(3, 4) + 1.0
     y = np.array([0, 1, 2, 0])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from avfusion import synth
+from avfusion.cli import main
 from avfusion.core import CHANNELS, load_manifest, read_tensor_array
 from avfusion.learn import svm_predict_batch, svm_train
 from avfusion.synth import (BASELINE_INFORMATIVENESS, SynthConfig, gaussian_blobs,
@@ -107,3 +108,15 @@ def test_gaussian_blobs_deterministic():
     assert np.array_equal(y1, y2)
     assert X1.shape == (70, 2)
     assert np.array_equal(np.bincount(y1), np.full(7, 10))
+
+
+def test_gaussian_blobs_checks_its_sizes(capsys):
+    for kwargs, name in (({"n_per_class": 0}, "n_per_class"),
+                         ({"n_per_class": 2.5}, "n_per_class"),
+                         ({"n_per_class": 3, "dim": 1}, "dim"),
+                         ({"n_per_class": 3, "n_classes": 0}, "n_classes")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+            gaussian_blobs(**kwargs)
+    assert main(["island-demo", "--n-per-class", "0", "--epochs", "5"]) == 1
+    assert capsys.readouterr().err == ("error: ValueError: n_per_class must be an integer "
+                                       ">= 1, got 0\n")
