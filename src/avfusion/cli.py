@@ -43,10 +43,13 @@ def _joint_matrix(manifest):
     return fusion.build_joint_vector(*(_channel_matrix(manifest, ch) for ch in CHANNELS))
 
 
-def _labelled_decisions(manifest, paths):
-    """Per-channel decisions in manifest order, and the manifest labels."""
+def _labelled_decisions(manifest, paths, one_channel=False):
+    """Per-channel decisions in manifest order, and the manifest labels.
+    With ``one_channel`` the files must hold exactly one channel."""
     merged = fusion.read_decisions(paths)
     channels = sorted({ch for observed in merged.values() for ch in observed})
+    if one_channel and len(channels) != 1:
+        raise ValueError(f"predictions must come from one channel, found {channels}")
     decisions = {ch: [] for ch in channels}
     for entry in manifest.entries:
         observed = merged.get(entry.clip_id, {})
@@ -172,9 +175,8 @@ def cmd_island_demo(args):
 
 
 def cmd_evaluate(args):
-    decisions, truths = _labelled_decisions(load_manifest(args.manifest), [args.pred])
-    if len(decisions) != 1:
-        raise ValueError(f"predictions must come from one channel, found {list(decisions)}")
+    decisions, truths = _labelled_decisions(load_manifest(args.manifest), [args.pred],
+                                            one_channel=True)
     (preds,) = decisions.values()
     report = metrics.evaluate(preds, truths)
     print(metrics.format_report(report))

@@ -82,7 +82,8 @@ def pca_transform(model, x):
 
 
 def k_average_pool(scores, k=7):
-    """Pool a T×7 per-frame score matrix into a flat 7k vector.
+    """Pool a T×7 per-frame score matrix into a flat 7k vector, or an
+    m×T×7 stack of equal-length clips into m such rows.
 
     When T < k, frames are repeated in place until the sequence reaches
     k rows: the first ``k mod T`` original frames appear ``ceil(k/T)``
@@ -93,19 +94,21 @@ def k_average_pool(scores, k=7):
     each bin is averaged, and the bin means are concatenated in order.
     """
     k = check_count(k, "k")
-    mat = check_matrix(scores, cols=N_CLASSES)
-    n_frames = mat.shape[0]
+    mat = np.asarray(scores, dtype=np.float64)
+    check_matrix(mat.reshape(-1, mat.shape[-1]) if mat.ndim == 3 else mat, cols=N_CLASSES)
+    n_frames = mat.shape[-2]
     if n_frames == 0:
         raise ValueError("cannot pool an empty score matrix")
     if n_frames < k:
         repeats = np.full(n_frames, k // n_frames)
         repeats[: k % n_frames] += 1
-        mat = np.repeat(mat, repeats, axis=0)
+        mat = np.repeat(mat, repeats, axis=-2)
     elif n_frames % k != 0:
         surplus = n_frames % k
         drop_head = (surplus + 1) // 2
-        mat = mat[drop_head:n_frames - (surplus - drop_head)]
-    return mat.reshape(k, -1, mat.shape[1]).mean(axis=1).reshape(-1)
+        mat = mat[..., drop_head:n_frames - (surplus - drop_head), :]
+    lead = mat.shape[:-2]
+    return mat.reshape(lead + (k, -1, N_CLASSES)).mean(axis=-2).reshape(lead + (-1,))
 
 
 def normalize_fit(X):

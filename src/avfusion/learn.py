@@ -227,12 +227,17 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
     with lambda_reg = 1/(C*n).  The bias rides along as a constant
     feature.  Identical inputs and seed give identical models.
 
-    Each step is one dense update of all 7 rows, written into buffers
-    allocated once: W shrinks by 1 - eta*lambda_reg, then gains
-    (violated * s * eta) ⊗ x, where s holds the sample's ±1 class signs.
-    A row whose margin is not violated gains ±0 and keeps its bits (W
-    starts at +0 and a sum is -0 only when both terms are), so the model
-    is byte-identical to updating only the violated rows.
+    Each step makes one dense update of all 7 rows into buffers
+    allocated once, from rates computed per epoch: W shrinks by
+    1 - eta*lambda_reg, then gains (violated * s * eta) ⊗ x, where s
+    holds the sample's ±1 class signs.  The margin test s*m < 1 is
+    m > -1 on the rows where s = -1 and m < 1 on the own-class row,
+    exact because negation is.  The outer product is a (7,1)·(1,D+1)
+    matrix product, one multiply per entry.  Its zeros (±0 on rows whose
+    margin holds, +0 where BLAS adds a -0 product to 0) leave W's bits
+    alone, since W starts at +0 and a sum is -0 only when both terms
+    are.  So the model is byte-identical to updating only the violated
+    rows.
     """
     if not 0 < C < np.inf:
         raise ValueError(f"C must be finite and > 0, got {C!r}")
@@ -245,6 +250,7 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
         raise SingleClass("training data contains a single class")
     lam = 1.0 / (C * n)
     Xa = np.hstack([X, np.ones((n, 1))])
+    rows = Xa[:, None, :]  # each sample as a (1, D+1) row for the outer product
     signs = np.where(y[:, None] == np.arange(N_CLASSES)[None, :], 1.0, -1.0)
     W = np.zeros((N_CLASSES, dim + 1))
     margin = np.empty(N_CLASSES)
@@ -253,19 +259,18 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
     coef_column = coef[:, None]  # a view of coef, shaped for the outer product
     update = np.empty_like(W)
     rng = np.random.default_rng(seed)
-    t = 0
-    for _ in range(epochs):
-        for i in rng.permutation(n).tolist():
-            t += 1
-            eta = 1.0 / (lam * t)
-            xi, s = Xa[i], signs[i]
-            np.dot(W, xi, out=margin)
-            np.multiply(margin, s, out=margin)
-            np.less(margin, 1.0, out=violated)
-            np.multiply(s, eta, out=coef)
-            np.multiply(coef, violated, out=coef)
-            W *= 1.0 - eta * lam
-            np.multiply(coef_column, xi, out=update)
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        eta = 1.0 / (lam * np.arange(epoch * n + 1, epoch * n + n + 1))
+        rates = signs[order] * eta[:, None]
+        for i, own, rate, shrink in zip(order.tolist(), y[order].tolist(), rates,
+                                        (1.0 - eta * lam).tolist()):
+            np.dot(W, Xa[i], out=margin)
+            np.greater(margin, -1.0, out=violated)
+            violated[own] = margin[own] < 1.0
+            np.multiply(rate, violated, out=coef)
+            W *= shrink
+            np.dot(coef_column, rows[i], out=update)
             W += update
     return LinearSvmModel(W=W[:, :dim].copy(), b=W[:, dim].copy(), C=C)
 

@@ -8,7 +8,9 @@ Gaussian whose mean is a fixed random unit direction scaled by
 output carries no label information at all.  The CNN channel emits a
 T×7 per-frame score matrix (softmax rows whose logits favor the true
 class by the same scaled margin) so temporal pooling is exercised on
-the way to its 49-dim clip feature.
+the way to its 49-dim clip feature.  All clips' frames are drawn,
+softmaxed and pooled in one pass over one array, and ``cnn_scores[i]``
+is a view into it.
 
 Channels use independent seed streams, so failing one channel leaves
 the bytes of every other channel untouched for the same seed.
@@ -46,13 +48,7 @@ class SynthConfig:
 class SynthDataset:
     labels: np.ndarray      # (n,)
     features: dict          # channel -> (n, dim); cnn holds the pooled 49-dim rows
-    cnn_scores: list = field(default_factory=list)  # per-clip (T, 7) probability rows
-
-
-def _softmax_rows(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=1, keepdims=True)
+    cnn_scores: list = field(default_factory=list)  # per-clip (T, 7) views of one array
 
 
 # Class-mean separation of a channel at informativeness 1.
@@ -82,18 +78,25 @@ def synth_dataset(config):
     frames = rng.integers(CNN_FRAMES[0], CNN_FRAMES[1] + 1, size=n)
 
     features = {}
-    cnn_scores = []
     for idx, channel in enumerate(CHANNELS):
         chan_rng = np.random.default_rng(streams[idx + 1])
         rho = 0.0 if channel in config.failed_channels else config.informativeness[idx]
         sep = BASE_SEPARATION * rho
         if channel == "cnn":
-            # Per-frame logits favor the true class by sep; rows softmaxed.
-            for i in range(n):
-                logits = CNN_LOGIT_NOISE * chan_rng.standard_normal((frames[i], 7))
-                logits[:, labels[i]] += sep
-                cnn_scores.append(_softmax_rows(logits))
-            features[channel] = np.stack([k_average_pool(s, 7) for s in cnn_scores])
+            # Per-frame logits favor the true class by sep; rows softmaxed in place.
+            scores = chan_rng.standard_normal((frames.sum(), 7))
+            scores *= CNN_LOGIT_NOISE
+            scores[np.arange(len(scores)), np.repeat(labels, frames)] += sep
+            scores -= scores.max(axis=1, keepdims=True)
+            np.exp(scores, out=scores)
+            scores /= scores.sum(axis=1, keepdims=True)
+            starts = np.cumsum(frames) - frames
+            cnn_scores = np.split(scores, starts[1:])
+            features[channel] = np.empty((n, 49))
+            for length in np.unique(frames):
+                clips = np.flatnonzero(frames == length)
+                stack = scores[starts[clips, None] + np.arange(length)]
+                features[channel][clips] = k_average_pool(stack, 7)
         else:
             dim = SEGMENT_DIMS[channel]
             directions = chan_rng.standard_normal((7, dim))

@@ -426,6 +426,10 @@ DATA_ERRORS = {
                      EVALUATE,
                      "ValueError: predictions must come from one channel, "
                      "found ['audio', 'cnn']"),
+    "two-channels-partial": (lambda d: _append(d / "dec.csv", b"clip_00002,cnn,Fear\n"),
+                             EVALUATE,
+                             "ValueError: predictions must come from one channel, "
+                             "found ['audio', 'cnn']"),
     "decisions-header": (lambda d: _edit_text(d / "dec.csv", "channel", "chan"), EVALUATE,
                          "ValueError: {d}/dec.csv: expected header "
                          "clip_id,channel,predicted_label"),

@@ -231,6 +231,18 @@ def test_pool_matches_reference_widely():
                                pool_reference(scores, k), atol=1e-12), (T, k)
 
 
+@pytest.mark.parametrize("k", range(1, 10))
+def test_pool_stack_matches_per_clip_calls(k):
+    """A stack of equal-length clips pools byte-equal to one call per
+    clip, on the repeat path (T < k), the drop path and T = k."""
+    rng = np.random.default_rng(14 + k)
+    for T in {1, max(1, k - 1), k, k + 1, 2 * k + 1, 3 * k, 24}:
+        stack = rng.standard_normal((5, T, 7))
+        pooled = k_average_pool(stack, k)
+        assert pooled.shape == (5, 7 * k)
+        assert pooled.tobytes() == np.stack([k_average_pool(s, k) for s in stack]).tobytes()
+
+
 def test_pool_constant_rows():
     row = np.arange(7.0)
     scores = np.tile(row, (12, 1))
@@ -250,6 +262,12 @@ def test_pool_errors():
         k_average_pool(np.full((9, 7), np.nan))
     with pytest.raises(ValueError):
         k_average_pool(np.zeros((9, 5)))
+    with pytest.raises(DimensionMismatch):
+        k_average_pool(np.zeros((2, 9, 5)))
+    with pytest.raises(ValueError, match="non-finite"):
+        k_average_pool(np.full((2, 9, 7), np.inf))
+    with pytest.raises(ValueError, match="empty"):
+        k_average_pool(np.zeros((2, 0, 7)))
 
 
 def test_normalize_fit_hand_case():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -434,10 +435,30 @@ def test_svm_train_matches_reference_loop(seed, C):
     joint = np.hstack([data.features[ch] for ch in CHANNELS])
     inputs = [data.features[ch] for ch in CHANNELS]
     inputs.append(normalize_apply(normalize_fit(joint), joint))
+    signed_zeros = data.features["audio"].copy()
+    signed_zeros[:, 3] = 0.0
+    signed_zeros[::3, 5] = -0.0
+    signed_zeros[:, 7] = -0.0
+    inputs.append(signed_zeros)
     for X in inputs:
         _assert_matches_reference(X, data.labels, C, epochs=3, seed=seed)
     X, y = gaussian_blobs(n_per_class=30, dim=5, radius=12.0, noise=0.5, seed=seed)
     assert _assert_matches_reference(X, y, C, epochs=10, seed=seed) > 0
+
+
+def test_svm_train_memory_does_not_grow_with_epochs():
+    """Per-epoch buffers only: nothing in svm_train is sized n·epochs."""
+    rng = np.random.default_rng(31)
+    X, y = rng.standard_normal((2000, 50)), np.arange(2000) % N_CLASSES
+    peaks = []
+    for epochs in (2, 40):
+        tracemalloc.start()
+        try:
+            svm_train(X, y, epochs=epochs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def _saved_svm(tmp_path):

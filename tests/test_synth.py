@@ -3,7 +3,8 @@ import pytest
 
 from avfusion import synth
 from avfusion.cli import main
-from avfusion.core import CHANNELS, load_manifest, read_tensor_array
+from avfusion.core import CHANNELS, SEGMENT_DIMS, load_manifest, read_tensor_array
+from avfusion.features import k_average_pool
 from avfusion.learn import svm_predict_batch, svm_train
 from avfusion.synth import (BASELINE_INFORMATIVENESS, SynthConfig, gaussian_blobs,
                             synth_dataset, synth_generate)
@@ -71,6 +72,62 @@ def test_failing_a_channel_leaves_others_untouched():
         assert np.array_equal(base.features[ch], failed.features[ch])
     assert not np.array_equal(base.features["audio"], failed.features["audio"])
     assert np.array_equal(base.labels, failed.labels)
+
+
+def synth_dataset_per_clip(config):
+    """The dataset with its cnn channel drawn clip by clip: one (T, 7)
+    logit draw, softmax and pooling call per clip.  Returns the features
+    and the per-clip scores."""
+    streams = np.random.SeedSequence(config.seed).spawn(len(CHANNELS) + 1)
+    rng = np.random.default_rng(streams[0])
+    labels = np.arange(config.n_clips) % 7
+    rng.shuffle(labels)
+    frames = rng.integers(synth.CNN_FRAMES[0], synth.CNN_FRAMES[1] + 1, size=config.n_clips)
+    features, scores = {}, []
+    for idx, channel in enumerate(CHANNELS):
+        chan_rng = np.random.default_rng(streams[idx + 1])
+        rho = 0.0 if channel in config.failed_channels else config.informativeness[idx]
+        sep = synth.BASE_SEPARATION * rho
+        if channel == "cnn":
+            for i in range(config.n_clips):
+                logits = synth.CNN_LOGIT_NOISE * chan_rng.standard_normal((frames[i], 7))
+                logits[:, labels[i]] += sep
+                shifted = logits - logits.max(axis=1, keepdims=True)
+                expd = np.exp(shifted)
+                scores.append(expd / expd.sum(axis=1, keepdims=True))
+            features[channel] = np.stack([k_average_pool(s, 7) for s in scores])
+        else:
+            dim = SEGMENT_DIMS[channel]
+            directions = chan_rng.standard_normal((7, dim))
+            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+            noise = chan_rng.standard_normal((config.n_clips, dim))
+            features[channel] = sep * directions[labels] + noise
+    return features, scores
+
+
+def _assert_matches_per_clip(config):
+    data = synth_dataset(config)
+    features, scores = synth_dataset_per_clip(config)
+    for channel in CHANNELS:
+        assert data.features[channel].tobytes() == features[channel].tobytes(), channel
+    assert len(data.cnn_scores) == len(scores)
+    for got, want in zip(data.cnn_scores, scores):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n_clips", [1, 7, 35])
+@pytest.mark.parametrize("failed", [(), ("cnn",)])
+def test_cnn_channel_matches_per_clip_draws(seed, n_clips, failed):
+    """The one-pass cnn channel is byte-equal to drawing, softmaxing and
+    pooling clip by clip, and its scores keep their per-clip shapes."""
+    _assert_matches_per_clip(SynthConfig(n_clips=n_clips, seed=seed, failed_channels=failed,
+                                         informativeness=BASELINE_INFORMATIVENESS))
+
+
+def test_cnn_channel_matches_per_clip_draws_at_desk_scale():
+    _assert_matches_per_clip(SynthConfig(n_clips=5000, seed=0,
+                                         informativeness=BASELINE_INFORMATIVENESS))
 
 
 def test_generate_writes_loadable_dataset(tmp_path):
