@@ -14,7 +14,8 @@ import sys
 import numpy as np
 
 from . import features, fusion, learn, metrics, synth
-from .core import CHANNELS, load_manifest, read_tensor_array, write_tensor_array
+from .core import (CHANNELS, N_CLASSES, DimensionMismatch, load_manifest, read_tensor_array,
+                   write_tensor_array)
 from .lbptop import lbp_top_descriptor
 
 
@@ -22,20 +23,26 @@ def _channel_matrix(manifest, channel):
     """Per-clip feature rows for one channel of a manifest.
 
     Rank-1 tensors are used as-is; a rank-2 tensor on the cnn channel is
-    a per-frame score matrix and gets k-average pooled into 7 bins.
+    a per-frame score matrix and gets k-average pooled into 7 bins, all
+    clips of one frame count in one call.
     """
-    rows = []
-    for entry in manifest.entries:
+    rows, scores = [], {}
+    for i, entry in enumerate(manifest.entries):
         path = entry.paths.get(channel)
         if path is None:
             raise ValueError(f"clip {entry.clip_id!r} has no {channel} file")
         arr = read_tensor_array(path)
         if arr.ndim == 2 and channel == "cnn":
-            arr = features.k_average_pool(arr)
+            if arr.shape[1] != N_CLASSES:
+                raise DimensionMismatch(f"{path}: expected a T×{N_CLASSES} score matrix for "
+                                        f"channel cnn, got shape {arr.shape}")
+            scores[i] = arr
         elif arr.ndim != 1:
             raise ValueError(f"{path}: expected a feature vector for channel {channel}, "
                              f"got rank {arr.ndim}; run the extraction stages first")
         rows.append(arr)
+    for i, row in zip(scores, features.pool_clips(list(scores.values()))):
+        rows[i] = row
     return np.stack(rows)
 
 

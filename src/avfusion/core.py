@@ -15,8 +15,11 @@ ignores the columns it does not read.
 """
 
 import csv
+import errno
 import json
+import math
 import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -184,22 +187,38 @@ def write_tensor(path, dims, values):
     """Write an FVT1 tensor file, byte-exact and deterministic.
 
     ``prod(dims)`` must equal ``len(values)`` and all values must be
-    finite.  Values are stored as little-endian f32.
+    finite.  Values are stored as little-endian f32.  Every check runs
+    before the file is opened.  An existing file is rewritten in place
+    and cut to the new length; a write that fails partway leaves it
+    empty, which no reader takes for a tensor.
     """
     dims = [int(d) for d in dims]
     if any(d < 0 for d in dims):
         raise DimensionMismatch(f"negative dimension in {dims}")
     flat = np.asarray(values, dtype=np.float64).reshape(-1)
-    n = int(np.prod(dims, dtype=np.int64)) if dims else 1
+    n = math.prod(dims)
     if n != flat.size:
         raise DimensionMismatch(f"prod({dims}) = {n} but got {flat.size} values")
-    if not np.all(np.isfinite(flat)):
+    if not np.isfinite(flat).all():
         raise ValueError("tensor values must be finite")
-    payload = flat.astype("<f4").tobytes()
-    header = _MAGIC + struct.pack("<I", len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    header = _MAGIC + struct.pack(f"<{len(dims) + 1}I", len(dims), *dims)
+    data = header + flat.astype("<f4").tobytes()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        info = os.fstat(fd)
+        regular = stat.S_ISREG(info.st_mode)
+        try:
+            done = os.write(fd, data)
+            while done < len(data):
+                done += os.write(fd, memoryview(data)[done:])
+            if regular and info.st_size > len(data):
+                os.ftruncate(fd, len(data))
+        except BaseException:
+            if regular:
+                os.ftruncate(fd, 0)
+            raise
+    finally:
+        os.close(fd)
 
 
 def read_tensor(path):
@@ -209,8 +228,20 @@ def read_tensor(path):
     BadMagic on a wrong magic, Truncated when the file ends early and
     ValueError when a value is not finite.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        info = os.fstat(fd)
+        if stat.S_ISDIR(info.st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+        # A regular file's size is known, so its first read takes it all
+        # and the second finds the end; a pipe's is not.
+        size = info.st_size + 1 if stat.S_ISREG(info.st_mode) else 1 << 16
+        chunks = []
+        while chunk := os.read(fd, size):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    blob = b"".join(chunks)
     if len(blob) < 4:
         raise Truncated(f"{path}: file shorter than the magic")
     if blob[:4] != _MAGIC:
@@ -222,14 +253,14 @@ def read_tensor(path):
     if len(blob) < header_end:
         raise Truncated(f"{path}: header announces rank {rank} but dims are cut short")
     dims = list(struct.unpack_from(f"<{rank}I", blob, 8))
-    n = int(np.prod(dims, dtype=np.int64)) if dims else 1
+    n = math.prod(dims)
     expected = header_end + 4 * n
     if len(blob) < expected:
         raise Truncated(f"{path}: payload needs {expected} bytes, file has {len(blob)}")
     if len(blob) > expected:
         raise TensorFormatError(f"{path}: {len(blob) - expected} trailing bytes after payload")
     values = np.frombuffer(blob, dtype="<f4", count=n, offset=header_end).astype(np.float64)
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError(f"{path}: tensor values must be finite")
     return dims, values
 

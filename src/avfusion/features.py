@@ -111,6 +111,20 @@ def k_average_pool(scores, k=7):
     return mat.reshape(lead + (k, -1, N_CLASSES)).mean(axis=-2).reshape(lead + (-1,))
 
 
+def pool_clips(clips):
+    """k-average pool each T×7 score array of ``clips`` into 7 bins: one
+    row of an m×49 matrix per clip, in order.  The clips of one shape are
+    pooled as one stack, one ``k_average_pool`` call per distinct shape,
+    which pools each clip exactly as a call of its own would."""
+    groups = {}
+    for i, clip in enumerate(clips):
+        groups.setdefault(clip.shape, []).append(i)
+    out = np.empty((len(clips), 7 * N_CLASSES))
+    for rows in groups.values():
+        out[rows] = k_average_pool(np.stack([clips[i] for i in rows]))
+    return out
+
+
 def normalize_fit(X):
     """Per-dimension mean and population std over training rows."""
     X = check_matrix(X)

@@ -41,7 +41,7 @@ def write_report_csv(report, path):
         writer.writerow(["overall_accuracy", f"{report.overall_accuracy!r}"])
         writer.writerow(["class", "per_class_accuracy", *EMOTION_NAMES])
         for e, name in enumerate(EMOTION_NAMES):
-            writer.writerow([name, f"{report.per_class_accuracy[e]!r}",
+            writer.writerow([name, repr(float(report.per_class_accuracy[e])),
                              *[int(v) for v in report.confusion[e]]])
 
 

@@ -8,9 +8,9 @@ Gaussian whose mean is a fixed random unit direction scaled by
 output carries no label information at all.  The CNN channel emits a
 T×7 per-frame score matrix (softmax rows whose logits favor the true
 class by the same scaled margin) so temporal pooling is exercised on
-the way to its 49-dim clip feature.  All clips' frames are drawn,
-softmaxed and pooled in one pass over one array, and ``cnn_scores[i]``
-is a view into it.
+the way to its 49-dim clip feature.  All clips' frames are drawn and
+softmaxed in one pass over one array, ``cnn_scores[i]`` is a view into
+it, and ``features.pool_clips`` pools the clips of each length at once.
 
 Channels use independent seed streams, so failing one channel leaves
 the bytes of every other channel untouched for the same seed.
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import CHANNELS, SEGMENT_DIMS, check_count, save_manifest, write_tensor_array
-from .features import k_average_pool
+from .features import pool_clips
 
 
 @dataclass(frozen=True)
@@ -90,13 +90,8 @@ def synth_dataset(config):
             scores -= scores.max(axis=1, keepdims=True)
             np.exp(scores, out=scores)
             scores /= scores.sum(axis=1, keepdims=True)
-            starts = np.cumsum(frames) - frames
-            cnn_scores = np.split(scores, starts[1:])
-            features[channel] = np.empty((n, 49))
-            for length in np.unique(frames):
-                clips = np.flatnonzero(frames == length)
-                stack = scores[starts[clips, None] + np.arange(length)]
-                features[channel][clips] = k_average_pool(stack, 7)
+            cnn_scores = np.split(scores, np.cumsum(frames)[:-1])
+            features[channel] = pool_clips(cnn_scores)
         else:
             dim = SEGMENT_DIMS[channel]
             directions = chan_rng.standard_normal((7, dim))

@@ -5,8 +5,10 @@ import struct
 import numpy as np
 import pytest
 
-from avfusion.cli import main
-from avfusion.core import CHANNELS, load_manifest, read_tensor_array, write_tensor_array
+from avfusion import features
+from avfusion.cli import _channel_matrix, main
+from avfusion.core import (CHANNELS, load_manifest, read_tensor_array, save_manifest,
+                           write_tensor_array)
 from avfusion.features import k_average_pool
 from avfusion.fusion import (BnFusionModel, MeasurementModel, read_decisions, save_bn,
                              uniform_prior, write_decisions)
@@ -265,6 +267,40 @@ def test_cli_matches_library_pipeline(tmp_path):
     for key, labels in expected.items():
         merged = read_decisions([tmp_path / f"{key}.csv"])
         assert [observed[key] for observed in merged.values()] == labels.tolist(), key
+
+
+def test_cnn_rows_pool_once_per_frame_count(tmp_path, monkeypatch):
+    """The cnn rows a stage reads are byte-equal to pooling each clip on
+    its own, for mixed frame counts (T < 7 included) and an already pooled
+    row among them, with one pooling call per distinct frame count."""
+    rng = np.random.default_rng(31)
+    lengths = [1, 3, 6, 7, 8, 14, 3, 24, None, 1, 9, 7, 16, 5]
+    entries, expected = [], []
+    for i, T in enumerate(lengths):
+        path = tmp_path / f"c{i}.cnn.fvt"
+        write_tensor_array(path, rng.random(49) if T is None else rng.random((T, 7)))
+        stored = read_tensor_array(path)
+        expected.append(stored if T is None else k_average_pool(stored))
+        entries.append((f"c{i}", i % 7, {"cnn": path}))
+    save_manifest(tmp_path / "manifest.csv", entries)
+    real_pool, calls = features.k_average_pool, []
+    monkeypatch.setattr(features, "k_average_pool",
+                        lambda scores, k=7: calls.append(np.shape(scores)) or real_pool(scores, k))
+    rows = _channel_matrix(load_manifest(tmp_path / "manifest.csv"), "cnn")
+    assert rows.tobytes() == np.stack(expected).tobytes()
+    assert sorted(shape[1] for shape in calls) == sorted({T for T in lengths if T is not None})
+
+
+def test_cnn_matrix_of_wrong_width_names_its_file(tmp_path, capsys):
+    assert run("synth", "--out", tmp_path, "--n-clips", 14, "--seed", 1) == 0
+    for clip in ("clip_00002", "clip_00005"):
+        write_tensor_array(tmp_path / f"{clip}.cnn.fvt", np.ones((12, 10)))
+    capsys.readouterr()
+    assert run("train-svm", "--manifest", tmp_path / "manifest.csv", "--channel", "cnn",
+               "--out", tmp_path / "m.json") == 1
+    assert capsys.readouterr().err == (f"error: DimensionMismatch: {tmp_path}/clip_00002.cnn.fvt: "
+                                       "expected a T×7 score matrix for channel cnn, "
+                                       "got shape (12, 10)\n")
 
 
 def test_island_demo(tmp_path, capsys):

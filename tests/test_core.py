@@ -1,9 +1,12 @@
 import ast
 import json
+import os
 import re
+import stat
 import string
 import struct
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +21,8 @@ from avfusion.fusion import (BnFusionModel, MeasurementModel, load_bn, save_bn, 
                              write_decisions)
 from avfusion.learn import LinearSvmModel, load_svm, save_svm
 from avfusion.core import (CHANNELS, BadMagic, DuplicateClipId, DimensionMismatch,
-                           EMOTION_NAMES, MalformedRow, Truncated, UnknownLabel,
-                           check_count, emotion_index, emotion_name, load_manifest,
+                           EMOTION_NAMES, MalformedRow, TensorFormatError, Truncated,
+                           UnknownLabel, check_count, emotion_index, emotion_name, load_manifest,
                            read_tensor, read_tensor_array, save_manifest, write_tensor,
                            write_tensor_array)
 
@@ -302,6 +305,153 @@ def test_tensor_roundtrip_property(dims, seed):
         assert np.array_equal(got_values, values)
     finally:
         os.unlink(path)
+
+
+def _fresh_bytes(tmp_path, dims, values):
+    """The bytes ``write_tensor`` gives a file that did not exist."""
+    path = tmp_path / "fresh.fvt"
+    write_tensor(path, dims, values)
+    blob = path.read_bytes()
+    path.unlink()
+    return blob
+
+
+def test_overwrite_leaves_exactly_the_new_bytes(tmp_path):
+    """Rewriting in place cuts a longer old file and extends a shorter one."""
+    path = tmp_path / "t.fvt"
+    small, large = ([3], [1.0, 2.0, 3.0]), ([4, 5], np.arange(20.0))
+    for old, new in ((large, small), (small, large), (small, small)):
+        write_tensor(path, *old)
+        write_tensor(path, *new)
+        assert path.read_bytes() == _fresh_bytes(tmp_path, *new)
+        dims, values = read_tensor(path)
+        assert dims == new[0] and values.tolist() == list(new[1])
+
+
+@pytest.mark.parametrize("dims, values, error", [
+    ([2], [1.0, np.nan], ValueError),
+    ([2], [1.0, np.inf], ValueError),
+    ([2, 2], [1.0, 2.0, 3.0], DimensionMismatch),
+    ([2, -1], [], DimensionMismatch),
+])
+def test_rejected_write_leaves_file_unchanged(tmp_path, dims, values, error):
+    path = tmp_path / "t.fvt"
+    write_tensor(path, [3], [1.0, 2.0, 3.0])
+    before = path.read_bytes()
+    with pytest.raises(error):
+        write_tensor(path, dims, values)
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("old_dims", [[4], [40], [2, 2]])
+def test_write_failing_partway_leaves_no_valid_tensor(tmp_path, monkeypatch, old_dims):
+    """A write cut off after some bytes leaves an empty file, never old
+    bytes behind new ones that could still parse as a tensor."""
+    path = tmp_path / "t.fvt"
+    write_tensor(path, old_dims, np.ones(int(np.prod(old_dims))))
+    real_write = os.write
+    calls = []
+
+    def write_half_then_fail(fd, data):
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(28, "No space left on device")
+        return real_write(fd, bytes(data)[:len(data) // 2])
+
+    monkeypatch.setattr(os, "write", write_half_then_fail)
+    with pytest.raises(OSError, match="No space left"):
+        write_tensor(path, [4], [5.0, 6.0, 7.0, 8.0])
+    monkeypatch.undo()
+    assert len(calls) == 2 and path.stat().st_size == 0
+    with pytest.raises(Truncated):
+        read_tensor(path)
+
+
+def test_write_to_devnull():
+    write_tensor(os.devnull, [2, 3], np.arange(6.0))
+    write_tensor_array(os.devnull, np.zeros((0, 7)))
+
+
+def test_write_and_read_through_a_fifo(tmp_path):
+    """Neither side needs a regular file: no truncation on the way in, and
+    reads of a pipe go on to end of file."""
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    values = np.arange(30000.0)  # more than a pipe's 64 KiB buffer
+    writer = threading.Thread(target=write_tensor, args=(fifo, [100, 300], values), daemon=True)
+    writer.start()
+    dims, got = read_tensor(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert dims == [100, 300] and np.array_equal(got, values)
+
+
+def test_new_file_mode_matches_open_wb(tmp_path):
+    old_umask = os.umask(0o027)
+    try:
+        write_tensor(tmp_path / "t.fvt", [1], [1.0])
+        with open(tmp_path / "ref", "wb"):
+            pass
+    finally:
+        os.umask(old_umask)
+    mode = stat.S_IMODE((tmp_path / "t.fvt").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "ref").stat().st_mode) == 0o640
+
+
+def _open_error(path):
+    """The error ``open(path, "rb")`` raises, as (type, message)."""
+    with pytest.raises(OSError) as exc:
+        open(path, "rb")
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize("name", ["missing.fvt", "subdir"])
+def test_read_os_errors_match_open(tmp_path, name):
+    """A missing file or a directory fails as ``open`` would, naming the path."""
+    (tmp_path / "subdir").mkdir()
+    path = tmp_path / name
+    kind, message = _open_error(path)
+    assert kind in (FileNotFoundError, IsADirectoryError) and str(path) in message
+    for arg in (path, str(path)):
+        with pytest.raises(kind) as exc:
+            read_tensor(arg)
+        assert str(exc.value) == message
+
+
+def _fvt(dims, payload):
+    return b"FVT1" + struct.pack(f"<{len(dims) + 1}I", len(dims), *dims) + payload
+
+
+@pytest.mark.parametrize("blob, error, message", [
+    (b"", Truncated, "file shorter than the magic"),
+    (b"FVT", Truncated, "file shorter than the magic"),
+    (b"XXXX" + struct.pack("<II", 1, 1) + b"\0" * 4, BadMagic,
+     "expected magic b'FVT1', found b'XXXX'"),
+    (b"FVT1\x02", Truncated, "missing rank field"),
+    (b"FVT1" + struct.pack("<II", 2, 3), Truncated,
+     "header announces rank 2 but dims are cut short"),
+    (_fvt([3], b"\0" * 7), Truncated, "payload needs 24 bytes, file has 19"),
+    (_fvt([2**31, 2**31], b""), Truncated, f"payload needs {16 + 2**64} bytes, file has 16"),
+    (_fvt([2], b"\0" * 12), TensorFormatError, "4 trailing bytes after payload"),
+    (_fvt([2], struct.pack("<2f", 1.0, np.nan)), ValueError, "tensor values must be finite"),
+    (_fvt([1], struct.pack("<f", -np.inf)), ValueError, "tensor values must be finite"),
+])
+def test_read_format_errors_name_the_path(tmp_path, blob, error, message):
+    path = tmp_path / "t.fvt"
+    path.write_bytes(blob)
+    with pytest.raises(error) as exc:
+        read_tensor(path)
+    assert type(exc.value) is error and str(exc.value) == f"{path}: {message}"
+
+
+def test_one_megabyte_volume_roundtrip(tmp_path):
+    rng = np.random.default_rng(23)
+    volume = rng.integers(0, 256, size=(16, 128, 128)).astype(np.float64)
+    path = tmp_path / "vol.fvt"
+    write_tensor_array(path, volume)
+    assert path.stat().st_size == 8 + 4 * 3 + 4 * volume.size
+    back = read_tensor_array(path)
+    assert back.shape == volume.shape and back.tobytes() == volume.tobytes()
 
 
 def _write_clip_files(tmp_path, clip_id):

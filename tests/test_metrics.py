@@ -66,6 +66,9 @@ def test_report_csv_and_table(tmp_path):
     assert lines[0].startswith("overall_accuracy,")
     assert float(lines[0].split(",")[1]) == pytest.approx(report.overall_accuracy)
     assert len(lines) == 2 + 7
+    # every per-class cell is a plain number equal to the report's value
+    cells = [line.split(",")[1] for line in lines[2:]]
+    assert [float(c) for c in cells] == report.per_class_accuracy.tolist()
     # confusion cells in the CSV sum back to the sample count
     total = sum(int(v) for line in lines[2:] for v in line.split(",")[2:])
     assert total == 50
