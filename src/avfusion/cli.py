@@ -14,9 +14,17 @@ import sys
 import numpy as np
 
 from . import features, fusion, learn, metrics, synth
-from .core import (CHANNELS, N_CLASSES, DimensionMismatch, load_manifest, read_tensor_array,
-                   write_tensor_array)
+from .core import (CHANNELS, N_CLASSES, DimensionMismatch, ManifestError, load_manifest,
+                   read_tensor_array, write_tensor_array)
 from .lbptop import lbp_top_descriptor
+
+
+def _clips(path):
+    """The manifest at ``path``; a stage that reads one needs a clip in it."""
+    manifest = load_manifest(path)
+    if not manifest.entries:
+        raise ManifestError(f"{path}: manifest lists no clips")
+    return manifest
 
 
 def _channel_matrix(manifest, channel):
@@ -106,7 +114,7 @@ def cmd_pool(args):
 
 
 def cmd_train_svm(args):
-    manifest = load_manifest(args.manifest)
+    manifest = _clips(args.manifest)
     X = _channel_matrix(manifest, args.channel)
     model = learn.svm_train(X, manifest.labels(), epochs=args.epochs, seed=args.seed)
     learn.save_svm(model, args.out, epochs=args.epochs, seed=args.seed)
@@ -114,7 +122,7 @@ def cmd_train_svm(args):
 
 
 def cmd_predict_svm(args):
-    manifest = load_manifest(args.manifest)
+    manifest = _clips(args.manifest)
     X = _channel_matrix(manifest, args.channel)
     labels = learn.svm_predict_batch(learn.load_svm(args.model), X)
     fusion.write_decisions(args.out, [(e.clip_id, args.channel, int(lab))
@@ -123,7 +131,7 @@ def cmd_predict_svm(args):
 
 
 def cmd_fuse_feat_train(args):
-    manifest = load_manifest(args.manifest)
+    manifest = _clips(args.manifest)
     joint = _joint_matrix(manifest)
     norm, svm = fusion.feature_fusion_train(joint, manifest.labels(), epochs=args.epochs,
                                             seed=args.seed)
@@ -134,7 +142,7 @@ def cmd_fuse_feat_train(args):
 
 
 def cmd_fuse_feat_predict(args):
-    manifest = load_manifest(args.manifest)
+    manifest = _clips(args.manifest)
     joint = _joint_matrix(manifest)
     labels = fusion.feature_fusion_predict(features.load_normalization(args.norm),
                                            learn.load_svm(args.svm), joint)
@@ -144,7 +152,7 @@ def cmd_fuse_feat_predict(args):
 
 
 def cmd_fuse_bn_fit(args):
-    decisions, truths = _labelled_decisions(load_manifest(args.manifest), args.decisions)
+    decisions, truths = _labelled_decisions(_clips(args.manifest), args.decisions)
     model = fusion.fit_bn(decisions, truths)
     fusion.save_bn(model, args.out)
     print(f"fit BN fusion over channels {list(model.channels)}; saved to {args.out}")
@@ -182,7 +190,7 @@ def cmd_island_demo(args):
 
 
 def cmd_evaluate(args):
-    decisions, truths = _labelled_decisions(load_manifest(args.manifest), [args.pred],
+    decisions, truths = _labelled_decisions(_clips(args.manifest), [args.pred],
                                             one_channel=True)
     (preds,) = decisions.values()
     report = metrics.evaluate(preds, truths)

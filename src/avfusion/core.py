@@ -10,8 +10,8 @@ Dataset manifests are CSV files with the header
 ``clip_id,label,audio,lbptop_video,cnn_scores,blstm_feat``.  The label
 cell may be empty (test-set mode), and any path cell may be empty when
 that channel is absent.  Paths are resolved relative to the manifest's
-directory; a path is checked when a stage reads its file, so a stage
-ignores the columns it does not read.
+directory into plain strings; a path is checked when a stage reads its
+file, so a stage ignores the columns it does not read.
 """
 
 import csv
@@ -343,7 +343,7 @@ def read_model(path, kind, build):
 class ManifestEntry:
     clip_id: str
     label: int | None
-    paths: dict  # channel tag -> resolved Path, only for channels present
+    paths: dict  # channel tag -> resolved path string, only for channels present
 
 
 @dataclass(frozen=True)
@@ -360,11 +360,24 @@ class DatasetManifest:
         return out
 
 
+def _path_text(text):
+    """``str(Path(text))`` for a POSIX path string, from string methods:
+    runs of '/' and '.' parts collapse, a trailing '/' drops, '..' stays,
+    and exactly two leading slashes stay, as pathlib keeps them."""
+    root = "//" if text[:2] == "//" and text[2:3] != "/" else "/" if text[:1] == "/" else ""
+    inner = f"/{text}/"
+    while "//" in inner:
+        inner = inner.replace("//", "/")
+    while "/./" in inner:
+        inner = inner.replace("/./", "/")
+    return root + inner[1:-1] or "."
+
+
 def load_manifest(path):
     """Load a dataset manifest CSV; validates labels and ids.  Path cells
-    are resolved but not opened: a missing file fails where a stage reads it."""
+    become path strings, not opened: a missing file fails where a stage reads it."""
     path = Path(path)
-    base = path.parent
+    base = os.path.join(path.parent, "")
     entries = []
     seen = set()
     with open(path, newline="") as fh:
@@ -385,8 +398,8 @@ def load_manifest(path):
             seen.add(clip_id)
             label_cell = row[1].strip()
             label = emotion_index(label_cell) if label_cell else None
-            paths = {channel: base / cell.strip()
-                     for channel, cell in zip(CHANNELS, row[2:]) if cell.strip()}
+            paths = {channel: _path_text(cell if cell[:1] == "/" else base + cell)
+                     for channel, cell in zip(CHANNELS, map(str.strip, row[2:])) if cell}
             entries.append(ManifestEntry(clip_id=clip_id, label=label, paths=paths))
     return DatasetManifest(entries=entries)
 
@@ -397,6 +410,16 @@ def save_manifest(path, entries):
     ``entries`` is a list of (clip_id, label index or None, channel->path).
     """
     path = Path(path)
+    parent = str(path.parent)
+    prefix = "" if parent == "." else os.path.join(parent, "")
+
+    def relative(cell):
+        text = _path_text(os.fspath(cell))
+        # A rest that starts with '/' is absolute under a '.' parent, or has another root.
+        if text != parent and (not text.startswith(prefix) or text[len(prefix):][:1] == "/"):
+            raise ValueError(f"{path}: {text!r} is not inside the manifest's directory")
+        return "." if text == parent else text[len(prefix):]
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_COLUMNS)
@@ -404,5 +427,5 @@ def save_manifest(path, entries):
             row = [clip_id, "" if label is None else emotion_name(label)]
             for channel in CHANNELS:
                 cell = paths.get(channel)
-                row.append("" if cell is None else str(Path(cell).relative_to(path.parent)))
+                row.append("" if cell is None else relative(cell))
             writer.writerow(row)

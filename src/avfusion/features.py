@@ -121,7 +121,7 @@ def pool_clips(clips):
         groups.setdefault(clip.shape, []).append(i)
     out = np.empty((len(clips), 7 * N_CLASSES))
     for rows in groups.values():
-        out[rows] = k_average_pool(np.stack([clips[i] for i in rows]))
+        out[rows] = k_average_pool(np.array([clips[i] for i in rows]))
     return out
 
 

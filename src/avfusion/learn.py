@@ -237,7 +237,9 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
     margin holds, +0 where BLAS adds a -0 product to 0) leave W's bits
     alone, since W starts at +0 and a sum is -0 only when both terms
     are.  So the model is byte-identical to updating only the violated
-    rows.
+    rows.  Bound ``W.dot`` and ``coef_column.dot`` and positional ``out``
+    arguments skip only numpy's Python-level dispatch: the same dgemv and
+    dgemm run on the same operands in the same order, so no bit changes.
     """
     if not 0 < C < np.inf:
         raise ValueError(f"C must be finite and > 0, got {C!r}")
@@ -258,6 +260,8 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
     coef = np.empty(N_CLASSES)
     coef_column = coef[:, None]  # a view of coef, shaped for the outer product
     update = np.empty_like(W)
+    w_dot, coef_dot = W.dot, coef_column.dot
+    greater, multiply, add = np.greater, np.multiply, np.add
     rng = np.random.default_rng(seed)
     for epoch in range(epochs):
         order = rng.permutation(n)
@@ -265,13 +269,13 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
         rates = signs[order] * eta[:, None]
         for i, own, rate, shrink in zip(order.tolist(), y[order].tolist(), rates,
                                         (1.0 - eta * lam).tolist()):
-            np.dot(W, Xa[i], out=margin)
-            np.greater(margin, -1.0, out=violated)
+            w_dot(Xa[i], margin)
+            greater(margin, -1.0, violated)
             violated[own] = margin[own] < 1.0
-            np.multiply(rate, violated, out=coef)
-            W *= shrink
-            np.dot(coef_column, rows[i], out=update)
-            W += update
+            multiply(rate, violated, coef)
+            multiply(W, shrink, W)
+            coef_dot(rows[i], update)
+            add(W, update, W)
     return LinearSvmModel(W=W[:, :dim].copy(), b=W[:, dim].copy(), C=C)
 
 

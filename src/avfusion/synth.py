@@ -16,6 +16,7 @@ Channels use independent seed streams, so failing one channel leaves
 the bytes of every other channel untouched for the same seed.
 """
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -111,12 +112,13 @@ def synth_generate(config, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     data = synth_dataset(config)
+    base = os.path.join(out_dir, "")
     entries = []
     for i in range(config.n_clips):
         clip_id = f"clip_{i:05d}"
         paths = {}
         for channel in CHANNELS:
-            path = out_dir / f"{clip_id}.{channel}.fvt"
+            path = f"{base}{clip_id}.{channel}.fvt"
             if channel == "cnn":
                 write_tensor_array(path, data.cnn_scores[i])
             else:

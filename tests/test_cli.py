@@ -1,14 +1,16 @@
 import csv
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from avfusion import features
 from avfusion.cli import _channel_matrix, main
-from avfusion.core import (CHANNELS, load_manifest, read_tensor_array, save_manifest,
-                           write_tensor_array)
+from avfusion.core import (CHANNELS, MANIFEST_COLUMNS, load_manifest, read_tensor_array,
+                           save_manifest, write_tensor_array)
 from avfusion.features import k_average_pool
 from avfusion.fusion import (BnFusionModel, MeasurementModel, read_decisions, save_bn,
                              uniform_prior, write_decisions)
@@ -215,7 +217,7 @@ def test_nan_feature_file_exits_1(tmp_path, capsys):
                "--out", tmp_path / "audio.json") == 0
     assert run("fuse-feat", "train", "--manifest", manifest, "--epochs", 2,
                "--out-norm", norm, "--out-svm", joint) == 0
-    bad = load_manifest(manifest).entries[5].paths["audio"]
+    bad = Path(load_manifest(manifest).entries[5].paths["audio"])
     blob = bad.read_bytes()
     bad.write_bytes(blob[:-4] + struct.pack("<f", np.nan))
     capsys.readouterr()
@@ -392,7 +394,7 @@ def test_missing_feature_file_fails_where_read(tmp_path, capsys):
     assert run("fuse-feat", "train", "--manifest", manifest, "--epochs", 2,
                "--out-norm", norm, "--out-svm", joint) == 0
     gone = load_manifest(manifest).entries[5].paths["audio"]
-    gone.unlink()
+    os.unlink(gone)
     assert load_manifest(manifest).entries[5].paths["audio"] == gone
     out = tmp_path / "out"
     capsys.readouterr()
@@ -410,6 +412,36 @@ def test_missing_feature_file_fails_where_read(tmp_path, capsys):
     assert run("fuse-bn", "fit", "--manifest", manifest, "--decisions", dec,
                "--out", tmp_path / "bn.json") == 0
     assert run("evaluate", "--pred", dec, "--manifest", manifest) == 0
+
+
+def test_manifest_without_clips_fails_every_stage(tmp_path, capsys):
+    """A manifest that is only a header names itself in every stage that
+    reads one, instead of failing later on an empty stack."""
+    assert run("synth", "--out", tmp_path, "--n-clips", 14, "--seed", 2) == 0
+    manifest, dec = tmp_path / "manifest.csv", tmp_path / "dec.csv"
+    audio, norm, joint = tmp_path / "audio.json", tmp_path / "norm.json", tmp_path / "joint.json"
+    assert run("train-svm", "--manifest", manifest, "--channel", "audio", "--epochs", 2,
+               "--out", audio) == 0
+    assert run("fuse-feat", "train", "--manifest", manifest, "--epochs", 2,
+               "--out-norm", norm, "--out-svm", joint) == 0
+    assert run("predict-svm", "--manifest", manifest, "--channel", "audio", "--model", audio,
+               "--out", dec) == 0
+    manifest.write_text(",".join(MANIFEST_COLUMNS) + "\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    for argv in (("train-svm", "--manifest", manifest, "--channel", "audio", "--out", out),
+                 ("predict-svm", "--manifest", manifest, "--channel", "audio",
+                  "--model", audio, "--out", out),
+                 ("fuse-feat", "train", "--manifest", manifest, "--out-norm", out,
+                  "--out-svm", out),
+                 ("fuse-feat", "predict", "--manifest", manifest, "--norm", norm,
+                  "--svm", joint, "--out", out),
+                 ("fuse-bn", "fit", "--manifest", manifest, "--decisions", dec, "--out", out),
+                 ("evaluate", "--pred", dec, "--manifest", manifest, "--out", out)):
+        assert run(*argv) == 1, argv[0]
+        assert capsys.readouterr().err == (f"error: ManifestError: {manifest}: "
+                                           "manifest lists no clips\n"), argv[0]
+        assert not out.exists(), argv[0]
 
 
 def _edit_manifest(d, row, column, value):
@@ -439,6 +471,8 @@ EVALUATE = ("evaluate", "--pred", "{d}/dec.csv", "--manifest", "{d}/manifest.csv
 DATA_ERRORS = {
     "manifest-empty": (lambda d: (d / "manifest.csv").write_text(""), TRAIN_AUDIO,
                        "MalformedRow: {d}/manifest.csv: empty manifest"),
+    "manifest-no-clips": (lambda d: (d / "manifest.csv").write_text(",".join(MANIFEST_COLUMNS)),
+                          TRAIN_AUDIO, "ManifestError: {d}/manifest.csv: manifest lists no clips"),
     "manifest-header": (lambda d: _edit_manifest(d, 0, 0, "clip"), TRAIN_AUDIO,
                         "MalformedRow: {d}/manifest.csv: header must be "
                         "clip_id,label,audio,lbptop_video,cnn_scores,blstm_feat"),

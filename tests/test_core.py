@@ -495,7 +495,9 @@ def test_manifest_roundtrip_property(clips):
             entries.append((clip_id, label, paths))
         save_manifest(base / "manifest.csv", entries)
         loaded = load_manifest(base / "manifest.csv").entries
-        assert [(e.clip_id, e.label, e.paths) for e in loaded] == entries
+        assert [(e.clip_id, e.label, e.paths) for e in loaded] == [
+            (clip_id, label, {ch: str(p) for ch, p in paths.items()})
+            for clip_id, label, paths in entries]
 
 
 def test_manifest_unlabeled_and_missing_channels(tmp_path):
@@ -539,6 +541,78 @@ def test_manifest_missing_file(tmp_path):
     mpath.write_text("clip_id,label,audio,lbptop_video,cnn_scores,blstm_feat\n"
                      "c1,Happy,nope.fvt,,,\n")
     (entry,) = load_manifest(mpath).entries
-    assert entry.paths == {"audio": tmp_path / "nope.fvt"}
+    assert entry.paths == {"audio": str(tmp_path / "nope.fvt")}
     with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / "nope.fvt"))):
         read_tensor(entry.paths["audio"])
+
+
+def _missing_file_message(path):
+    with pytest.raises(FileNotFoundError) as exc:
+        read_tensor(path)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("manifest", ["manifest.csv", "./manifest.csv", "sub/manifest.csv",
+                                      "sub//./manifest.csv", "{tmp}/sub/manifest.csv",
+                                      "/{tmp}/manifest.csv"])
+@pytest.mark.parametrize("cell", ["x.fvt", "./x.fvt", "d//x.fvt", "d/./x.fvt/", "../x.fvt",
+                                  ".", "{tmp}/abs/x.fvt", "/{tmp}//abs/x.fvt"])
+def test_manifest_path_text_matches_pathlib(tmp_path, monkeypatch, manifest, cell):
+    """Each path cell resolves to the text of ``Path(manifest).parent / cell``,
+    and reading it when it is missing fails with the same message."""
+    monkeypatch.chdir(tmp_path)
+    manifest, cell = manifest.format(tmp=tmp_path), cell.format(tmp=tmp_path)
+    (tmp_path / "sub").mkdir()
+    Path(manifest).write_text(f"clip_id,label,audio,lbptop_video,cnn_scores,blstm_feat\n"
+                              f"c1,Happy,{cell},,,\n")
+    (entry,) = load_manifest(manifest).entries
+    want = Path(manifest).parent / cell
+    assert entry.paths == {"audio": str(want)}
+    if cell != ".":
+        assert _missing_file_message(entry.paths["audio"]) == _missing_file_message(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("a./", min_size=1, max_size=12), st.sampled_from(["", "{tmp}/", "/{tmp}/"]),
+       st.lists(st.sampled_from(["a", ".", ""]), max_size=4))
+def test_manifest_path_text_property(cell, lead, folder):
+    """For any cell over 'a', '.' and '/', and a manifest in a relative or
+    absolute folder spelled with '.' and '//', the resolved text is pathlib's."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = lead.format(tmp=tmp) + "/".join(folder + ["manifest.csv"]).lstrip("/")
+        os.chdir(tmp)
+        try:
+            Path(manifest).parent.mkdir(parents=True, exist_ok=True)
+            Path(manifest).write_text(f"clip_id,label,audio,lbptop_video,cnn_scores,blstm_feat\n"
+                                      f"c1,,{cell},,,\n")
+            (entry,) = load_manifest(manifest).entries
+        finally:
+            os.chdir(cwd)
+    assert entry.paths == {"audio": str(Path(manifest).parent / cell)}
+
+
+def test_save_manifest_str_and_path_cells_write_the_same_bytes(tmp_path, monkeypatch):
+    """Cells are written relative to the manifest's directory, the same
+    from strings as from Paths; a cell outside it raises ValueError."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    for manifest in ("manifest.csv", "sub/manifest.csv", f"{tmp_path}/sub/manifest.csv",
+                     f"/{tmp_path}//sub/./manifest.csv"):
+        parent = Path(manifest).parent
+        cells = {"audio": f"{parent}/a.fvt", "lbptop": f"{parent}/./d//b.fvt",
+                 "cnn": f"{parent}/d/c.fvt/", "blstm": f"{parent}/d/../e.fvt"}
+        save_manifest(manifest, [("c1", 3, cells)])
+        from_str = Path(manifest).read_bytes()
+        save_manifest(manifest, [("c1", 3, {ch: Path(c) for ch, c in cells.items()})])
+        assert Path(manifest).read_bytes() == from_str
+        assert from_str.decode().splitlines()[1] == "c1,Happy,a.fvt,d/b.fvt,d/c.fvt,d/../e.fvt"
+        save_manifest(manifest, [("c1", None, {"audio": f"{parent}/."})])
+        assert Path(manifest).read_text().splitlines()[1] == "c1,,.,,,"
+        outside = [f"{tmp_path}/elsewhere.fvt", "/elsewhere.fvt", f"/{tmp_path}x/a.fvt"]
+        if parent != Path("."):
+            root = "/" if str(parent).startswith("//") else "//"  # the other root, same text
+            outside += [f"{parent}x/a.fvt", "a.fvt", f"{root}{str(parent).lstrip('/')}/a.fvt"]
+        for cell in outside + [Path(c) for c in outside]:
+            with pytest.raises(ValueError):
+                save_manifest(manifest, [("c1", 3, {"audio": cell})])

@@ -461,6 +461,21 @@ def test_svm_train_memory_does_not_grow_with_epochs():
     assert peaks[1] <= 1.5 * peaks[0]
 
 
+def test_svm_train_memory_stays_within_twice_the_input():
+    """No copy of the input sized n·D per epoch: on a joint-width matrix
+    the peak stays within 2× the input's bytes, which one more copy of the
+    bias-augmented rows, as a per-epoch gather of them makes, exceeds."""
+    rng = np.random.default_rng(32)
+    X, y = rng.standard_normal((2000, 269)), np.arange(2000) % N_CLASSES
+    tracemalloc.start()
+    try:
+        svm_train(X, y, epochs=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * X.nbytes
+
+
 def _saved_svm(tmp_path):
     rng = np.random.default_rng(12)
     model = svm_train(rng.standard_normal((30, 4)), rng.integers(0, 7, 30), epochs=2)
