@@ -8,14 +8,13 @@ on stderr.
 """
 
 import argparse
-import csv
 import sys
 
 import numpy as np
 
 from . import features, fusion, learn, metrics, synth
 from .core import (CHANNELS, N_CLASSES, DimensionMismatch, ManifestError, load_manifest,
-                   read_tensor_array, write_tensor_array)
+                   read_tensor_array, write_csv, write_tensor_array)
 from .lbptop import lbp_top_descriptor
 
 
@@ -181,11 +180,9 @@ def cmd_island_demo(args):
               f"train accuracy {accuracy:.4f}")
     print(f"ratio shrink with island loss: {ratios['baseline'] - ratios['island']:+.4f}")
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "baseline_loss", "island_loss"])
-            for i, (lb, li) in enumerate(zip(baseline.trace, island.trace)):
-                writer.writerow([i, repr(float(lb)), repr(float(li))])
+        write_csv(args.out, [("epoch", "baseline_loss", "island_loss"),
+                             *((i, repr(float(lb)), repr(float(li)))
+                               for i, (lb, li) in enumerate(zip(baseline.trace, island.trace)))])
         print(f"wrote loss traces to {args.out}")
 
 

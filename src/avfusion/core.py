@@ -14,6 +14,7 @@ directory into plain strings; a path is checked when a stage reads its
 file, so a stage ignores the columns it does not read.
 """
 
+import contextlib
 import csv
 import errno
 import json
@@ -285,6 +286,34 @@ def require_key(doc, key):
     return doc[key]
 
 
+@contextlib.contextmanager
+def _committed(paths):
+    """Yield a temporary sibling ``.<name>.tmp`` per path, renamed into place
+    in order once the block succeeds and removed if it fails.  A path that
+    exists but is not a regular file is refused before the block runs."""
+    finals = [Path(path) for path in paths]
+    for final in finals:
+        with contextlib.suppress(FileNotFoundError):
+            if not stat.S_ISREG(os.stat(final).st_mode):
+                raise OSError(f"{final}: exists and is not a regular file; refusing to replace it")
+    temps = [final.with_name(f".{final.name}.tmp") for final in finals]
+    try:
+        yield temps
+    except BaseException:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
+        raise
+    for tmp, final in zip(temps, finals):
+        os.replace(tmp, final)
+
+
+def write_csv(path, rows):
+    """Write a list of built ``rows``, the header first, as a CSV file
+    all-or-nothing: a failed save leaves the old file as it was."""
+    with _committed([path]) as (tmp,), open(tmp, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def write_model(path, kind, tensors, **fields):
     """Write the model file ``{"kind": kind, **fields}`` as JSON (indent 2,
     sorted keys, trailing newline).  Each of ``tensors`` goes to a sibling
@@ -295,20 +324,12 @@ def write_model(path, kind, tensors, **fields):
     path = Path(path)
     names = {name: f"{path.stem}.{name}.fvt" for name in tensors}
     doc = {"kind": kind, **fields, **({"tensors": names} if names else {})}
-    finals = [path.parent / fname for fname in names.values()] + [path]
-    temps = [final.with_name(f".{final.name}.tmp") for final in finals]
-    try:
+    with _committed([*(path.parent / fname for fname in names.values()), path]) as temps:
         for tmp, array in zip(temps, tensors.values()):
             write_tensor_array(tmp, array)
         with open(temps[-1], "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    except BaseException:
-        for tmp in temps:
-            tmp.unlink(missing_ok=True)
-        raise
-    for tmp, final in zip(temps, finals):
-        os.replace(tmp, final)
 
 
 def read_model(path, kind, build):
@@ -414,18 +435,15 @@ def save_manifest(path, entries):
     prefix = "" if parent == "." else os.path.join(parent, "")
 
     def relative(cell):
+        if cell is None:
+            return ""
         text = _path_text(os.fspath(cell))
         # A rest that starts with '/' is absolute under a '.' parent, or has another root.
         if text != parent and (not text.startswith(prefix) or text[len(prefix):][:1] == "/"):
             raise ValueError(f"{path}: {text!r} is not inside the manifest's directory")
         return "." if text == parent else text[len(prefix):]
 
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_COLUMNS)
-        for clip_id, label, paths in entries:
-            row = [clip_id, "" if label is None else emotion_name(label)]
-            for channel in CHANNELS:
-                cell = paths.get(channel)
-                row.append("" if cell is None else relative(cell))
-            writer.writerow(row)
+    write_csv(path, [MANIFEST_COLUMNS, *(
+        [clip_id, "" if label is None else emotion_name(label),
+         *(relative(paths.get(channel)) for channel in CHANNELS)]
+        for clip_id, label, paths in entries)])

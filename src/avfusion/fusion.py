@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import (CHANNELS, SEGMENT_DIMS, DimensionMismatch, MissingKey, N_CLASSES,
                    check_probabilities, emotion_index, emotion_name, read_model, require_key,
-                   write_model)
+                   write_csv, write_model)
 from .features import normalize_apply, normalize_fit
 from .learn import svm_predict_batch, svm_train
 from .metrics import evaluate
@@ -110,6 +110,8 @@ def fit_measurement_cpt(predictions, truths, alpha=1.0, channel="joint"):
     """
     if alpha < 0:
         raise ValueError("smoothing alpha must be >= 0")
+    if not alpha < np.inf:  # NaN too
+        raise ValueError(f"smoothing alpha must be finite, got {alpha!r}")
     counts = evaluate(predictions, truths).confusion
     row_totals = counts.sum(axis=1)
     if alpha == 0 and np.any(row_totals == 0):
@@ -195,11 +197,7 @@ def _measurements(doc):
 
 def write_decisions(path, rows):
     """Write a decisions CSV of (clip_id, channel, label index) rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DECISION_COLUMNS)
-        for clip_id, channel, label in rows:
-            writer.writerow([clip_id, channel, emotion_name(label)])
+    write_csv(path, [DECISION_COLUMNS, *((c, ch, emotion_name(label)) for c, ch, label in rows)])
 
 
 def read_decisions(paths):
@@ -218,10 +216,13 @@ def read_decisions(paths):
             header = next(reader, None)
             if header is None or tuple(h.strip() for h in header) != DECISION_COLUMNS:
                 raise ValueError(f"{path}: expected header {','.join(DECISION_COLUMNS)}")
-            for row in reader:
+            for lineno, row in enumerate(reader, start=2):
                 if len(row) != len(DECISION_COLUMNS):
                     raise ValueError(f"{path}: malformed decisions row {row}")
                 clip_id, channel = row[0].strip(), row[1].strip()
+                if not (clip_id and channel):
+                    empty = "channel" if clip_id else "clip_id"
+                    raise ValueError(f"{path}:{lineno}: empty {empty}")
                 label = emotion_index(row[2].strip())
                 observed = merged.setdefault(clip_id, {})
                 if channel in observed:

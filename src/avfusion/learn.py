@@ -41,6 +41,9 @@ class IslandLossParams:
     def __post_init__(self):
         if self.lambda1 < 0 or self.lam < 0:
             raise ValueError("lambda1 and lam must be >= 0")
+        for name, value in (("lambda1", self.lambda1), ("lam", self.lam)):
+            if not value < np.inf:  # NaN too
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
 

@@ -1,11 +1,10 @@
 """Evaluation report: overall accuracy, per-class accuracy, confusion."""
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EMOTION_NAMES, N_CLASSES, check_labels
+from .core import EMOTION_NAMES, N_CLASSES, check_labels, write_csv
 
 
 @dataclass(frozen=True)
@@ -36,13 +35,11 @@ def evaluate(predictions, truths):
 def write_report_csv(report, path):
     """Report as CSV: one overall row, then per-class accuracy plus the
     confusion row for each true class."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["overall_accuracy", f"{report.overall_accuracy!r}"])
-        writer.writerow(["class", "per_class_accuracy", *EMOTION_NAMES])
-        for e, name in enumerate(EMOTION_NAMES):
-            writer.writerow([name, repr(float(report.per_class_accuracy[e])),
-                             *[int(v) for v in report.confusion[e]]])
+    write_csv(path, [["overall_accuracy", f"{report.overall_accuracy!r}"],
+                     ["class", "per_class_accuracy", *EMOTION_NAMES],
+                     *([name, repr(float(report.per_class_accuracy[e])),
+                        *[int(v) for v in report.confusion[e]]]
+                       for e, name in enumerate(EMOTION_NAMES))])
 
 
 def format_report(report):

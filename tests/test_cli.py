@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import stat
 import struct
 from pathlib import Path
 
@@ -313,6 +314,33 @@ def test_island_demo(tmp_path, capsys):
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert lines[0] == "epoch,baseline_loss,island_loss"
     assert len(lines) == 61
+
+
+def test_csv_out_onto_a_fifo_or_directory_exits_1(synth_dirs, tmp_path, capsys):
+    """``evaluate --out`` onto a FIFO and ``island-demo --out`` onto a
+    directory exit 1 naming the target; nothing is written into the FIFO,
+    and no file is created or renamed."""
+    _, manifest, _ = synth_dirs
+    dec = tmp_path / "dec.csv"
+    write_decisions(dec, [(e.clip_id, "audio", e.label) for e in load_manifest(manifest).entries])
+    fifo, folder = tmp_path / "report.csv", tmp_path / "trace.csv"
+    os.mkfifo(fifo)
+    folder.mkdir()
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # a write would not block
+    try:
+        for argv, target in ((("evaluate", "--pred", dec, "--manifest", manifest, "--out", fifo),
+                              fifo),
+                             (("island-demo", "--epochs", 5, "--n-per-class", 5, "--out", folder),
+                              folder)):
+            capsys.readouterr()
+            assert run(*argv) == 1, argv[0]
+            assert capsys.readouterr().err == (f"error: OSError: {target}: exists and is not "
+                                               "a regular file; refusing to replace it\n")
+        assert os.read(reader, 1 << 16) == b""
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode) and folder.is_dir() and not any(folder.iterdir())
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["dec.csv", "report.csv", "trace.csv"]
 
 
 def test_stage_determinism(tmp_path):

@@ -23,8 +23,8 @@ from avfusion.learn import LinearSvmModel, load_svm, save_svm
 from avfusion.core import (CHANNELS, BadMagic, DuplicateClipId, DimensionMismatch,
                            EMOTION_NAMES, MalformedRow, TensorFormatError, Truncated,
                            UnknownLabel, check_count, emotion_index, emotion_name, load_manifest,
-                           read_tensor, read_tensor_array, save_manifest, write_tensor,
-                           write_tensor_array)
+                           read_tensor, read_tensor_array, save_manifest, write_csv,
+                           write_tensor, write_tensor_array)
 
 
 def test_label_bijection():
@@ -126,6 +126,25 @@ def test_json_load_only_in_core():
     package = Path(avfusion.__file__).parent
     offenders = [(p.name, call) for p in sorted(package.glob("*.py")) if p.name != "core.py"
                  for call in ("json.load", "json.dump", "os.replace") if call in p.read_text()]
+    assert offenders == []
+
+
+def test_file_writes_only_in_core():
+    """Output files are written in one module: elsewhere there is no
+    csv.writer, no os.replace and no write-mode ``open(``."""
+    package = Path(avfusion.__file__).parent
+    offenders = []
+    for p in sorted(package.glob("*.py")):
+        if p.name == "core.py":
+            continue
+        text = p.read_text()
+        offenders += [(p.name, call) for call in ("csv.writer", "os.replace") if call in text]
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "open":
+                modes = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "mode")]
+                if any(not isinstance(m, ast.Constant) or set(m.value) & set("wax+")
+                       for m in modes):
+                    offenders.append((p.name, ast.unparse(node)))
     assert offenders == []
 
 
@@ -256,6 +275,66 @@ def test_model_save_is_all_or_nothing(tmp_path, monkeypatch, kind):
     assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
     tensors = json.loads(before["model.json"]).get("tensors", {})
     assert sorted(before) == sorted(["model.json", *tensors.values()])
+
+
+@pytest.mark.parametrize("kind", sorted(_MODEL_KINDS))
+@pytest.mark.parametrize("target", ["directory", "fifo"])
+def test_model_save_refuses_a_target_that_is_not_a_regular_file(tmp_path, kind, target):
+    """A model path, or a tensor sibling of it, that names a directory or a
+    FIFO fails with an OSError naming it before any file is created or
+    renamed."""
+    save, _, model, _ = _MODEL_KINDS[kind]
+    path = tmp_path / "model.json"
+    save(model, tmp_path / "probe.json")  # the tensor names this kind writes
+    siblings = sorted(f.name.replace("probe", "model") for f in tmp_path.iterdir()
+                      if f.suffix == ".fvt")
+    for f in tmp_path.iterdir():
+        f.unlink()
+    for name in ["model.json", *siblings]:
+        blocker = tmp_path / name
+        blocker.mkdir() if target == "directory" else os.mkfifo(blocker)
+        with pytest.raises(OSError, match=f"^{re.escape(str(blocker))}: exists and is not "
+                                          "a regular file"):
+            save(model, path)
+        assert [f.name for f in tmp_path.iterdir()] == [name]
+        assert stat.S_ISDIR(blocker.stat().st_mode) if target == "directory" else \
+            stat.S_ISFIFO(blocker.stat().st_mode)
+        blocker.rmdir() if target == "directory" else blocker.unlink()
+
+
+def test_failed_manifest_save_keeps_the_old_file(tmp_path):
+    """A cell outside the manifest's directory fails the save before the
+    file is touched: the old manifest stays byte-identical."""
+    path = tmp_path / "m.csv"
+    save_manifest(path, [("a", 0, {"audio": tmp_path / "a.fvt"}),
+                         ("b", 1, {"audio": tmp_path / "b.fvt"})])
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="is not inside the manifest's directory"):
+        save_manifest(path, [("a", 2, {"audio": tmp_path / "a.fvt"}),
+                             ("b", 3, {"audio": "/elsewhere.fvt"})])
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["m.csv"]
+
+
+def test_write_csv_is_all_or_nothing(tmp_path):
+    """Rows are written with csv quoting and CRLF ends; a row that fails
+    while it is built leaves the old file, or no file, and no temporary."""
+    path = tmp_path / "t.csv"
+    write_csv(path, [("a", "b"), [1, "x,y"], ("", 'q"')])
+    assert path.read_bytes() == b'a,b\r\n1,"x,y"\r\n,"q"""\r\n'
+
+    def failing_rows():
+        yield ("a", "b")
+        raise ValueError("bad row")
+
+    for existing in (True, False):
+        if not existing:
+            path.unlink()
+        before = sorted(f.name for f in tmp_path.iterdir())
+        with pytest.raises(ValueError, match="bad row"):
+            write_csv(path, failing_rows())
+        assert sorted(f.name for f in tmp_path.iterdir()) == before
+    assert not path.exists()
 
 
 def _other_shape(shape):

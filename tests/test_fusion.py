@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,14 @@ def test_cpt_empty_class_row():
     assert np.allclose(model.cpt[3], np.full(7, 1.0 / 7.0))
     with pytest.raises(ValueError, match="^smoothing alpha must be >= 0$"):
         fit_measurement_cpt([0, 1], [0, 1], alpha=-1)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+def test_cpt_rejects_nonfinite_alpha(alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before it divides
+        with pytest.raises(ValueError, match=f"^smoothing alpha must be finite, got {alpha}$"):
+            fit_measurement_cpt([0, 1], [0, 1], alpha=alpha)
 
 
 def test_cpt_length_mismatch():
@@ -376,3 +385,27 @@ def test_decisions_csv_roundtrip(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "clip_id,channel,predicted_label"
     assert text[1] == "c1,audio,Happy"
+
+
+def test_failed_decisions_write_keeps_the_old_file(tmp_path):
+    """A label that is not a class index fails the write before the file is
+    touched: an old file stays byte-identical, and none is left otherwise."""
+    path = tmp_path / "dec.csv"
+    with pytest.raises(ValueError, match="1.5"):
+        write_decisions(path, [("c1", "audio", 3), ("c2", "audio", 1.5)])
+    assert list(tmp_path.iterdir()) == []
+    write_decisions(path, [("c1", "audio", 3)])
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="1.5"):
+        write_decisions(path, [("c1", "audio", 4), ("c2", "audio", 1.5)])
+    assert path.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["dec.csv"]
+
+
+@pytest.mark.parametrize("row, cell", [(",audio,Angry", "clip_id"), ("c1,,Angry", "channel"),
+                                       (" ,audio,Angry", "clip_id")])
+def test_read_decisions_rejects_an_empty_cell(tmp_path, row, cell):
+    path = tmp_path / "dec.csv"
+    path.write_text(f"clip_id,channel,predicted_label\nc0,audio,Fear\n{row}\n")
+    with pytest.raises(ValueError, match=f"^{path}:3: empty {cell}$"):
+        read_decisions([path])

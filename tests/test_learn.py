@@ -121,6 +121,10 @@ def test_island_batch_errors():
 def test_island_params_and_ratio_reject_degenerate_settings():
     with pytest.raises(ValueError, match="^lambda1 and lam must be >= 0$"):
         IslandLossParams(lam=-0.01)
+    for name in ("lambda1", "lam"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+                IslandLossParams(**{name: value})
     with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\]$"):
         IslandLossParams(alpha=0)
     with pytest.raises(DegenerateInput, match="no class has two samples"):
