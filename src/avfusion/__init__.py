@@ -11,7 +11,7 @@ from .features import (NormalizationModel, PcaModel, k_average_pool,
                        normalize_apply, normalize_fit, pca_fit, pca_transform)
 from .fusion import (BnFusionModel, MeasurementModel, bn_infer, build_joint_vector,
                      feature_fusion_predict, feature_fusion_train, fit_bn,
-                     fit_measurement_cpt)
+                     fit_measurement_cpt, fusion_predictions)
 from .learn import (IslandLossParams, LinearSvmModel, island_loss,
                     island_loss_grad, softmax_probe_train, svm_predict_batch,
                     svm_train, update_centers)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import features, fusion, learn, metrics, synth
 from .core import (CHANNELS, N_CLASSES, DimensionMismatch, ManifestError, load_manifest,
-                   read_tensor_array, write_csv, write_tensor_array)
+                   read_tensor_array, write_csv, write_models, write_tensor_array)
 from .lbptop import lbp_top_descriptor
 
 
@@ -134,8 +134,8 @@ def cmd_fuse_feat_train(args):
     joint = _joint_matrix(manifest)
     norm, svm = fusion.feature_fusion_train(joint, manifest.labels(), epochs=args.epochs,
                                             seed=args.seed)
-    features.save_normalization(norm, args.out_norm)
-    learn.save_svm(svm, args.out_svm, epochs=args.epochs, seed=args.seed)
+    write_models(features.normalization_files(norm, args.out_norm),
+                 learn.svm_files(svm, args.out_svm, epochs=args.epochs, seed=args.seed))
     print(f"trained feature fusion on {joint.shape[0]} clips; "
           f"saved {args.out_norm} and {args.out_svm}")
 

@@ -314,22 +314,28 @@ def write_csv(path, rows):
         csv.writer(fh).writerows(rows)
 
 
-def write_model(path, kind, tensors, **fields):
-    """Write the model file ``{"kind": kind, **fields}`` as JSON (indent 2,
-    sorted keys, trailing newline).  Each of ``tensors`` goes to a sibling
-    FVT1 file ``<stem>.<name>.fvt``, listed under ``tensors`` when there
-    are any.  The save is all-or-nothing: each file is written under a
-    temporary name and renamed into place, JSON last, once all writes
-    succeeded, so a failed save leaves the old files untouched."""
-    path = Path(path)
-    names = {name: f"{path.stem}.{name}.fvt" for name in tensors}
-    doc = {"kind": kind, **fields, **({"tensors": names} if names else {})}
-    with _committed([*(path.parent / fname for fname in names.values()), path]) as temps:
-        for tmp, array in zip(temps, tensors.values()):
-            write_tensor_array(tmp, array)
-        with open(temps[-1], "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+def write_models(*models):
+    """Save each ``(path, kind, tensors, fields)`` model: the JSON file
+    ``{"kind": kind, **fields}`` (indent 2, sorted keys, trailing newline)
+    at ``path``, after each of ``tensors`` in a sibling FVT1 file
+    ``<stem>.<name>.fvt``, listed under ``tensors`` when there are any.
+    All files are one all-or-nothing save: each is written under a
+    temporary name and all are renamed into place in order once every
+    write succeeded, so a failed save leaves every old file untouched."""
+    files = []
+    for path, kind, tensors, fields in models:
+        path = Path(path)
+        names = {name: f"{path.stem}.{name}.fvt" for name in tensors}
+        files += [(path.parent / names[name], array) for name, array in tensors.items()]
+        files.append((path, {"kind": kind, **fields, **({"tensors": names} if names else {})}))
+    with _committed([path for path, _ in files]) as temps:
+        for tmp, (_, content) in zip(temps, files):
+            if isinstance(content, dict):
+                with open(tmp, "w") as fh:
+                    json.dump(content, fh, indent=2, sort_keys=True)
+                    fh.write("\n")
+            else:
+                write_tensor_array(tmp, content)
 
 
 def read_model(path, kind, build):

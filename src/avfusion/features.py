@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import N_CLASSES, check_count, check_matrix, check_shape, read_model, write_model
+from .core import N_CLASSES, check_count, check_matrix, check_shape, read_model, write_models
 
 
 class TooFewSamples(ValueError):
@@ -151,8 +151,8 @@ def normalize_apply(model, x):
 
 
 def save_pca(model, path):
-    write_model(path, "pca", {"mean": model.mean, "components": model.components,
-                              "eigenvalues": model.eigenvalues})
+    write_models((path, "pca", {"mean": model.mean, "components": model.components,
+                                "eigenvalues": model.eigenvalues}, {}))
 
 
 def load_pca(path):
@@ -160,8 +160,13 @@ def load_pca(path):
         mean=tensor("mean"), components=tensor("components"), eigenvalues=tensor("eigenvalues")))
 
 
+def normalization_files(model, path):
+    """The model :func:`save_normalization` saves, as ``core.write_models`` takes it."""
+    return path, "normalization", {"mean": model.per_dim_mean, "std": model.per_dim_std}, {}
+
+
 def save_normalization(model, path):
-    write_model(path, "normalization", {"mean": model.per_dim_mean, "std": model.per_dim_std})
+    write_models(normalization_files(model, path))
 
 
 def load_normalization(path):

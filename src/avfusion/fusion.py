@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import (CHANNELS, SEGMENT_DIMS, DimensionMismatch, MissingKey, N_CLASSES,
                    check_probabilities, emotion_index, emotion_name, read_model, require_key,
-                   write_csv, write_model)
+                   write_csv, write_models)
 from .features import normalize_apply, normalize_fit
 from .learn import svm_predict_batch, svm_train
 from .metrics import evaluate
@@ -101,6 +101,45 @@ def feature_fusion_predict(norm, svm, X):
     return svm_predict_batch(svm, normalize_apply(norm, X))
 
 
+def fusion_predictions(variants, y, tr, va, te, epochs, seed):
+    """The paper's protocol as library calls, for each named feature variant
+    of the same clips (``{name: {channel: n×dim matrix}}``): per-channel
+    SVMs trained on rows ``tr``, the BN fit on their decisions for rows
+    ``va``, and feature-level fusion trained on rows ``tr``.  Returns
+    ``{name: {key: labels of rows te}}`` for the four channels, "joint"
+    (feature-level) and "bn" (model-level).
+
+    Training with a seeded sample order is deterministic, so a channel or
+    joint SVM whose training matrix equals one already trained in this
+    call reuses that model: variants that differ in one channel retrain
+    only that channel and the joint SVM.
+    """
+    trained = []  # (trainer, training matrix, model) of this call
+
+    def model(train, X):
+        for seen_train, seen_X, seen in trained:
+            if seen_train is train and np.array_equal(seen_X, X):
+                return seen
+        trained.append((train, X, train(X, y[tr], C=1.0, epochs=epochs, seed=seed)))
+        return trained[-1][2]
+
+    predictions = {}
+    for name, features in variants.items():
+        val_preds, preds = {}, {}
+        for ch in CHANNELS:
+            svm = model(svm_train, features[ch][tr])
+            val_preds[ch] = svm_predict_batch(svm, features[ch][va])
+            preds[ch] = svm_predict_batch(svm, features[ch][te])
+        bn = fit_bn(val_preds, y[va])
+        preds["bn"] = np.array([bn_infer(bn, {ch: int(preds[ch][i]) for ch in CHANNELS})[0]
+                                for i in range(len(preds["audio"]))])
+        joint = build_joint_vector(*(features[ch] for ch in CHANNELS))
+        preds["joint"] = feature_fusion_predict(*model(feature_fusion_train, joint[tr]),
+                                                joint[te])
+        predictions[name] = preds
+    return predictions
+
+
 def fit_measurement_cpt(predictions, truths, alpha=1.0, channel="joint"):
     """Estimate P(prediction | true emotion) with Laplace smoothing.
 
@@ -170,10 +209,10 @@ def bn_infer(model, observed):
 
 def save_bn(model, path):
     """Write the model as JSON, recording the smoothing :func:`fit_bn` uses."""
-    write_model(path, "bn_fusion", {}, prior=model.prior.tolist(),
-                measurements=[{"channel": m.channel, "cpt": m.cpt.tolist()}
-                              for m in model.measurements],
-                smoothing={"mode": "confusion", "alpha": 1.0, "prior": "uniform"})
+    write_models((path, "bn_fusion", {}, {
+        "prior": model.prior.tolist(),
+        "measurements": [{"channel": m.channel, "cpt": m.cpt.tolist()} for m in model.measurements],
+        "smoothing": {"mode": "confusion", "alpha": 1.0, "prior": "uniform"}}))
 
 
 def load_bn(path):
@@ -206,6 +245,7 @@ def read_decisions(paths):
 
     Each (clip, channel) pair may appear once across the files; a repeat
     raises DuplicateDecision rather than letting one decision silently win.
+    Files that hold only headers raise ValueError.
     """
     if isinstance(paths, (str, os.PathLike)):
         raise TypeError(f"read_decisions takes a list of paths, got {paths!r}")
@@ -228,4 +268,6 @@ def read_decisions(paths):
                 if channel in observed:
                     raise DuplicateDecision(f"{path}: second {channel} decision for {clip_id!r}")
                 observed[channel] = label
+    if not merged:
+        raise ValueError(f"no decisions in {', '.join(map(str, paths))}")
     return merged

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DimensionMismatch, N_CLASSES, check_count, check_labels, check_matrix,
-                   check_shape, read_model, require_key, write_model)
+                   check_shape, read_model, require_key, write_models)
 
 
 class ZeroNormCenter(ValueError):
@@ -289,10 +289,15 @@ def svm_predict_batch(model, X):
     return np.argmax(X @ model.W.T + model.b, axis=1)
 
 
+def svm_files(model, path, epochs=None, seed=None):
+    """The model :func:`save_svm` saves, as ``core.write_models`` takes it."""
+    return (path, "linear_svm", {"weights": model.W, "bias": model.b},
+            {"C": model.C, "shapes": {"weights": list(model.W.shape), "bias": list(model.b.shape)},
+             **{key: int(v) for key, v in (("epochs", epochs), ("seed", seed)) if v is not None}})
+
+
 def save_svm(model, path, epochs=None, seed=None):
-    write_model(path, "linear_svm", {"weights": model.W, "bias": model.b}, C=model.C,
-                shapes={"weights": list(model.W.shape), "bias": list(model.b.shape)},
-                **{key: int(v) for key, v in (("epochs", epochs), ("seed", seed)) if v is not None})
+    write_models(svm_files(model, path, epochs, seed))
 
 
 def load_svm(path):

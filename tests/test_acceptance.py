@@ -15,11 +15,9 @@ from avfusion.core import CHANNELS, read_tensor_array, write_tensor_array
 from avfusion.features import (k_average_pool, normalize_apply, normalize_fit,
                                pca_fit, pca_transform)
 from avfusion.fusion import (SEGMENT_DIMS, BnFusionModel, MeasurementModel, bn_infer,
-                             build_joint_vector, feature_fusion_predict,
-                             feature_fusion_train, fit_bn)
+                             fusion_predictions)
 from avfusion.learn import (IslandLossParams, clustering_ratio, island_loss,
-                            island_loss_grad, probe_features, softmax_probe_train,
-                            svm_predict_batch, svm_train)
+                            island_loss_grad, probe_features, softmax_probe_train)
 from avfusion.lbptop import LbpTopParams, build_uniform_mapping, lbp_top_descriptor
 from avfusion.synth import (BASELINE_INFORMATIVENESS, SynthConfig, gaussian_blobs,
                             synth_dataset)
@@ -197,42 +195,32 @@ ACC_TARGETS = {"audio": 0.355, "lbptop": 0.389, "cnn": 0.470, "blstm": 0.491}
 N_TRAIN, N_VAL, N_TEST = 2000, 1000, 2000
 
 
-def fusion_predictions(features, y, tr, va, te, epochs, seed):
-    """The fusion pipeline as library calls: per-channel SVMs trained on
-    rows ``tr``, feature-level fusion, and the BN fit on the decisions for
-    rows ``va``.  Returns the predicted labels of rows ``te`` per channel,
-    for "joint" (feature-level) and for "bn" (model-level)."""
-    val_preds, preds = {}, {}
-    for ch in CHANNELS:
-        model = svm_train(features[ch][tr], y[tr], C=1.0, epochs=epochs, seed=seed)
-        val_preds[ch] = svm_predict_batch(model, features[ch][va])
-        preds[ch] = svm_predict_batch(model, features[ch][te])
-    bn = fit_bn(val_preds, y[va])
-    preds["bn"] = np.array([bn_infer(bn, {ch: int(preds[ch][i]) for ch in CHANNELS})[0]
-                            for i in range(len(preds["audio"]))])
-    joint = build_joint_vector(*(features[ch] for ch in CHANNELS))
-    norm, svm = feature_fusion_train(joint[tr], y[tr], C=1.0, epochs=epochs, seed=seed)
-    preds["joint"] = feature_fusion_predict(norm, svm, joint[te])
-    return preds
-
-
-def _fusion_protocol(seed, failed=()):
-    """Train per-channel SVMs, both fusion paths; return test accuracies."""
-    cfg = SynthConfig(n_clips=N_TRAIN + N_VAL + N_TEST,
-                      informativeness=BASELINE_INFORMATIVENESS,
-                      failed_channels=failed, seed=seed)
-    data = synth_dataset(cfg)
-    y = data.labels
+def _fusion_protocol(seed, *failures):
+    """Synthesize the clips of ``seed`` once per tuple of failed channels in
+    ``failures`` (default: intact only) and run the library protocol over
+    all of them in one call; returns per failure tuple the test accuracies
+    (per channel, feat, bn)."""
+    failures = failures or ((),)
+    data = {failed: synth_dataset(SynthConfig(n_clips=N_TRAIN + N_VAL + N_TEST,
+                                              informativeness=BASELINE_INFORMATIVENESS,
+                                              failed_channels=failed, seed=seed))
+            for failed in failures}
+    y = data[failures[0]].labels
+    assert all(np.array_equal(d.labels, y) for d in data.values())
     te = slice(N_TRAIN + N_VAL, None)
-    preds = fusion_predictions(data.features, y, slice(0, N_TRAIN),
-                               slice(N_TRAIN, N_TRAIN + N_VAL), te, epochs=20, seed=seed)
-    acc = {key: float(np.mean(labels == y[te])) for key, labels in preds.items()}
-    return {ch: acc[ch] for ch in CHANNELS}, acc["joint"], acc["bn"]
+    preds = fusion_predictions({failed: d.features for failed, d in data.items()}, y,
+                               slice(0, N_TRAIN), slice(N_TRAIN, N_TRAIN + N_VAL), te,
+                               epochs=20, seed=seed)
+    results = []
+    for failed in failures:
+        acc = {key: float(np.mean(labels == y[te])) for key, labels in preds[failed].items()}
+        results.append(({ch: acc[ch] for ch in CHANNELS}, acc["joint"], acc["bn"]))
+    return results
 
 
 def test_criterion_08_synthetic_fusion_reproduction():
     start = time.time()
-    chan_acc, feat_acc, bn_acc = _fusion_protocol(seed=0)
+    ((chan_acc, feat_acc, bn_acc),) = _fusion_protocol(0)
     on_target = all(abs(chan_acc[ch] - ACC_TARGETS[ch]) <= 0.03 for ch in CHANNELS)
     best = max(chan_acc.values())
     gains = feat_acc >= best + 0.03 and bn_acc >= best + 0.03
@@ -248,8 +236,7 @@ def test_criterion_09_channel_failure_robustness():
     wins = 0
     details = []
     for seed in range(5):
-        _, feat_all, bn_all = _fusion_protocol(seed=seed)
-        _, feat_fail, bn_fail = _fusion_protocol(seed=seed, failed=("audio",))
+        (_, feat_all, bn_all), (_, feat_fail, bn_fail) = _fusion_protocol(seed, (), ("audio",))
         feat_drop = feat_all - feat_fail
         bn_drop = bn_all - bn_fail
         wins += bn_drop <= feat_drop

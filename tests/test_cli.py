@@ -13,11 +13,9 @@ from avfusion.cli import _channel_matrix, main
 from avfusion.core import (CHANNELS, MANIFEST_COLUMNS, load_manifest, read_tensor_array,
                            save_manifest, write_tensor_array)
 from avfusion.features import k_average_pool
-from avfusion.fusion import (BnFusionModel, MeasurementModel, read_decisions, save_bn,
-                             uniform_prior, write_decisions)
+from avfusion.fusion import (BnFusionModel, MeasurementModel, fusion_predictions,
+                             read_decisions, save_bn, uniform_prior, write_decisions)
 from avfusion.synth import SynthConfig, synth_dataset
-
-from test_acceptance import fusion_predictions
 
 
 def run(*argv):
@@ -235,8 +233,8 @@ def test_nan_feature_file_exits_1(tmp_path, capsys):
 
 
 def test_cli_matches_library_pipeline(tmp_path):
-    """The CLI stages give the labels that the library calls of the tested
-    fusion protocol give on the float32-rounded values the CLI reads back."""
+    """The CLI stages give the labels that the library's fusion protocol
+    gives on the float32-rounded values the CLI reads back."""
     rho, seed, epochs = (0.3, 0.4, 0.5, 0.6), 3, 5
     assert run("synth", "--out", tmp_path, "--n-clips", 70, "--seed", seed,
                "--informativeness", ",".join(map(str, rho))) == 0
@@ -264,8 +262,8 @@ def test_cli_matches_library_pipeline(tmp_path):
     feats = {ch: f32(data.features[ch]) for ch in CHANNELS if ch != "cnn"}
     feats["cnn"] = np.stack([k_average_pool(f32(s)) for s in data.cnn_scores])
     every = slice(None)
-    expected = fusion_predictions(feats, data.labels, every, every, every,
-                                  epochs=epochs, seed=seed)
+    expected = fusion_predictions({"cli": feats}, data.labels, every, every, every,
+                                  epochs=epochs, seed=seed)["cli"]
     assert sorted(expected) == sorted([*CHANNELS, "joint", "bn"])
     for key, labels in expected.items():
         merged = read_decisions([tmp_path / f"{key}.csv"])
@@ -341,6 +339,27 @@ def test_csv_out_onto_a_fifo_or_directory_exits_1(synth_dirs, tmp_path, capsys):
         os.close(reader)
     assert stat.S_ISFIFO(fifo.stat().st_mode) and folder.is_dir() and not any(folder.iterdir())
     assert sorted(f.name for f in tmp_path.iterdir()) == ["dec.csv", "report.csv", "trace.csv"]
+
+
+def test_fuse_feat_train_saves_both_models_or_neither(synth_dirs, tmp_path, capsys):
+    """With ``--out-svm`` onto a directory, ``fuse-feat train`` exits 1
+    before writing: the old normalization and joint SVM files keep their
+    bytes, so the pair on disk still matches, and no temporary is left."""
+    _, train_manifest, test_manifest = synth_dirs
+    norm, folder = tmp_path / "norm.json", tmp_path / "svm"
+    assert run("fuse-feat", "train", "--manifest", train_manifest, "--epochs", 2,
+               "--out-norm", norm, "--out-svm", tmp_path / "joint.json") == 0
+    folder.mkdir()
+    old = {f.name: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()}
+    assert sorted(old) == ["joint.bias.fvt", "joint.json", "joint.weights.fvt",
+                           "norm.json", "norm.mean.fvt", "norm.std.fvt"]
+    capsys.readouterr()
+    assert run("fuse-feat", "train", "--manifest", test_manifest, "--epochs", 2,
+               "--out-norm", norm, "--out-svm", folder) == 1
+    assert capsys.readouterr().err == (f"error: OSError: {folder}: exists and is not "
+                                       "a regular file; refusing to replace it\n")
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()} == old
+    assert not any(folder.iterdir())
 
 
 def test_stage_determinism(tmp_path):
@@ -489,6 +508,12 @@ def _append(path, data):
     path.write_bytes(path.read_bytes() + data)
 
 
+def _bn_without_decisions(d):
+    save_bn(BnFusionModel(prior=uniform_prior(), measurements=(
+        MeasurementModel(channel="audio", cpt=np.eye(7)),)), d / "bn.json")
+    write_decisions(d / "dec.csv", [])
+
+
 # Each data error: how to make it in a fresh 7-clip dataset ``d`` whose
 # ``dec.csv`` holds one audio decision per clip, the stage that meets
 # it, and the message it reports.
@@ -534,6 +559,16 @@ DATA_ERRORS = {
     "decisions-row": (lambda d: _append(d / "dec.csv", b"clip_00002,audio\n"), EVALUATE,
                       "ValueError: {d}/dec.csv: malformed decisions row "
                       "['clip_00002', 'audio']"),
+    "decisions-empty": (_bn_without_decisions,
+                        ("fuse-bn", "infer", "--model", "{d}/bn.json",
+                         "--decisions", "{d}/dec.csv", "--out", "{d}/out"),
+                        "ValueError: no decisions in {d}/dec.csv"),
+    "decisions-empty-evaluate": (lambda d: write_decisions(d / "dec.csv", []), EVALUATE,
+                                 "ValueError: no decisions in {d}/dec.csv"),
+    "decisions-empty-fit": (lambda d: write_decisions(d / "dec.csv", []),
+                            ("fuse-bn", "fit", "--manifest", "{d}/manifest.csv",
+                             "--decisions", "{d}/dec.csv", "--out", "{d}/out"),
+                            "ValueError: no decisions in {d}/dec.csv"),
     "bn-no-measurements": (lambda d: (d / "bn.json").write_text(json.dumps(
                                {"kind": "bn_fusion", "prior": [1 / 7] * 7, "measurements": []})),
                            ("fuse-bn", "infer", "--model", "{d}/bn.json",

@@ -5,15 +5,17 @@ import warnings
 import numpy as np
 import pytest
 
-from avfusion.core import (JOINT_DIM, SEGMENT_DIMS, DimensionMismatch, LengthMismatch,
-                           MissingKey, UnknownLabel)
+from avfusion import fusion
+from avfusion.core import (CHANNELS, JOINT_DIM, SEGMENT_DIMS, DimensionMismatch,
+                           LengthMismatch, MissingKey, UnknownLabel)
 from avfusion.features import normalize_apply, normalize_fit
 from avfusion.fusion import (AllZeroPosterior, BnFusionModel, EmptyClassRow,
                              MeasurementModel, UnknownChannel, bn_infer, build_joint_vector,
                              feature_fusion_predict, feature_fusion_train, fit_bn,
-                             fit_measurement_cpt, load_bn, read_decisions, save_bn,
-                             uniform_prior, write_decisions)
+                             fit_measurement_cpt, fusion_predictions, load_bn,
+                             read_decisions, save_bn, uniform_prior, write_decisions)
 from avfusion.learn import svm_predict_batch, svm_train
+from avfusion.synth import BASELINE_INFORMATIVENESS, SynthConfig, synth_dataset
 
 
 def test_joint_layout_dimensions():
@@ -108,6 +110,35 @@ def test_feature_fusion_stage1_rescaling_invariance():
                        atol=1e-8)
     assert np.array_equal(feature_fusion_predict(n1, s1, X),
                           feature_fusion_predict(n2, s2, X * scale + shift))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fusion_predictions_trains_each_distinct_model_once(monkeypatch, seed):
+    """Intact and audio-failed clips in one call train 7 SVMs (4 channels,
+    failed audio, 2 joint) instead of 10, with labels byte-identical to one
+    call per variant for every channel, both joint vectors and bn."""
+    data = {failed: synth_dataset(SynthConfig(n_clips=875, seed=seed,
+                                              informativeness=BASELINE_INFORMATIVENESS,
+                                              failed_channels=failed))
+            for failed in ((), ("audio",))}
+    variants = {failed: d.features for failed, d in data.items()}
+    y = data[()].labels
+    calls = []
+    monkeypatch.setattr(fusion, "svm_train",
+                        lambda X, *args, **kw: calls.append(X.shape) or svm_train(X, *args, **kw))
+
+    def run(group):
+        return fusion_predictions(group, y, slice(0, 350), slice(350, 525), slice(525, None),
+                                  epochs=20, seed=seed)
+
+    together = run(variants)
+    assert len(calls) == 7
+    apart = {name: run({name: features})[name] for name, features in variants.items()}
+    assert len(calls) == 7 + 10
+    for name in variants:
+        assert sorted(together[name]) == sorted([*CHANNELS, "joint", "bn"])
+        for key, labels in apart[name].items():
+            assert together[name][key].tobytes() == labels.tobytes(), (name, key)
 
 
 def test_cpt_perfect_predictor():

@@ -266,8 +266,9 @@ def test_determinism():
 def test_descriptor_length_for_custom_grid():
     rng = np.random.default_rng(1)
     vol = rng.integers(0, 256, size=(5, 10, 10)).astype(np.float64)
-    desc = lbp_top_descriptor(vol, LbpTopParams(grid_rows=2, grid_cols=3))
-    assert desc.size == 2 * 3 * 3 * 59
+    params = LbpTopParams(grid_rows=2, grid_cols=3)
+    desc = lbp_top_descriptor(vol, params)
+    assert desc.size == params.descriptor_length == 2 * 3 * 3 * 59
 
 
 def test_errors():
