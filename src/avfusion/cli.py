@@ -13,25 +13,18 @@ import sys
 import numpy as np
 
 from . import features, fusion, learn, metrics, synth
-from .core import (CHANNELS, N_CLASSES, DimensionMismatch, ManifestError, load_manifest,
+from .core import (CHANNELS, N_CLASSES, SEGMENT_DIMS, DimensionMismatch, load_manifest,
                    read_tensor_array, write_csv, write_models, write_tensor_array)
 from .lbptop import lbp_top_descriptor
-
-
-def _clips(path):
-    """The manifest at ``path``; a stage that reads one needs a clip in it."""
-    manifest = load_manifest(path)
-    if not manifest.entries:
-        raise ManifestError(f"{path}: manifest lists no clips")
-    return manifest
 
 
 def _channel_matrix(manifest, channel):
     """Per-clip feature rows for one channel of a manifest.
 
-    Rank-1 tensors are used as-is; a rank-2 tensor on the cnn channel is
-    a per-frame score matrix and gets k-average pooled into 7 bins, all
-    clips of one frame count in one call.
+    A rank-1 tensor must hold the channel's ``SEGMENT_DIMS`` values and is
+    used as-is; a rank-2 tensor on the cnn channel is a T×7 per-frame score
+    matrix, T >= 1, and gets k-average pooled into 7 bins, all clips of one
+    frame count in one call.  Any other shape raises, naming the file.
     """
     rows, scores = [], {}
     for i, entry in enumerate(manifest.entries):
@@ -43,10 +36,15 @@ def _channel_matrix(manifest, channel):
             if arr.shape[1] != N_CLASSES:
                 raise DimensionMismatch(f"{path}: expected a T×{N_CLASSES} score matrix for "
                                         f"channel cnn, got shape {arr.shape}")
+            if not len(arr):
+                raise DimensionMismatch(f"{path}: cnn score matrix has no frames")
             scores[i] = arr
         elif arr.ndim != 1:
             raise ValueError(f"{path}: expected a feature vector for channel {channel}, "
                              f"got rank {arr.ndim}; run the extraction stages first")
+        elif arr.size != SEGMENT_DIMS[channel]:
+            raise DimensionMismatch(f"{path}: expected {SEGMENT_DIMS[channel]} values for "
+                                    f"channel {channel}, got {arr.size}")
         rows.append(arr)
     for i, row in zip(scores, features.pool_clips(list(scores.values()))):
         rows[i] = row
@@ -113,7 +111,7 @@ def cmd_pool(args):
 
 
 def cmd_train_svm(args):
-    manifest = _clips(args.manifest)
+    manifest = load_manifest(args.manifest)
     X = _channel_matrix(manifest, args.channel)
     model = learn.svm_train(X, manifest.labels(), epochs=args.epochs, seed=args.seed)
     learn.save_svm(model, args.out, epochs=args.epochs, seed=args.seed)
@@ -121,7 +119,7 @@ def cmd_train_svm(args):
 
 
 def cmd_predict_svm(args):
-    manifest = _clips(args.manifest)
+    manifest = load_manifest(args.manifest)
     X = _channel_matrix(manifest, args.channel)
     labels = learn.svm_predict_batch(learn.load_svm(args.model), X)
     fusion.write_decisions(args.out, [(e.clip_id, args.channel, int(lab))
@@ -130,7 +128,7 @@ def cmd_predict_svm(args):
 
 
 def cmd_fuse_feat_train(args):
-    manifest = _clips(args.manifest)
+    manifest = load_manifest(args.manifest)
     joint = _joint_matrix(manifest)
     norm, svm = fusion.feature_fusion_train(joint, manifest.labels(), epochs=args.epochs,
                                             seed=args.seed)
@@ -141,7 +139,7 @@ def cmd_fuse_feat_train(args):
 
 
 def cmd_fuse_feat_predict(args):
-    manifest = _clips(args.manifest)
+    manifest = load_manifest(args.manifest)
     joint = _joint_matrix(manifest)
     labels = fusion.feature_fusion_predict(features.load_normalization(args.norm),
                                            learn.load_svm(args.svm), joint)
@@ -151,7 +149,7 @@ def cmd_fuse_feat_predict(args):
 
 
 def cmd_fuse_bn_fit(args):
-    decisions, truths = _labelled_decisions(_clips(args.manifest), args.decisions)
+    decisions, truths = _labelled_decisions(load_manifest(args.manifest), args.decisions)
     model = fusion.fit_bn(decisions, truths)
     fusion.save_bn(model, args.out)
     print(f"fit BN fusion over channels {list(model.channels)}; saved to {args.out}")
@@ -187,7 +185,7 @@ def cmd_island_demo(args):
 
 
 def cmd_evaluate(args):
-    decisions, truths = _labelled_decisions(_clips(args.manifest), [args.pred],
+    decisions, truths = _labelled_decisions(load_manifest(args.manifest), [args.pred],
                                             one_channel=True)
     (preds,) = decisions.values()
     report = metrics.evaluate(preds, truths)

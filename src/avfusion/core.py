@@ -7,7 +7,8 @@ as float64 in memory and stored as float32 on disk; they must be finite,
 which both writing and reading check.
 
 Dataset manifests are CSV files with the header
-``clip_id,label,audio,lbptop_video,cnn_scores,blstm_feat``.  The label
+``clip_id,label,audio,lbptop_video,cnn_scores,blstm_feat`` and at least
+one row; ``read_csv`` reads them and decisions files alike.  The label
 cell may be empty (test-set mode), and any path cell may be empty when
 that channel is absent.  Paths are resolved relative to the manifest's
 directory into plain strings; a path is checked when a stage reads its
@@ -314,6 +315,24 @@ def write_csv(path, rows):
         csv.writer(fh).writerows(rows)
 
 
+def read_csv(path, columns, error):
+    """Yield ``(line number, stripped cells)`` for each row of the CSV file
+    at ``path``, whose header must be ``columns``.  A wrong or missing
+    header, a row not ``len(columns)`` cells wide, or a file with no rows
+    raises ``error`` naming the file, and for a row its line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        if tuple(h.strip() for h in next(reader, ())) != columns:
+            raise error(f"{path}: header must be {','.join(columns)}")
+        lineno = 1
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(columns):
+                raise error(f"{path}:{lineno}: expected {len(columns)} cells, got {len(row)}")
+            yield lineno, [cell.strip() for cell in row]
+    if lineno == 1:
+        raise error(f"{path}: no rows below the header")
+
+
 def write_models(*models):
     """Save each ``(path, kind, tensors, fields)`` model: the JSON file
     ``{"kind": kind, **fields}`` (indent 2, sorted keys, trailing newline)
@@ -407,27 +426,16 @@ def load_manifest(path):
     base = os.path.join(path.parent, "")
     entries = []
     seen = set()
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise MalformedRow(f"{path}: empty manifest")
-        if tuple(h.strip() for h in header) != MANIFEST_COLUMNS:
-            raise MalformedRow(f"{path}: header must be {','.join(MANIFEST_COLUMNS)}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(MANIFEST_COLUMNS):
-                raise MalformedRow(f"{path}:{lineno}: expected {len(MANIFEST_COLUMNS)} cells, got {len(row)}")
-            clip_id = row[0].strip()
-            if not clip_id:
-                raise MalformedRow(f"{path}:{lineno}: empty clip_id")
-            if clip_id in seen:
-                raise DuplicateClipId(f"{path}:{lineno}: clip_id {clip_id!r} repeats")
-            seen.add(clip_id)
-            label_cell = row[1].strip()
-            label = emotion_index(label_cell) if label_cell else None
-            paths = {channel: _path_text(cell if cell[:1] == "/" else base + cell)
-                     for channel, cell in zip(CHANNELS, map(str.strip, row[2:])) if cell}
-            entries.append(ManifestEntry(clip_id=clip_id, label=label, paths=paths))
+    for lineno, (clip_id, label, *cells) in read_csv(path, MANIFEST_COLUMNS, MalformedRow):
+        if not clip_id:
+            raise MalformedRow(f"{path}:{lineno}: empty clip_id")
+        if clip_id in seen:
+            raise DuplicateClipId(f"{path}:{lineno}: clip_id {clip_id!r} repeats")
+        seen.add(clip_id)
+        paths = {channel: _path_text(cell if cell[:1] == "/" else base + cell)
+                 for channel, cell in zip(CHANNELS, cells) if cell}
+        entries.append(ManifestEntry(clip_id=clip_id, label=emotion_index(label) if label else None,
+                                     paths=paths))
     return DatasetManifest(entries=entries)
 
 

@@ -9,15 +9,14 @@ conditional probability table P(measurement | emotion), and inference
 multiplies the prior with the observed channels' CPT columns.
 """
 
-import csv
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (CHANNELS, SEGMENT_DIMS, DimensionMismatch, MissingKey, N_CLASSES,
-                   check_probabilities, emotion_index, emotion_name, read_model, require_key,
-                   write_csv, write_models)
+                   check_probabilities, emotion_index, emotion_name, read_csv, read_model,
+                   require_key, write_csv, write_models)
 from .features import normalize_apply, normalize_fit
 from .learn import svm_predict_batch, svm_train
 from .metrics import evaluate
@@ -245,29 +244,18 @@ def read_decisions(paths):
 
     Each (clip, channel) pair may appear once across the files; a repeat
     raises DuplicateDecision rather than letting one decision silently win.
-    Files that hold only headers raise ValueError.
+    Each file must hold a row below its header, else ValueError names it.
     """
     if isinstance(paths, (str, os.PathLike)):
         raise TypeError(f"read_decisions takes a list of paths, got {paths!r}")
     merged = {}
     for path in paths:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(h.strip() for h in header) != DECISION_COLUMNS:
-                raise ValueError(f"{path}: expected header {','.join(DECISION_COLUMNS)}")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(DECISION_COLUMNS):
-                    raise ValueError(f"{path}: malformed decisions row {row}")
-                clip_id, channel = row[0].strip(), row[1].strip()
-                if not (clip_id and channel):
-                    empty = "channel" if clip_id else "clip_id"
-                    raise ValueError(f"{path}:{lineno}: empty {empty}")
-                label = emotion_index(row[2].strip())
-                observed = merged.setdefault(clip_id, {})
-                if channel in observed:
-                    raise DuplicateDecision(f"{path}: second {channel} decision for {clip_id!r}")
-                observed[channel] = label
-    if not merged:
-        raise ValueError(f"no decisions in {', '.join(map(str, paths))}")
+        for lineno, (clip_id, channel, label) in read_csv(path, DECISION_COLUMNS, ValueError):
+            if not (clip_id and channel):
+                raise ValueError(f"{path}:{lineno}: empty {'channel' if clip_id else 'clip_id'}")
+            observed = merged.setdefault(clip_id, {})
+            if channel in observed:
+                raise DuplicateDecision(f"{path}:{lineno}: second {channel} decision "
+                                        f"for {clip_id!r}")
+            observed[channel] = emotion_index(label)
     return merged

@@ -34,12 +34,11 @@ operations in the same order as a per-pixel evaluation, and integer
 counts of the 256 codes per block are folded into the 59 bins.
 """
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmptyVolume, check_volume  # EmptyVolume: re-exported for callers
+from .core import EmptyVolume, check_count, check_volume  # EmptyVolume: re-exported for callers
 
 N_BINS = 59
 N_PLANES = 3
@@ -59,9 +58,8 @@ class LbpTopParams:
     normalize_histograms: bool = True
 
     def __post_init__(self):
-        sizes = (self.radius_x, self.radius_y, self.radius_t, self.grid_rows, self.grid_cols)
-        if not all(isinstance(v, numbers.Integral) and v >= 1 for v in sizes):
-            raise ValueError(f"radii and grid dimensions must be integers >= 1, got {sizes}")
+        for name in ("radius_x", "radius_y", "radius_t", "grid_rows", "grid_cols"):
+            check_count(getattr(self, name), name)
 
     @property
     def descriptor_length(self):

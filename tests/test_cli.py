@@ -486,8 +486,8 @@ def test_manifest_without_clips_fails_every_stage(tmp_path, capsys):
                  ("fuse-bn", "fit", "--manifest", manifest, "--decisions", dec, "--out", out),
                  ("evaluate", "--pred", dec, "--manifest", manifest, "--out", out)):
         assert run(*argv) == 1, argv[0]
-        assert capsys.readouterr().err == (f"error: ManifestError: {manifest}: "
-                                           "manifest lists no clips\n"), argv[0]
+        assert capsys.readouterr().err == (f"error: MalformedRow: {manifest}: "
+                                           "no rows below the header\n"), argv[0]
         assert not out.exists(), argv[0]
 
 
@@ -523,9 +523,10 @@ EVALUATE = ("evaluate", "--pred", "{d}/dec.csv", "--manifest", "{d}/manifest.csv
             "--out", "{d}/out")
 DATA_ERRORS = {
     "manifest-empty": (lambda d: (d / "manifest.csv").write_text(""), TRAIN_AUDIO,
-                       "MalformedRow: {d}/manifest.csv: empty manifest"),
+                       "MalformedRow: {d}/manifest.csv: header must be "
+                       "clip_id,label,audio,lbptop_video,cnn_scores,blstm_feat"),
     "manifest-no-clips": (lambda d: (d / "manifest.csv").write_text(",".join(MANIFEST_COLUMNS)),
-                          TRAIN_AUDIO, "ManifestError: {d}/manifest.csv: manifest lists no clips"),
+                          TRAIN_AUDIO, "MalformedRow: {d}/manifest.csv: no rows below the header"),
     "manifest-header": (lambda d: _edit_manifest(d, 0, 0, "clip"), TRAIN_AUDIO,
                         "MalformedRow: {d}/manifest.csv: header must be "
                         "clip_id,label,audio,lbptop_video,cnn_scores,blstm_feat"),
@@ -539,6 +540,17 @@ DATA_ERRORS = {
     "trailing-bytes": (lambda d: _append(d / "clip_00002.audio.fvt", b"\0\0\0\0"), TRAIN_AUDIO,
                        "TensorFormatError: {d}/clip_00002.audio.fvt: "
                        "4 trailing bytes after payload"),
+    "audio-all-short": (lambda d: [write_tensor_array(p, np.ones(19))
+                                   for p in sorted(d.glob("*.audio.fvt"))], TRAIN_AUDIO,
+                        "DimensionMismatch: {d}/clip_00000.audio.fvt: expected 20 values "
+                        "for channel audio, got 19"),
+    "audio-one-short": (lambda d: write_tensor_array(d / "clip_00002.audio.fvt", np.ones(19)),
+                        TRAIN_AUDIO, "DimensionMismatch: {d}/clip_00002.audio.fvt: expected 20 "
+                        "values for channel audio, got 19"),
+    "cnn-no-frames": (lambda d: write_tensor_array(d / "clip_00002.cnn.fvt", np.ones((0, 7))),
+                      ("train-svm", "--manifest", "{d}/manifest.csv", "--channel", "cnn",
+                       "--out", "{d}/out"),
+                      "DimensionMismatch: {d}/clip_00002.cnn.fvt: cnn score matrix has no frames"),
     "unlabeled-clip": (lambda d: _edit_manifest(d, 3, 1, ""), EVALUATE,
                        "ManifestError: clip 'clip_00002' has no label"),
     "missing-decision": (lambda d: _edit_text(d / "dec.csv", "clip_00002,", "clip_00099,"),
@@ -554,21 +566,20 @@ DATA_ERRORS = {
                              "ValueError: predictions must come from one channel, "
                              "found ['audio', 'cnn']"),
     "decisions-header": (lambda d: _edit_text(d / "dec.csv", "channel", "chan"), EVALUATE,
-                         "ValueError: {d}/dec.csv: expected header "
+                         "ValueError: {d}/dec.csv: header must be "
                          "clip_id,channel,predicted_label"),
     "decisions-row": (lambda d: _append(d / "dec.csv", b"clip_00002,audio\n"), EVALUATE,
-                      "ValueError: {d}/dec.csv: malformed decisions row "
-                      "['clip_00002', 'audio']"),
+                      "ValueError: {d}/dec.csv:9: expected 3 cells, got 2"),
     "decisions-empty": (_bn_without_decisions,
                         ("fuse-bn", "infer", "--model", "{d}/bn.json",
                          "--decisions", "{d}/dec.csv", "--out", "{d}/out"),
-                        "ValueError: no decisions in {d}/dec.csv"),
+                        "ValueError: {d}/dec.csv: no rows below the header"),
     "decisions-empty-evaluate": (lambda d: write_decisions(d / "dec.csv", []), EVALUATE,
-                                 "ValueError: no decisions in {d}/dec.csv"),
+                                 "ValueError: {d}/dec.csv: no rows below the header"),
     "decisions-empty-fit": (lambda d: write_decisions(d / "dec.csv", []),
                             ("fuse-bn", "fit", "--manifest", "{d}/manifest.csv",
                              "--decisions", "{d}/dec.csv", "--out", "{d}/out"),
-                            "ValueError: no decisions in {d}/dec.csv"),
+                            "ValueError: {d}/dec.csv: no rows below the header"),
     "bn-no-measurements": (lambda d: (d / "bn.json").write_text(json.dumps(
                                {"kind": "bn_fusion", "prior": [1 / 7] * 7, "measurements": []})),
                            ("fuse-bn", "infer", "--model", "{d}/bn.json",

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import avfusion
 from avfusion.features import (load_normalization, load_pca, normalize_fit, pca_fit,
                                save_normalization, save_pca)
-from avfusion.fusion import (BnFusionModel, MeasurementModel, load_bn, save_bn, uniform_prior,
-                             write_decisions)
+from avfusion.fusion import (BnFusionModel, MeasurementModel, load_bn, read_decisions, save_bn,
+                             uniform_prior, write_decisions)
 from avfusion.learn import LinearSvmModel, load_svm, save_svm
 from avfusion.core import (CHANNELS, BadMagic, DuplicateClipId, DimensionMismatch,
                            EMOTION_NAMES, MalformedRow, TensorFormatError, Truncated,
@@ -149,17 +149,22 @@ def test_file_writes_only_in_core():
 
 
 def test_one_reader_per_csv_kind():
-    """Manifests and decisions files each have one reader, and no module
-    checks a path before opening it: the open is the check."""
+    """Manifests and decisions files share one reader, only ``core`` imports
+    csv, and no module checks a path before opening it: the open is the check."""
     package = Path(avfusion.__file__).parent
-    readers = set()
+    readers, importers = set(), []
     for p in sorted(package.glob("*.py")):
         tree = ast.parse(p.read_text())
         owner = {node: func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
                  for node in ast.walk(func)}
         readers.update((p.name, owner.get(node)) for node in ast.walk(tree)
                        if ast.unparse(node) == "csv.reader")
-    assert readers == {("core.py", "load_manifest"), ("fusion.py", "read_decisions")}
+        if any(isinstance(node, ast.Import) and "csv" in (a.name for a in node.names)
+               or isinstance(node, ast.ImportFrom) and node.module == "csv"
+               for node in ast.walk(tree)):
+            importers.append(p.name)
+    assert readers == {("core.py", "read_csv")}
+    assert importers == ["core.py"]
     assert [p.name for p in sorted(package.glob("*.py")) if ".exists(" in p.read_text()] == []
 
 
@@ -562,7 +567,7 @@ _CLIP_ID_CHARS = string.ascii_letters + string.digits + '_-.,"'
 @given(st.lists(st.tuples(st.text(_CLIP_ID_CHARS, min_size=1, max_size=8),
                           st.one_of(st.none(), st.integers(min_value=0, max_value=6)),
                           st.sets(st.sampled_from(CHANNELS))),
-                max_size=6, unique_by=lambda clip: clip[0]))
+                min_size=1, max_size=6, unique_by=lambda clip: clip[0]))
 def test_manifest_roundtrip_property(clips):
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp)
@@ -577,6 +582,23 @@ def test_manifest_roundtrip_property(clips):
         assert [(e.clip_id, e.label, e.paths) for e in loaded] == [
             (clip_id, label, {ch: str(p) for ch, p in paths.items()})
             for clip_id, label, paths in entries]
+
+
+def test_header_only_files_are_refused_by_their_reader(tmp_path):
+    """A manifest or decisions file with a header and no rows raises where
+    it is read, naming itself; a header-only decisions file is refused
+    even beside a full one."""
+    mpath = tmp_path / "manifest.csv"
+    save_manifest(mpath, [])
+    with pytest.raises(MalformedRow, match=f"^{mpath}: no rows below the header$"):
+        load_manifest(mpath)
+    empty, full = tmp_path / "empty.csv", tmp_path / "full.csv"
+    write_decisions(empty, [])
+    write_decisions(full, [("c1", "audio", 3)])
+    assert read_decisions([full]) == {"c1": {"audio": 3}}
+    for paths in ([empty, full], [full, empty]):
+        with pytest.raises(ValueError, match=f"^{empty}: no rows below the header$"):
+            read_decisions(paths)
 
 
 def test_manifest_unlabeled_and_missing_channels(tmp_path):

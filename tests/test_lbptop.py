@@ -287,6 +287,8 @@ def test_errors():
         LbpTopParams(radius_x=0)
     with pytest.raises(ValueError):
         LbpTopParams(radius_x=1.5)
+    with pytest.raises(ValueError, match="^radius_x must be an integer >= 1, got True$"):
+        LbpTopParams(radius_x=True)
 
 
 def test_too_short_time_axis_gives_zero_temporal_planes():
