@@ -27,11 +27,30 @@ sample at in-plane offset (su, sv) sits at the fixed flat offset
 ``su*stride_u + sv*stride_v`` from every center, so each numpy call over
 a ``CHUNK``-voxel piece of the run from the first valid center to the
 last reads contiguous slices and writes into buffers allocated once.
-Centers inside the run that are not valid get codes that nothing reads;
-their reads stay inside the volume, since the run ends at valid centers.
+Centers inside the run that are not valid get codes that nothing reads.
+
+Each chunk takes the difference ``p(x + stride_v) - p(x)`` once, over the
+window from the lowest interpolated (floor, floor) corner to the highest
+corner plus ``stride_u``; every interpolated neighbor of the plane reads
+its differences from that window.  A neighbor then makes one lerp
+``w = p + fv*diff`` over the chunk plus ``stride_u`` voxels: the first
+and the last chunk-length stretches of ``w`` are the lerps ``a`` and ``b``
+along v at its two u-corners, and its sample is ``a + fu*(b - a)``.  The
+lerps themselves cannot be shared between neighbors, because the eight
+fractions are not symmetric to the last ulp (``fu`` is 0.7071067811865476
+for neighbor 1 and ...474 for neighbor 7); only the difference, which
+holds no fraction, is common to all of them.  The histogram index
+``block*256 + code`` stays int64: ``np.bincount`` casts any narrower
+index to intp, so a narrow one adds an array and a pass.
+
 The result is exact: each valid center goes through the same float64
-operations in the same order as a per-pixel evaluation, and integer
-counts of the 256 codes per block are folded into the 59 bins.
+operations, on the same operands and in the same order, as a per-pixel
+evaluation (``p00 + fv*(p01 - p00)`` at both u-corners, then the lerp
+along u), and integer counts of the 256 codes per block are folded into
+the 59 bins.  Every read stays inside the volume: a chunk's windows read
+from its first center's lowest corner to its last center's highest
+corner, and the run begins and ends at valid centers, whose corners are
+inside the volume.
 """
 
 from dataclasses import dataclass
@@ -60,6 +79,9 @@ class LbpTopParams:
     def __post_init__(self):
         for name in ("radius_x", "radius_y", "radius_t", "grid_rows", "grid_cols"):
             check_count(getattr(self, name), name)
+        if not isinstance(self.normalize_histograms, (bool, np.bool_)):
+            raise ValueError(
+                f"normalize_histograms must be a bool, got {self.normalize_histograms!r}")
 
     @property
     def descriptor_length(self):
@@ -138,30 +160,35 @@ def _plane_codes(flat, shape, axis_u, axis_v, radii, codes):
     for du, dv in zip(*_neighbor_offsets(r_u, r_v)):
         iu, iv = int(np.floor(du)), int(np.floor(dv))
         taps.append((iu * s_u + iv * s_v, du - iu, dv - iv))
+    # Integer radii put an offset on the lattice or off it on both axes, and
+    # the diagonal neighbors (odd k) always off it.
+    corners = [o for o, fu, fv in taps if fu != 0.0 or fv != 0.0]
+    o_lo, o_hi = min(corners), max(corners) + s_u
 
-    def at(offset):  # the sample at flat offset ``offset`` of every center in [c0, c1)
-        return flat[c0 + offset:c1 + offset]
+    def at(offset, extra=0):  # the sample at ``offset`` of centers [c0, c1 + extra)
+        return flat[c0 + offset:c1 + offset + extra]
 
     n = min(CHUNK, stop - first)
-    a, b = np.empty(n), np.empty(n)
+    diff, w, lerp_u = np.empty(n + o_hi - o_lo), np.empty(n + s_u), np.empty(n)
     ge, bit = np.empty(n, dtype=bool), np.empty(n, dtype=np.uint8)
     for c0 in range(first, stop, CHUNK):
         c1 = min(c0 + CHUNK, stop)
         m = c1 - c0
-        a_m, b_m, ge_m, bit_m, out = a[:m], b[:m], ge[:m], bit[:m], codes[c0:c1]
+        w_m, u_m, ge_m, bit_m, out = w[:m + s_u], lerp_u[:m], ge[:m], bit[:m], codes[c0:c1]
+        # diff[j] = p01 - p00 of the corner at flat offset o_lo + j, shared by all taps
+        np.subtract(at(o_lo + s_v, o_hi - o_lo), at(o_lo, o_hi - o_lo),
+                    out=diff[:m + o_hi - o_lo])
         out.fill(0)
         for k, (o00, fu, fv) in enumerate(taps):
-            # Integer radii put an offset on the lattice or off it on both axes.
             if fu == 0.0 and fv == 0.0:
                 sample = at(o00)
-            else:  # a = p00 + fv*(p01-p00); b = p10 + fv*(p11-p10); a + fu*(b-a)
-                for dst, o in ((a_m, o00), (b_m, o00 + s_u)):
-                    np.subtract(at(o + s_v), at(o), out=dst)
-                    np.multiply(dst, fv, out=dst)
-                    np.add(at(o), dst, out=dst)
-                np.subtract(b_m, a_m, out=b_m)
-                np.multiply(b_m, fu, out=b_m)
-                sample = np.add(a_m, b_m, out=a_m)
+            else:  # w = p00 + fv*(p01-p00) at both u-corners; a + fu*(b-a)
+                np.multiply(diff[o00 - o_lo:o00 - o_lo + m + s_u], fv, out=w_m)
+                np.add(at(o00, s_u), w_m, out=w_m)
+                a, b = w_m[:m], w_m[s_u:]
+                np.subtract(b, a, out=u_m)
+                np.multiply(u_m, fu, out=u_m)
+                sample = np.add(a, u_m, out=u_m)
             np.greater_equal(sample, at(0), out=ge_m)
             np.multiply(ge_m.view(np.uint8), np.uint8(1 << k), out=bit_m)
             np.bitwise_or(out, bit_m, out=out)

@@ -198,6 +198,18 @@ def test_matches_naive_reference_property(radii, grid, data):
     assert np.array_equal(fast, naive_lbp_top(vol, params))
 
 
+@pytest.mark.parametrize("chunk", [997, lbptop.CHUNK])
+def test_matches_naive_reference_across_chunk_edges(monkeypatch, chunk):
+    """Frames larger than the property test draws, so the per-chunk window
+    of shared differences (five frames past the chunk on the temporal
+    planes at radius_t=3) and the lerp window of each tap cross chunk edges
+    inside rows and frames; real-valued intensities make every lerp count."""
+    vol = np.random.default_rng(31).uniform(0.0, 255.0, size=(7, 40, 40))
+    params = LbpTopParams(radius_x=1, radius_y=2, radius_t=3, normalize_histograms=False)
+    monkeypatch.setattr(lbptop, "CHUNK", chunk)
+    assert np.array_equal(lbp_top_descriptor(vol, params), naive_lbp_top(vol, params))
+
+
 def test_descriptor_allocates_less_than_twice_the_volume():
     vol = np.random.default_rng(12).integers(0, 256, size=(24, 96, 96)).astype(np.float64)
     lbp_top_descriptor(vol)  # warm-up
@@ -289,6 +301,11 @@ def test_errors():
         LbpTopParams(radius_x=1.5)
     with pytest.raises(ValueError, match="^radius_x must be an integer >= 1, got True$"):
         LbpTopParams(radius_x=True)
+    for bad in ("no", 0, 1, None, np.int64(0)):
+        with pytest.raises(ValueError, match="^normalize_histograms must be a bool, got "):
+            LbpTopParams(normalize_histograms=bad)
+    for ok in (False, np.bool_(False)):
+        assert LbpTopParams(normalize_histograms=ok).normalize_histograms == ok
 
 
 def test_too_short_time_axis_gives_zero_temporal_planes():
