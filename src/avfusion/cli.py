@@ -105,6 +105,9 @@ def cmd_pca_apply(args):
 
 def cmd_pool(args):
     scores = read_tensor_array(args.infile)
+    if scores.ndim != 2 or scores.shape[1] != N_CLASSES:
+        raise DimensionMismatch(f"{args.infile}: expected a T×{N_CLASSES} matrix, "
+                                f"got shape {scores.shape}")
     pooled = features.k_average_pool(scores, args.k)
     write_tensor_array(args.out, pooled)
     print(f"pooled {scores.shape[0]} frames into {args.k} bins -> {args.out}")

@@ -10,9 +10,9 @@ Dataset manifests are CSV files with the header
 ``clip_id,label,audio,lbptop_video,cnn_scores,blstm_feat`` and at least
 one row; ``read_csv`` reads them and decisions files alike.  The label
 cell may be empty (test-set mode), and any path cell may be empty when
-that channel is absent.  Paths are resolved relative to the manifest's
-directory into plain strings; a path is checked when a stage reads its
-file, so a stage ignores the columns it does not read.
+that channel is absent.  A path cell is text relative to the manifest's
+directory, or absolute when it starts with '/'; it is checked when a stage
+reads its file, so a stage ignores the columns it does not read.
 """
 
 import contextlib
@@ -188,15 +188,18 @@ def check_probabilities(table, shape, name):
 def write_tensor(path, dims, values):
     """Write an FVT1 tensor file, byte-exact and deterministic.
 
-    ``prod(dims)`` must equal ``len(values)`` and all values must be
-    finite.  Values are stored as little-endian f32.  Every check runs
-    before the file is opened.  An existing file is rewritten in place
-    and cut to the new length; a write that fails partway leaves it
-    empty, which no reader takes for a tensor.
+    Each dim must be an integer >= 0 (not a bool or float), ``prod(dims)``
+    must equal ``len(values)`` and all values must be finite.  Values are
+    stored as little-endian f32.  Every check runs before the file is
+    opened.  An existing file is rewritten in place and cut to the new
+    length; a write that fails partway leaves it empty, which no reader
+    takes for a tensor.
     """
+    for d in dims:  # check_count's rule, inline to keep a public call per dim off every write
+        if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 0:
+            raise DimensionMismatch(f"bad dimension in {dims}: dim must be an integer >= 0, "
+                                    f"got {d!r}")
     dims = [int(d) for d in dims]
-    if any(d < 0 for d in dims):
-        raise DimensionMismatch(f"negative dimension in {dims}")
     flat = np.asarray(values, dtype=np.float64).reshape(-1)
     n = math.prod(dims)
     if n != flat.size:
@@ -389,7 +392,7 @@ def read_model(path, kind, build):
 class ManifestEntry:
     clip_id: str
     label: int | None
-    paths: dict  # channel tag -> resolved path string, only for channels present
+    paths: dict  # channel tag -> path string, only for channels present
 
 
 @dataclass(frozen=True)
@@ -406,24 +409,11 @@ class DatasetManifest:
         return out
 
 
-def _path_text(text):
-    """``str(Path(text))`` for a POSIX path string, from string methods:
-    runs of '/' and '.' parts collapse, a trailing '/' drops, '..' stays,
-    and exactly two leading slashes stay, as pathlib keeps them."""
-    root = "//" if text[:2] == "//" and text[2:3] != "/" else "/" if text[:1] == "/" else ""
-    inner = f"/{text}/"
-    while "//" in inner:
-        inner = inner.replace("//", "/")
-    while "/./" in inner:
-        inner = inner.replace("/./", "/")
-    return root + inner[1:-1] or "."
-
-
 def load_manifest(path):
-    """Load a dataset manifest CSV; validates labels and ids.  Path cells
-    become path strings, not opened: a missing file fails where a stage reads it."""
-    path = Path(path)
-    base = os.path.join(path.parent, "")
+    """Load a dataset manifest CSV; validates labels and ids.  A relative path
+    cell is joined to the manifest's directory as text, not opened: a
+    missing file fails where a stage reads it."""
+    folder = os.path.dirname(path)
     entries = []
     seen = set()
     for lineno, (clip_id, label, *cells) in read_csv(path, MANIFEST_COLUMNS, MalformedRow):
@@ -432,7 +422,7 @@ def load_manifest(path):
         if clip_id in seen:
             raise DuplicateClipId(f"{path}:{lineno}: clip_id {clip_id!r} repeats")
         seen.add(clip_id)
-        paths = {channel: _path_text(cell if cell[:1] == "/" else base + cell)
+        paths = {channel: os.path.join(folder, cell)
                  for channel, cell in zip(CHANNELS, cells) if cell}
         entries.append(ManifestEntry(clip_id=clip_id, label=emotion_index(label) if label else None,
                                      paths=paths))
@@ -440,24 +430,10 @@ def load_manifest(path):
 
 
 def save_manifest(path, entries):
-    """Write a manifest CSV; per-channel cells hold paths relative to it.
-
-    ``entries`` is a list of (clip_id, label index or None, channel->path).
-    """
-    path = Path(path)
-    parent = str(path.parent)
-    prefix = "" if parent == "." else os.path.join(parent, "")
-
-    def relative(cell):
-        if cell is None:
-            return ""
-        text = _path_text(os.fspath(cell))
-        # A rest that starts with '/' is absolute under a '.' parent, or has another root.
-        if text != parent and (not text.startswith(prefix) or text[len(prefix):][:1] == "/"):
-            raise ValueError(f"{path}: {text!r} is not inside the manifest's directory")
-        return "." if text == parent else text[len(prefix):]
-
+    """Write a manifest CSV from (clip_id, label index or None,
+    channel->cell) entries.  Each cell, a str or os.PathLike, is written
+    as given; a channel with no cell gets an empty one."""
     write_csv(path, [MANIFEST_COLUMNS, *(
         [clip_id, "" if label is None else emotion_name(label),
-         *(relative(paths.get(channel)) for channel in CHANNELS)]
+         *(os.fspath(paths.get(channel, "")) for channel in CHANNELS)]
         for clip_id, label, paths in entries)])

@@ -116,15 +116,11 @@ def synth_generate(config, out_dir):
     entries = []
     for i in range(config.n_clips):
         clip_id = f"clip_{i:05d}"
-        paths = {}
-        for channel in CHANNELS:
-            path = f"{base}{clip_id}.{channel}.fvt"
-            if channel == "cnn":
-                write_tensor_array(path, data.cnn_scores[i])
-            else:
-                write_tensor_array(path, data.features[channel][i])
-            paths[channel] = path
-        entries.append((clip_id, int(data.labels[i]), paths))
+        cells = {channel: f"{clip_id}.{channel}.fvt" for channel in CHANNELS}
+        for channel, cell in cells.items():
+            write_tensor_array(base + cell, data.cnn_scores[i] if channel == "cnn"
+                               else data.features[channel][i])
+        entries.append((clip_id, int(data.labels[i]), cells))
     manifest_path = out_dir / "manifest.csv"
     save_manifest(manifest_path, entries)
     return manifest_path

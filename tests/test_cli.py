@@ -233,26 +233,36 @@ def test_nan_feature_file_exits_1(tmp_path, capsys):
 
 
 def test_cli_matches_library_pipeline(tmp_path):
-    """The CLI stages give the labels that the library's fusion protocol
-    gives on the float32-rounded values the CLI reads back."""
+    """The CLI stages, run on train/val/test manifests split by rows from one
+    synth manifest, give the labels that the library's fusion protocol gives
+    on the same slices of the float32-rounded values the CLI reads back."""
     rho, seed, epochs = (0.3, 0.4, 0.5, 0.6), 3, 5
     assert run("synth", "--out", tmp_path, "--n-clips", 70, "--seed", seed,
                "--informativeness", ",".join(map(str, rho))) == 0
-    manifest = tmp_path / "manifest.csv"
+    header, *rows = (tmp_path / "manifest.csv").read_text().splitlines(keepends=True)
+    tr, va, te = slice(0, 30), slice(30, 50), slice(50, None)
+    split = {name: tmp_path / f"{name}.csv" for name in ("train", "val", "test")}
+    for name, part in zip(split, (tr, va, te)):
+        split[name].write_text(header + "".join(rows[part]))
     for ch in CHANNELS:
-        assert run("train-svm", "--manifest", manifest, "--channel", ch, "--epochs", epochs,
-                   "--seed", seed, "--out", tmp_path / f"{ch}.json") == 0
-        assert run("predict-svm", "--manifest", manifest, "--channel", ch,
-                   "--model", tmp_path / f"{ch}.json", "--out", tmp_path / f"{ch}.csv") == 0
-    decisions = [tmp_path / f"{ch}.csv" for ch in CHANNELS]
-    assert run("fuse-bn", "fit", "--manifest", manifest, "--decisions", *decisions,
+        assert run("train-svm", "--manifest", split["train"], "--channel", ch,
+                   "--epochs", epochs, "--seed", seed, "--out", tmp_path / f"{ch}.json") == 0
+        for name in ("val", "test"):
+            assert run("predict-svm", "--manifest", split[name], "--channel", ch,
+                       "--model", tmp_path / f"{ch}.json",
+                       "--out", tmp_path / f"{ch}_{name}.csv") == 0
+    assert run("fuse-bn", "fit", "--manifest", split["val"],
+               "--decisions", *(tmp_path / f"{ch}_val.csv" for ch in CHANNELS),
                "--out", tmp_path / "bn.json") == 0
-    assert run("fuse-bn", "infer", "--model", tmp_path / "bn.json", "--decisions", *decisions,
-               "--out", tmp_path / "bn.csv") == 0
-    assert run("fuse-feat", "train", "--manifest", manifest, "--epochs", epochs, "--seed", seed,
-               "--out-norm", tmp_path / "norm.json", "--out-svm", tmp_path / "joint.json") == 0
-    assert run("fuse-feat", "predict", "--manifest", manifest, "--norm", tmp_path / "norm.json",
-               "--svm", tmp_path / "joint.json", "--out", tmp_path / "joint.csv") == 0
+    assert run("fuse-bn", "infer", "--model", tmp_path / "bn.json",
+               "--decisions", *(tmp_path / f"{ch}_test.csv" for ch in CHANNELS),
+               "--out", tmp_path / "bn_test.csv") == 0
+    assert run("fuse-feat", "train", "--manifest", split["train"], "--epochs", epochs,
+               "--seed", seed, "--out-norm", tmp_path / "norm.json",
+               "--out-svm", tmp_path / "joint.json") == 0
+    assert run("fuse-feat", "predict", "--manifest", split["test"],
+               "--norm", tmp_path / "norm.json", "--svm", tmp_path / "joint.json",
+               "--out", tmp_path / "joint_test.csv") == 0
 
     data = synth_dataset(SynthConfig(n_clips=70, informativeness=rho, seed=seed))
 
@@ -261,12 +271,13 @@ def test_cli_matches_library_pipeline(tmp_path):
 
     feats = {ch: f32(data.features[ch]) for ch in CHANNELS if ch != "cnn"}
     feats["cnn"] = np.stack([k_average_pool(f32(s)) for s in data.cnn_scores])
-    every = slice(None)
-    expected = fusion_predictions({"cli": feats}, data.labels, every, every, every,
+    expected = fusion_predictions({"cli": feats}, data.labels, tr, va, te,
                                   epochs=epochs, seed=seed)["cli"]
     assert sorted(expected) == sorted([*CHANNELS, "joint", "bn"])
+    test_ids = [f"clip_{i:05d}" for i in range(50, 70)]
     for key, labels in expected.items():
-        merged = read_decisions([tmp_path / f"{key}.csv"])
+        merged = read_decisions([tmp_path / f"{key}_test.csv"])
+        assert list(merged) == test_ids, key
         assert [observed[key] for observed in merged.values()] == labels.tolist(), key
 
 
@@ -580,6 +591,15 @@ DATA_ERRORS = {
                             ("fuse-bn", "fit", "--manifest", "{d}/manifest.csv",
                              "--decisions", "{d}/dec.csv", "--out", "{d}/out"),
                             "ValueError: {d}/dec.csv: no rows below the header"),
+    "pool-rank-1": (lambda d: write_tensor_array(d / "s.fvt", np.ones(7)),
+                    ("pool", "--in", "{d}/s.fvt", "--out", "{d}/out"),
+                    "DimensionMismatch: {d}/s.fvt: expected a T×7 matrix, got shape (7,)"),
+    "pool-rank-3": (lambda d: write_tensor_array(d / "s.fvt", np.ones((3, 9, 7))),
+                    ("pool", "--in", "{d}/s.fvt", "--out", "{d}/out"),
+                    "DimensionMismatch: {d}/s.fvt: expected a T×7 matrix, got shape (3, 9, 7)"),
+    "pool-width-5": (lambda d: write_tensor_array(d / "s.fvt", np.ones((9, 5))),
+                     ("pool", "--in", "{d}/s.fvt", "--out", "{d}/out"),
+                     "DimensionMismatch: {d}/s.fvt: expected a T×7 matrix, got shape (9, 5)"),
     "bn-no-measurements": (lambda d: (d / "bn.json").write_text(json.dumps(
                                {"kind": "bn_fusion", "prior": [1 / 7] * 7, "measurements": []})),
                            ("fuse-bn", "infer", "--model", "{d}/bn.json",
