@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import features, fusion, learn, metrics, synth
-from .core import (CHANNELS, N_CLASSES, SEGMENT_DIMS, DimensionMismatch, load_manifest,
+from .core import (CHANNELS, JOINT_DIM, N_CLASSES, SEGMENT_DIMS, DimensionMismatch, load_manifest,
                    read_tensor_array, write_csv, write_models, write_tensor_array)
 from .lbptop import lbp_top_descriptor
 
@@ -122,9 +122,16 @@ def cmd_train_svm(args):
 
 
 def cmd_predict_svm(args):
+    model = learn.load_svm(args.model)
+    width, expected = model.W.shape[1], SEGMENT_DIMS[args.channel]
+    if width != expected:  # the widths of the channels and the joint vector all differ
+        owners = {dim: f"channel {ch}" for ch, dim in SEGMENT_DIMS.items()}
+        owner = {**owners, JOINT_DIM: "the joint vector"}.get(width, "no channel")
+        raise DimensionMismatch(f"{args.model}: the model takes {width} features, the width "
+                                f"of {owner}, but --channel {args.channel} has {expected}")
     manifest = load_manifest(args.manifest)
     X = _channel_matrix(manifest, args.channel)
-    labels = learn.svm_predict_batch(learn.load_svm(args.model), X)
+    labels = learn.svm_predict_batch(model, X)
     fusion.write_decisions(args.out, [(e.clip_id, args.channel, int(lab))
                                       for e, lab in zip(manifest.entries, labels)])
     print(f"wrote {len(labels)} {args.channel} decisions to {args.out}")
@@ -161,10 +168,13 @@ def cmd_fuse_bn_fit(args):
 def cmd_fuse_bn_infer(args):
     model = fusion.load_bn(args.model)
     merged = fusion.read_decisions(args.decisions)
-    rows = [(clip_id, "bn", fusion.bn_infer(model, merged[clip_id])[0])
-            for clip_id in sorted(merged)]
-    fusion.write_decisions(args.out, rows)
-    print(f"wrote {len(rows)} fused decisions to {args.out}")
+    fused = {}
+    for channels in dict.fromkeys(frozenset(observed) for observed in merged.values()):
+        group = [c for c in merged if merged[c].keys() == channels]
+        labels, _ = fusion.bn_infer(model, {ch: [merged[c][ch] for c in group] for ch in channels})
+        fused.update(zip(group, labels))
+    fusion.write_decisions(args.out, [(c, "bn", fused[c]) for c in sorted(fused)])
+    print(f"wrote {len(fused)} fused decisions to {args.out}")
 
 
 def cmd_island_demo(args):

@@ -129,9 +129,7 @@ def fusion_predictions(variants, y, tr, va, te, epochs, seed):
             svm = model(svm_train, features[ch][tr])
             val_preds[ch] = svm_predict_batch(svm, features[ch][va])
             preds[ch] = svm_predict_batch(svm, features[ch][te])
-        bn = fit_bn(val_preds, y[va])
-        preds["bn"] = np.array([bn_infer(bn, {ch: int(preds[ch][i]) for ch in CHANNELS})[0]
-                                for i in range(len(preds["audio"]))])
+        preds["bn"] = bn_infer(fit_bn(val_preds, y[va]), {ch: preds[ch] for ch in CHANNELS})[0]
         joint = build_joint_vector(*(features[ch] for ch in CHANNELS))
         preds["joint"] = feature_fusion_predict(*model(feature_fusion_train, joint[tr]),
                                                 joint[te])
@@ -179,31 +177,36 @@ def fit_bn(decisions, truths):
 def bn_infer(model, observed):
     """MAP inference over the fusion network given observed decisions.
 
-    ``observed`` maps channel tags to measured labels; channels absent
-    from it are marginalized out (their factor is simply omitted).
-    Factors multiply in the model's fixed measurement order, so the
-    result is independent of the dict's insertion order.  Returns
-    ``(label, posterior)`` with ties broken toward the lowest index.
+    ``observed`` maps channel tags to one clip's measured labels, or to
+    equal-length arrays of n clips'.  Absent channels are marginalized
+    out (their factor is omitted); factors multiply in the model's fixed
+    order, not the dict's.  Returns ``(label, posterior)``, or n labels
+    and n×7 posteriors, with ties broken toward the lowest index.
     """
     if not observed:
         raise ValueError("at least one channel must be observed")
-    unknown = set(observed) - set(model.channels)
-    if unknown:
-        raise UnknownChannel(f"observed channels {sorted(unknown)} not in model "
-                             f"channels {list(model.channels)}")
-    post = model.prior.copy()
-    for meas in model.measurements:
-        if meas.channel in observed:
-            m = observed[meas.channel]
-            if m not in range(N_CLASSES):
-                raise ValueError(f"{meas.channel}: observed label {m!r} is not a class "
-                                 f"index in 0..{N_CLASSES - 1}")
-            post = post * meas.cpt[:, int(m)]
-    total = post.sum()
-    if total == 0:
-        raise AllZeroPosterior("every class has zero unnormalized mass")
+    present = [meas for meas in model.measurements if meas.channel in observed]
+    if len(present) < len(observed):
+        raise UnknownChannel(f"observed channels {sorted(set(observed) - set(model.channels))} "
+                             f"not in model channels {list(model.channels)}")
+    try:
+        measured = np.array([observed[meas.channel] for meas in present])
+    except ValueError:  # ragged: arrays of different lengths, or a scalar beside an array
+        raise DimensionMismatch(f"observed labels differ in shape: "
+                                f"{ {ch: np.shape(v) for ch, v in observed.items()} }") from None
+    bad = ~(measured[..., None] == np.arange(N_CLASSES)).any(axis=-1)
+    if bad.any():
+        raise ValueError(f"{present[np.nonzero(bad)[0][0]].channel}: observed label "
+                         f"{measured[bad][0]} is not a class index in 0..{N_CLASSES - 1}")
+    post = model.prior
+    for meas, m in zip(present, measured.astype(np.intp)):
+        post = post * meas.cpt.T[m]
+    total = post.sum(axis=-1, keepdims=True)
+    if not total.all():
+        raise AllZeroPosterior(f"row {np.flatnonzero(total == 0)[0]}: zero mass in every class")
     post = post / total
-    return int(np.argmax(post)), post
+    labels = np.argmax(post, axis=-1)
+    return (labels if labels.ndim else int(labels)), post
 
 
 def save_bn(model, path):

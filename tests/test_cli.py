@@ -3,6 +3,8 @@ import json
 import os
 import stat
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,9 @@ from avfusion.cli import _channel_matrix, main
 from avfusion.core import (CHANNELS, MANIFEST_COLUMNS, load_manifest, read_tensor_array,
                            save_manifest, write_tensor_array)
 from avfusion.features import k_average_pool
-from avfusion.fusion import (BnFusionModel, MeasurementModel, fusion_predictions,
-                             read_decisions, save_bn, uniform_prior, write_decisions)
+from avfusion.fusion import (BnFusionModel, MeasurementModel, bn_infer, fusion_predictions,
+                             load_bn, read_decisions, save_bn, uniform_prior, write_decisions)
+from avfusion.learn import LinearSvmModel, save_svm
 from avfusion.synth import SynthConfig, synth_dataset
 
 
@@ -46,6 +49,20 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         run("frobnicate")
     assert exc.value.code == 2
+
+
+def test_module_entry_point():
+    """``python -m avfusion.cli`` runs ``main`` and exits with its status."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+
+    def status(*argv):
+        return subprocess.run([sys.executable, "-m", "avfusion.cli", *argv], env=env,
+                              capture_output=True).returncode
+
+    assert status("--help") == 0
+    assert status() == 2
 
 
 def test_lbptop_stage(tmp_path):
@@ -152,6 +169,30 @@ def test_fuse_bn_infer_unknown_channel_exits_1(synth_dirs, tmp_path, capsys):
     assert run("fuse-bn", "infer", "--model", bn_audio_only,
                "--decisions", cnn_dec, "--out", tmp_path / "f.csv") == 1
     assert "UnknownChannel" in capsys.readouterr().err
+
+
+def test_fuse_bn_infer_marginalizes_a_clips_missing_channel(tmp_path):
+    """Clips without a cnn (or an audio) decision are fused from the channels
+    they have: each output label is that of a one-clip ``bn_infer`` call."""
+    rng = np.random.default_rng(0)
+    cpts = rng.random((2, 7, 7)) + 0.05
+    save_bn(BnFusionModel(prior=uniform_prior(), measurements=tuple(
+        MeasurementModel(channel=ch, cpt=cpt / cpt.sum(axis=1, keepdims=True))
+        for ch, cpt in zip(("audio", "cnn"), cpts))), tmp_path / "bn.json")
+    clips = [f"clip_{i:05d}" for i in range(60)]
+    has = rng.random((2, 60))
+    for ch, keep in (("audio", has[0] > 0.2), ("cnn", has[1] > 0.4)):
+        write_decisions(tmp_path / f"{ch}.csv", [(c, ch, int(m)) for c, m, k in
+                                                 zip(clips, rng.integers(0, 7, 60), keep) if k])
+    decisions = [tmp_path / "audio.csv", tmp_path / "cnn.csv"]
+    merged = read_decisions(decisions)
+    assert {tuple(sorted(o)) for o in merged.values()} == {("audio",), ("cnn",), ("audio", "cnn")}
+    assert run("fuse-bn", "infer", "--model", tmp_path / "bn.json", "--decisions", *decisions,
+               "--out", tmp_path / "fused.csv") == 0
+    model = load_bn(tmp_path / "bn.json")
+    expected = {c: {"bn": bn_infer(model, merged[c])[0]} for c in sorted(merged)}
+    fused = read_decisions([tmp_path / "fused.csv"])
+    assert list(fused) == list(expected) and fused == expected
 
 
 @pytest.mark.parametrize("argv", [
@@ -525,11 +566,17 @@ def _bn_without_decisions(d):
     write_decisions(d / "dec.csv", [])
 
 
+def _svm_of_width(d, width):
+    save_svm(LinearSvmModel(W=np.zeros((7, width)), b=np.zeros(7), C=1.0), d / "svm.json")
+
+
 # Each data error: how to make it in a fresh 7-clip dataset ``d`` whose
 # ``dec.csv`` holds one audio decision per clip, the stage that meets
 # it, and the message it reports.
 TRAIN_AUDIO = ("train-svm", "--manifest", "{d}/manifest.csv", "--channel", "audio",
                "--out", "{d}/out")
+PREDICT_CNN = ("predict-svm", "--manifest", "{d}/manifest.csv", "--channel", "cnn",
+               "--model", "{d}/svm.json", "--out", "{d}/out")
 EVALUATE = ("evaluate", "--pred", "{d}/dec.csv", "--manifest", "{d}/manifest.csv",
             "--out", "{d}/out")
 DATA_ERRORS = {
@@ -600,6 +647,15 @@ DATA_ERRORS = {
     "pool-width-5": (lambda d: write_tensor_array(d / "s.fvt", np.ones((9, 5))),
                      ("pool", "--in", "{d}/s.fvt", "--out", "{d}/out"),
                      "DimensionMismatch: {d}/s.fvt: expected a T×7 matrix, got shape (9, 5)"),
+    "svm-of-another-channel": (lambda d: _svm_of_width(d, 20), PREDICT_CNN,
+                               "DimensionMismatch: {d}/svm.json: the model takes 20 features, "
+                               "the width of channel audio, but --channel cnn has 49"),
+    "svm-of-the-joint-vector": (lambda d: _svm_of_width(d, 269), PREDICT_CNN,
+                                "DimensionMismatch: {d}/svm.json: the model takes 269 features, "
+                                "the width of the joint vector, but --channel cnn has 49"),
+    "svm-of-no-channel": (lambda d: _svm_of_width(d, 30), PREDICT_CNN,
+                          "DimensionMismatch: {d}/svm.json: the model takes 30 features, "
+                          "the width of no channel, but --channel cnn has 49"),
     "bn-no-measurements": (lambda d: (d / "bn.json").write_text(json.dumps(
                                {"kind": "bn_fusion", "prior": [1 / 7] * 7, "measurements": []})),
                            ("fuse-bn", "infer", "--model", "{d}/bn.json",

@@ -318,24 +318,47 @@ def test_bn_three_agreeing_channels_dominate():
 
 
 def test_bn_errors():
+    """One clip's labels and arrays of labels fail alike."""
     rng = np.random.default_rng(6)
-    model = _random_bn(rng, channels=("audio",))
+    model = _random_bn(rng, channels=("audio", "cnn"))
     with pytest.raises(ValueError):
         bn_infer(model, {})
     with pytest.raises(UnknownChannel):
-        bn_infer(model, {"cnn": 1})
+        bn_infer(model, {"blstm": 1})
     for bad in (1.5, 7, -1):  # not class indices; 1.5 must not truncate to 1
-        with pytest.raises(ValueError, match="class index"):
+        with pytest.raises(ValueError, match="^audio: observed label .* class index"):
             bn_infer(model, {"audio": bad})
+        with pytest.raises(ValueError, match="^cnn: observed label .* class index"):
+            bn_infer(model, {"audio": [0, 1, 2], "cnn": [3, bad, 4]})
+    for ragged in ([3, 4], 3):
+        with pytest.raises(DimensionMismatch, match="differ in shape"):
+            bn_infer(model, {"audio": [0, 1, 2], "cnn": ragged})
     hard = np.zeros((7, 7))
     hard[:, 0] = 1.0
     model = BnFusionModel(prior=uniform_prior(),
                           measurements=(MeasurementModel(channel="audio", cpt=hard),))
-    with pytest.raises(AllZeroPosterior):
+    with pytest.raises(AllZeroPosterior, match="^row 0:"):
         bn_infer(model, {"audio": 3})
+    with pytest.raises(AllZeroPosterior, match="^row 1:"):
+        bn_infer(model, {"audio": [0, 3, 0, 5]})
     audio = MeasurementModel(channel="audio", cpt=np.eye(7))
     with pytest.raises(ValueError, match="once"):
         BnFusionModel(prior=uniform_prior(), measurements=(audio, audio))
+
+
+@pytest.mark.parametrize("channels", [CHANNELS, ("cnn", "audio")])
+def test_bn_batched_equals_one_clip_calls(channels):
+    """Label arrays give, row for row, the bytes of one call per clip, with
+    every channel observed and with the others marginalized out."""
+    rng = np.random.default_rng(8)
+    model = _random_bn(rng)
+    observed = {ch: rng.integers(0, 7, 500) for ch in channels}
+    labels, post = bn_infer(model, observed)
+    assert labels.shape == (500,) and post.shape == (500, 7)
+    for i in range(500):
+        label, row = bn_infer(model, {ch: int(observed[ch][i]) for ch in channels})
+        assert type(label) is int and label == labels[i]
+        assert row.tobytes() == post[i].tobytes()
 
 
 def test_measurement_model_validation():

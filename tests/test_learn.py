@@ -202,6 +202,13 @@ def test_update_centers_converges_to_class_mean():
     assert np.max(np.abs(centers - means)) < 1e-6
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.5, math.nan])
+def test_update_centers_rejects_alpha_outside_unit_interval(alpha):
+    centers = np.array([[0.0, 0.0], [5.0, 5.0]])
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+        update_centers(np.array([[2.0, 4.0]]), [0], centers, alpha)
+
+
 def test_probe_plain_softmax_separable():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((30, 2)) + [5, 0]
