@@ -13,18 +13,17 @@ import sys
 import numpy as np
 
 from . import features, fusion, learn, metrics, synth
-from .core import (CHANNELS, JOINT_DIM, N_CLASSES, SEGMENT_DIMS, DimensionMismatch, load_manifest,
-                   read_tensor_array, write_csv, write_models, write_tensor_array)
+from .core import (CHANNELS, JOINT_DIM, SEGMENT_DIMS, DimensionMismatch, check_scores,
+                   load_manifest, read_tensor_array, write_csv, write_models, write_tensor_array)
 from .lbptop import lbp_top_descriptor
 
 
 def _channel_matrix(manifest, channel):
     """Per-clip feature rows for one channel of a manifest.
 
-    A rank-1 tensor must hold the channel's ``SEGMENT_DIMS`` values and is
-    used as-is; a rank-2 tensor on the cnn channel is a T×7 per-frame score
-    matrix, T >= 1, and gets k-average pooled into 7 bins, all clips of one
-    frame count in one call.  Any other shape raises, naming the file.
+    A rank-1 tensor must hold the channel's ``SEGMENT_DIMS`` values; a rank-2
+    cnn tensor must pass ``core.check_scores`` and is k-average pooled into 7
+    bins, one call per frame count.  Any other shape raises, naming the file.
     """
     rows, scores = [], {}
     for i, entry in enumerate(manifest.entries):
@@ -33,12 +32,7 @@ def _channel_matrix(manifest, channel):
             raise ValueError(f"clip {entry.clip_id!r} has no {channel} file")
         arr = read_tensor_array(path)
         if arr.ndim == 2 and channel == "cnn":
-            if arr.shape[1] != N_CLASSES:
-                raise DimensionMismatch(f"{path}: expected a T×{N_CLASSES} score matrix for "
-                                        f"channel cnn, got shape {arr.shape}")
-            if not len(arr):
-                raise DimensionMismatch(f"{path}: cnn score matrix has no frames")
-            scores[i] = arr
+            scores[i] = check_scores(arr, path)
         elif arr.ndim != 1:
             raise ValueError(f"{path}: expected a feature vector for channel {channel}, "
                              f"got rank {arr.ndim}; run the extraction stages first")
@@ -104,12 +98,8 @@ def cmd_pca_apply(args):
 
 
 def cmd_pool(args):
-    scores = read_tensor_array(args.infile)
-    if scores.ndim != 2 or scores.shape[1] != N_CLASSES:
-        raise DimensionMismatch(f"{args.infile}: expected a T×{N_CLASSES} matrix, "
-                                f"got shape {scores.shape}")
-    pooled = features.k_average_pool(scores, args.k)
-    write_tensor_array(args.out, pooled)
+    scores = check_scores(read_tensor_array(args.infile), args.infile)
+    write_tensor_array(args.out, features.k_average_pool(scores, args.k))
     print(f"pooled {scores.shape[0]} frames into {args.k} bins -> {args.out}")
 
 

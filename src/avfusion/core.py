@@ -159,6 +159,16 @@ def check_count(value, name, least=1):
     return int(value)
 
 
+def check_real(value, name, positive=False, high=math.inf):
+    """Return a finite real number (not bool) in [0, high], or in (0, high] when
+    ``positive``, as float; anything else raises ValueError starting with ``name``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not 0 <= value <= high or positive and value == 0 or not math.isfinite(value)):
+        interval = f"{'(' if positive else '['}0, {high:g}{')' if high == math.inf else ']'}"
+        raise ValueError(f"{name} must be a real number in {interval}, got {value!r}")
+    return float(value)
+
+
 def check_shape(array, shape, name):
     """Return ``array`` as float64 when its shape is ``shape``, where a
     None entry matches any length; else raise DimensionMismatch, starting
@@ -171,6 +181,14 @@ def check_shape(array, shape, name):
                                      for got, want in zip(arr.shape, shape)):
         raise DimensionMismatch(f"{name}: expected shape {tuple(shape)}, got {arr.shape}")
     return arr
+
+
+def check_scores(scores, name):
+    """Return a T×7 score matrix with T >= 1 as float64; errors start with ``name``."""
+    mat = check_shape(scores, (None, N_CLASSES), name)
+    if not len(mat):
+        raise DimensionMismatch(f"{name}: expected at least one frame, got shape {mat.shape}")
+    return mat
 
 
 def check_probabilities(table, shape, name):

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import N_CLASSES, check_count, check_matrix, check_shape, read_model, write_models
+from .core import (N_CLASSES, check_count, check_matrix, check_scores, check_shape, read_model,
+                   write_models)
 
 
 class TooFewSamples(ValueError):
@@ -95,10 +96,8 @@ def k_average_pool(scores, k=7):
     """
     k = check_count(k, "k")
     mat = np.asarray(scores, dtype=np.float64)
-    check_matrix(mat.reshape(-1, mat.shape[-1]) if mat.ndim == 3 else mat, cols=N_CLASSES)
+    check_matrix(check_scores(mat.reshape(-1, mat.shape[-1]) if mat.ndim == 3 else mat, "scores"))
     n_frames = mat.shape[-2]
-    if n_frames == 0:
-        raise ValueError("cannot pool an empty score matrix")
     if n_frames < k:
         repeats = np.full(n_frames, k // n_frames)
         repeats[: k % n_frames] += 1

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CHANNELS, SEGMENT_DIMS, DimensionMismatch, MissingKey, N_CLASSES,
-                   check_probabilities, emotion_index, emotion_name, read_csv, read_model,
-                   require_key, write_csv, write_models)
+                   check_probabilities, check_real, emotion_index, emotion_name, read_csv,
+                   read_model, require_key, write_csv, write_models)
 from .features import normalize_apply, normalize_fit
 from .learn import svm_predict_batch, svm_train
 from .metrics import evaluate
@@ -144,10 +144,7 @@ def fit_measurement_cpt(predictions, truths, alpha=1.0, channel="joint"):
     With alpha == 0 a true class that never occurs leaves its row
     undefined, which is an error.
     """
-    if alpha < 0:
-        raise ValueError("smoothing alpha must be >= 0")
-    if not alpha < np.inf:  # NaN too
-        raise ValueError(f"smoothing alpha must be finite, got {alpha!r}")
+    alpha = check_real(alpha, "alpha")
     counts = evaluate(predictions, truths).confusion
     row_totals = counts.sum(axis=1)
     if alpha == 0 and np.any(row_totals == 0):
@@ -194,6 +191,8 @@ def bn_infer(model, observed):
     except ValueError:  # ragged: arrays of different lengths, or a scalar beside an array
         raise DimensionMismatch(f"observed labels differ in shape: "
                                 f"{ {ch: np.shape(v) for ch, v in observed.items()} }") from None
+    if measured.dtype.kind not in "biuf":  # a string beside numbers casts them to strings
+        measured = np.array([observed[meas.channel] for meas in present], dtype=object)
     bad = ~(measured[..., None] == np.arange(N_CLASSES)).any(axis=-1)
     if bad.any():
         raise ValueError(f"{present[np.nonzero(bad)[0][0]].channel}: observed label "

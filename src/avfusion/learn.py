@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DimensionMismatch, N_CLASSES, check_count, check_labels, check_matrix,
-                   check_shape, read_model, require_key, write_models)
+                   check_real, check_shape, read_model, require_key, write_models)
 
 
 class ZeroNormCenter(ValueError):
@@ -39,13 +39,9 @@ class IslandLossParams:
     alpha: float = 0.5     # center learning rate
 
     def __post_init__(self):
-        if self.lambda1 < 0 or self.lam < 0:
-            raise ValueError("lambda1 and lam must be >= 0")
-        for name, value in (("lambda1", self.lambda1), ("lam", self.lam)):
-            if not value < np.inf:  # NaN too
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if not 0 < self.alpha <= 1:
-            raise ValueError("alpha must lie in (0, 1]")
+        check_real(self.lambda1, "lambda1")
+        check_real(self.lam, "lam")
+        check_real(self.alpha, "alpha", positive=True, high=1)
 
 
 @dataclass(frozen=True)
@@ -122,8 +118,7 @@ def update_centers(X, y, centers, alpha, lambda1=0.0):
     damped by 1 + n_j (n_j = batch count of class j); the pairwise term
     contributes its loss gradient scaled by lambda1.
     """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
+    alpha = check_real(alpha, "alpha", positive=True, high=1)
     X, y, centers = _check_batch(X, y, centers)
     pull = np.zeros_like(centers)
     np.add.at(pull, y, centers[y] - X)
@@ -154,8 +149,7 @@ def softmax_probe_train(X, y, params=None, epochs=400, seed=0, lr=0.02):
     deterministic given the seed.
     """
     params = params or IslandLossParams()
-    if not 0 < lr < np.inf:
-        raise ValueError(f"lr must be finite and > 0, got {lr!r}")
+    lr = check_real(lr, "lr", positive=True)
     epochs = check_count(epochs, "epochs")
     seed = check_count(seed, "seed", least=0)
     X = check_matrix(X)
@@ -244,8 +238,7 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
     arguments skip only numpy's Python-level dispatch: the same dgemv and
     dgemm run on the same operands in the same order, so no bit changes.
     """
-    if not 0 < C < np.inf:
-        raise ValueError(f"C must be finite and > 0, got {C!r}")
+    C = check_real(C, "C", positive=True)
     epochs = check_count(epochs, "epochs")
     seed = check_count(seed, "seed", least=0)
     X = check_matrix(X)

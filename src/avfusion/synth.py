@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CHANNELS, SEGMENT_DIMS, check_count, save_manifest, write_tensor_array
+from .core import CHANNELS, SEGMENT_DIMS, check_count, check_real, save_manifest, write_tensor_array
 from .features import pool_clips
 
 
@@ -38,11 +38,11 @@ class SynthConfig:
         check_count(self.seed, "seed", least=0)
         if len(self.informativeness) != len(CHANNELS):
             raise ValueError(f"need one informativeness value per channel {CHANNELS}")
-        if any(not 0 <= v <= 1 for v in self.informativeness):
-            raise ValueError("informativeness values must lie in [0, 1]")
-        unknown = set(self.failed_channels) - set(CHANNELS)
-        if unknown:
-            raise ValueError(f"unknown failed channels {sorted(unknown)}")
+        for channel, value in zip(CHANNELS, self.informativeness):
+            check_real(value, f"informativeness of {channel}", high=1)
+        if isinstance(self.failed_channels, str) or not set(self.failed_channels) <= set(CHANNELS):
+            raise ValueError(f"failed_channels must be a collection of names from {CHANNELS}, "
+                             f"got {self.failed_channels!r}")
 
 
 @dataclass

@@ -352,8 +352,7 @@ def test_cnn_matrix_of_wrong_width_names_its_file(tmp_path, capsys):
     assert run("train-svm", "--manifest", tmp_path / "manifest.csv", "--channel", "cnn",
                "--out", tmp_path / "m.json") == 1
     assert capsys.readouterr().err == (f"error: DimensionMismatch: {tmp_path}/clip_00002.cnn.fvt: "
-                                       "expected a T×7 score matrix for channel cnn, "
-                                       "got shape (12, 10)\n")
+                                       "expected shape (None, 7), got (12, 10)\n")
 
 
 def test_island_demo(tmp_path, capsys):
@@ -608,7 +607,8 @@ DATA_ERRORS = {
     "cnn-no-frames": (lambda d: write_tensor_array(d / "clip_00002.cnn.fvt", np.ones((0, 7))),
                       ("train-svm", "--manifest", "{d}/manifest.csv", "--channel", "cnn",
                        "--out", "{d}/out"),
-                      "DimensionMismatch: {d}/clip_00002.cnn.fvt: cnn score matrix has no frames"),
+                      "DimensionMismatch: {d}/clip_00002.cnn.fvt: expected at least one frame, "
+                      "got shape (0, 7)"),
     "unlabeled-clip": (lambda d: _edit_manifest(d, 3, 1, ""), EVALUATE,
                        "ManifestError: clip 'clip_00002' has no label"),
     "missing-decision": (lambda d: _edit_text(d / "dec.csv", "clip_00002,", "clip_00099,"),
@@ -640,13 +640,17 @@ DATA_ERRORS = {
                             "ValueError: {d}/dec.csv: no rows below the header"),
     "pool-rank-1": (lambda d: write_tensor_array(d / "s.fvt", np.ones(7)),
                     ("pool", "--in", "{d}/s.fvt", "--out", "{d}/out"),
-                    "DimensionMismatch: {d}/s.fvt: expected a T×7 matrix, got shape (7,)"),
+                    "DimensionMismatch: {d}/s.fvt: expected shape (None, 7), got (7,)"),
     "pool-rank-3": (lambda d: write_tensor_array(d / "s.fvt", np.ones((3, 9, 7))),
                     ("pool", "--in", "{d}/s.fvt", "--out", "{d}/out"),
-                    "DimensionMismatch: {d}/s.fvt: expected a T×7 matrix, got shape (3, 9, 7)"),
+                    "DimensionMismatch: {d}/s.fvt: expected shape (None, 7), got (3, 9, 7)"),
     "pool-width-5": (lambda d: write_tensor_array(d / "s.fvt", np.ones((9, 5))),
                      ("pool", "--in", "{d}/s.fvt", "--out", "{d}/out"),
-                     "DimensionMismatch: {d}/s.fvt: expected a T×7 matrix, got shape (9, 5)"),
+                     "DimensionMismatch: {d}/s.fvt: expected shape (None, 7), got (9, 5)"),
+    "pool-no-frames": (lambda d: write_tensor_array(d / "s.fvt", np.ones((0, 7))),
+                       ("pool", "--in", "{d}/s.fvt", "--out", "{d}/out"),
+                       "DimensionMismatch: {d}/s.fvt: expected at least one frame, "
+                       "got shape (0, 7)"),
     "svm-of-another-channel": (lambda d: _svm_of_width(d, 20), PREDICT_CNN,
                                "DimensionMismatch: {d}/svm.json: the model takes 20 features, "
                                "the width of channel audio, but --channel cnn has 49"),

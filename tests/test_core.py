@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import re
 import stat
@@ -17,14 +18,16 @@ from hypothesis import strategies as st
 import avfusion
 from avfusion.features import (load_normalization, load_pca, normalize_fit, pca_fit,
                                save_normalization, save_pca)
-from avfusion.fusion import (BnFusionModel, MeasurementModel, load_bn, read_decisions, save_bn,
-                             uniform_prior, write_decisions)
-from avfusion.learn import LinearSvmModel, load_svm, save_svm
+from avfusion.fusion import (BnFusionModel, MeasurementModel, fit_measurement_cpt, load_bn,
+                             read_decisions, save_bn, uniform_prior, write_decisions)
+from avfusion.learn import (IslandLossParams, LinearSvmModel, load_svm, save_svm,
+                            softmax_probe_train, svm_train, update_centers)
+from avfusion.synth import SynthConfig, gaussian_blobs
 from avfusion.core import (CHANNELS, BadMagic, DuplicateClipId, DimensionMismatch,
                            EMOTION_NAMES, MalformedRow, TensorFormatError, Truncated,
-                           UnknownLabel, check_count, emotion_index, emotion_name, load_manifest,
-                           read_tensor, read_tensor_array, save_manifest, write_csv,
-                           write_tensor, write_tensor_array)
+                           UnknownLabel, check_count, check_real, emotion_index, emotion_name,
+                           load_manifest, read_tensor, read_tensor_array, save_manifest,
+                           write_csv, write_tensor, write_tensor_array)
 
 
 def test_label_bijection():
@@ -66,6 +69,53 @@ def test_check_count():
     for value in (-1, 0.0, True):
         with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got "):
             check_count(value, "seed", least=0)
+
+
+def test_check_real():
+    for value, kwargs in ((0, {}), (np.int64(3), {}), (2.5, {"positive": True}),
+                          (np.float32(0.5), {"high": 1}), (1, {"positive": True, "high": 1})):
+        assert check_real(value, "x", **kwargs) == value
+        assert type(check_real(value, "x", **kwargs)) is float
+    for value, kwargs, interval in ((0, {"positive": True}, "(0, inf)"),
+                                    (-1e-300, {}, "[0, inf)"),
+                                    (1.5, {"high": 1}, "[0, 1]"),
+                                    (0.0, {"positive": True, "high": 1}, "(0, 1]"),
+                                    (np.bool_(True), {}, "[0, inf)"),
+                                    (np.array(1.0), {}, "[0, inf)")):
+        with pytest.raises(ValueError, match=f"^x must be a real number in {re.escape(interval)}, "
+                                             f"got {re.escape(repr(value))}$"):
+            check_real(value, "x", **kwargs)
+
+
+# Each real-valued setting: its name in errors, its interval, an
+# out-of-range value, and a call of its public entry point with the value.
+_BLOB_X, _BLOB_Y = gaussian_blobs(3, seed=0)
+REAL_SETTINGS = {
+    "C": ("C", "(0, inf)", 0.0, lambda v: svm_train(_BLOB_X, _BLOB_Y, C=v, epochs=1)),
+    "lr": ("lr", "(0, inf)", -1.0,
+           lambda v: softmax_probe_train(_BLOB_X, _BLOB_Y, epochs=1, lr=v)),
+    "smoothing-alpha": ("alpha", "[0, inf)", -1.0,
+                        lambda v: fit_measurement_cpt([0, 1], [0, 1], alpha=v)),
+    "lambda1": ("lambda1", "[0, inf)", -1.0, lambda v: IslandLossParams(lambda1=v)),
+    "lam": ("lam", "[0, inf)", -0.01, lambda v: IslandLossParams(lam=v)),
+    "center-alpha": ("alpha", "(0, 1]", 1.5, lambda v: IslandLossParams(alpha=v)),
+    "update-centers-alpha": ("alpha", "(0, 1]", 0.0,
+                             lambda v: update_centers(np.ones((1, 2)), [0], np.eye(2), v)),
+    "informativeness": ("informativeness of cnn", "[0, 1]", 1.5,
+                        lambda v: SynthConfig(informativeness=(1.0, 1.0, v, 1.0))),
+}
+REAL_VALUES = {"None": None, "str": "1", "bool": True, "nan": math.nan, "inf": math.inf,
+               "-inf": -math.inf}
+
+
+@pytest.mark.parametrize("value", [*REAL_VALUES, "out-of-range"])
+@pytest.mark.parametrize("setting", REAL_SETTINGS)
+def test_real_setting_refused_at_its_entry_point(setting, value):
+    name, interval, outside, call = REAL_SETTINGS[setting]
+    bad = {**REAL_VALUES, "out-of-range": outside}[value]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a real number in "
+                                         f"{re.escape(interval)}, got {re.escape(repr(bad))}$"):
+        call(bad)
 
 
 def test_tensor_roundtrip_2x2(tmp_path):

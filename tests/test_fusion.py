@@ -71,7 +71,8 @@ def test_feature_fusion_separable():
 
 
 @pytest.mark.parametrize("setting, message", [
-    ({"C": 0.0}, "C must be finite and > 0"), ({"epochs": 0}, "epochs must be an integer >= 1"),
+    ({"C": 0.0}, r"^C must be a real number in \(0, inf\), got 0\.0$"),
+    ({"epochs": 0}, "epochs must be an integer >= 1"),
 ], ids=["C=0", "epochs=0"])
 def test_feature_fusion_rejects_untrainable_settings(setting, message):
     X, y = _toy_joint_data()
@@ -171,7 +172,7 @@ def test_cpt_empty_class_row():
     # smoothing fills the empty rows
     model = fit_measurement_cpt([0, 1], [0, 1], alpha=1.0)
     assert np.allclose(model.cpt[3], np.full(7, 1.0 / 7.0))
-    with pytest.raises(ValueError, match="^smoothing alpha must be >= 0$"):
+    with pytest.raises(ValueError, match=r"^alpha must be a real number in \[0, inf\), got -1$"):
         fit_measurement_cpt([0, 1], [0, 1], alpha=-1)
 
 
@@ -179,7 +180,8 @@ def test_cpt_empty_class_row():
 def test_cpt_rejects_nonfinite_alpha(alpha):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused before it divides
-        with pytest.raises(ValueError, match=f"^smoothing alpha must be finite, got {alpha}$"):
+        with pytest.raises(ValueError,
+                           match=rf"^alpha must be a real number in \[0, inf\), got {alpha}$"):
             fit_measurement_cpt([0, 1], [0, 1], alpha=alpha)
 
 
@@ -330,6 +332,16 @@ def test_bn_errors():
             bn_infer(model, {"audio": bad})
         with pytest.raises(ValueError, match="^cnn: observed label .* class index"):
             bn_infer(model, {"audio": [0, 1, 2], "cnn": [3, bad, 4]})
+    # A string beside numbers: the channel and label named are the ones at fault.
+    for observed, fault in (({"audio": 2, "cnn": "x"}, "cnn: observed label x"),
+                            ({"audio": "x", "cnn": 2}, "audio: observed label x"),
+                            ({"audio": 9, "cnn": "x"}, "audio: observed label 9"),
+                            ({"audio": [0, 1, 2], "cnn": [3, "x", 4]}, "cnn: observed label x"),
+                            ({"audio": [0, 1, 2], "cnn": ["3", "4", "5"]}, "cnn: observed label 3"),
+                            ({"audio": [0, 1, 2], "cnn": [3, None, 4]},
+                             "cnn: observed label None")):
+        with pytest.raises(ValueError, match=f"^{fault} is not a class index in 0..6$"):
+            bn_infer(model, observed)
     for ragged in ([3, 4], 3):
         with pytest.raises(DimensionMismatch, match="differ in shape"):
             bn_infer(model, {"audio": [0, 1, 2], "cnn": ragged})

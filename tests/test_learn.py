@@ -119,13 +119,14 @@ def test_island_batch_errors():
 
 
 def test_island_params_and_ratio_reject_degenerate_settings():
-    with pytest.raises(ValueError, match="^lambda1 and lam must be >= 0$"):
+    with pytest.raises(ValueError, match=r"^lam must be a real number in \[0, inf\), got -0\.01$"):
         IslandLossParams(lam=-0.01)
     for name in ("lambda1", "lam"):
         for value in (math.nan, math.inf):
-            with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            with pytest.raises(ValueError,
+                               match=rf"^{name} must be a real number in \[0, inf\), got {value}$"):
                 IslandLossParams(**{name: value})
-    with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\]$"):
+    with pytest.raises(ValueError, match=r"^alpha must be a real number in \(0, 1\], got 0$"):
         IslandLossParams(alpha=0)
     with pytest.raises(DegenerateInput, match="no class has two samples"):
         clustering_ratio(np.eye(3), [0, 1, 2], np.eye(3))
@@ -205,7 +206,8 @@ def test_update_centers_converges_to_class_mean():
 @pytest.mark.parametrize("alpha", [0.0, 1.5, math.nan])
 def test_update_centers_rejects_alpha_outside_unit_interval(alpha):
     centers = np.array([[0.0, 0.0], [5.0, 5.0]])
-    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+    with pytest.raises(ValueError,
+                       match=rf"^alpha must be a real number in \(0, 1\], got {alpha}$"):
         update_centers(np.array([[2.0, 4.0]]), [0], centers, alpha)
 
 
@@ -270,7 +272,7 @@ def test_probe_rejects_too_few_epochs(epochs):
 @pytest.mark.parametrize("lr", [-1.0, 0.0, np.nan, np.inf])
 def test_probe_rejects_bad_lr(lr):
     X, y = gaussian_blobs(3, seed=0)
-    with pytest.raises(ValueError, match="^lr must be finite and > 0"):
+    with pytest.raises(ValueError, match=rf"^lr must be a real number in \(0, inf\), got {lr}$"):
         softmax_probe_train(X, y, epochs=2, lr=lr)
 
 
@@ -294,7 +296,7 @@ def test_trainers_take_numpy_integer_seeds():
 @pytest.mark.parametrize("C", [0, -1.0, np.nan, np.inf])
 def test_svm_rejects_bad_c(C):
     X = np.random.default_rng(12).standard_normal((20, 3))
-    with pytest.raises(ValueError, match="C must be finite and > 0"):
+    with pytest.raises(ValueError, match=rf"^C must be a real number in \(0, inf\), got {C}$"):
         svm_train(X, np.arange(20) % 7, C=C, epochs=1)
 
 

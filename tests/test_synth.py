@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,14 @@ def test_config_validation():
         SynthConfig(informativeness=(1.0, 1.0, 1.0, 1.5))
     with pytest.raises(ValueError):
         SynthConfig(failed_channels=("video",))
+
+
+@pytest.mark.parametrize("failed", ["audio", ""])
+def test_config_refuses_a_string_of_failed_channels(failed):
+    message = f"failed_channels must be a collection of names from {CHANNELS}, got {failed!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SynthConfig(failed_channels=failed)
+    assert SynthConfig(failed_channels=("audio",)).failed_channels == ("audio",)
 
 
 def test_dataset_shapes_and_balance():
