@@ -78,7 +78,7 @@ class DimensionMismatch(ValueError):
     """An input's shape disagrees with what the operation requires."""
 
 
-class LengthMismatch(ValueError):
+class LengthMismatch(DimensionMismatch):
     """Two parallel sequences differ in length."""
 
 
@@ -103,52 +103,25 @@ def emotion_index(name):
 
 
 def emotion_name(index):
-    """Map a class index (0..6) back to its canonical name.  Anything not
-    equal to one of those integers (1.5, -0.5, "1") raises UnknownLabel."""
-    if index not in range(N_CLASSES):
-        raise UnknownLabel(f"emotion index {index!r} is not a class index in 0..{N_CLASSES - 1}")
-    return EMOTION_NAMES[int(index)]
+    """Map a class index (0..6) back to its canonical name; anything
+    ``check_labels`` refuses raises UnknownLabel."""
+    return EMOTION_NAMES[int(check_labels(index, "emotion index"))]
 
 
-def check_volume(volume):
-    """Validate a T×H×W grayscale volume and return it as float64."""
-    vol = np.asarray(volume, dtype=np.float64)
-    if vol.ndim != 3:
-        raise DimensionMismatch(f"video volume must be rank 3 (T,H,W), got rank {vol.ndim}")
-    if vol.size == 0:
-        raise EmptyVolume(f"volume of shape {vol.shape} has no pixels")
-    if not np.all(np.isfinite(vol)):
-        raise ValueError("video volume contains non-finite values")
-    if vol.min() < 0 or vol.max() > 255:
-        raise ValueError("video volume intensities must lie in [0, 255]")
-    return vol
-
-
-def check_matrix(matrix, cols=None):
-    """Validate a finite rank-2 matrix, ``cols`` wide when given, and
-    return it as float64."""
-    mat = np.asarray(matrix, dtype=np.float64)
-    if mat.ndim != 2 or (cols is not None and mat.shape[1] != cols):
-        raise DimensionMismatch(f"expected an n×{cols or 'd'} matrix, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("matrix contains non-finite values")
-    return mat
-
-
-def check_labels(labels, n=None):
-    """Validate class labels and return them as a 1-D int64 array.
-
-    The labels must be a non-empty sequence of integer class indices in
-    0..6, ``n`` of them when ``n`` is given.
-    """
+def check_labels(labels, name="label", n=None, classes=N_CLASSES):
+    """Return a label, or an array of them, as int64 when each equals an
+    integer in 0..classes-1; else raise UnknownLabel naming the first
+    one at fault.  Strings and None are compared as objects, so "1" is
+    not 1.  When ``n`` is given the labels must be a 1-D sequence of
+    ``n``, else LengthMismatch.  Errors start with ``name``."""
     raw = np.asarray(labels)
-    if raw.ndim != 1 or raw.size == 0:
-        raise ValueError(f"labels must be a non-empty 1-D sequence, got shape {raw.shape}")
-    if n is not None and raw.size != n:
-        raise LengthMismatch(f"{raw.size} labels where {n} are expected")
-    known = np.isin(raw, np.arange(N_CLASSES))
+    if raw.dtype.kind not in "biuf":
+        raw = np.asarray(labels, dtype=object)
+    if n is not None and raw.shape != (n,):
+        raise LengthMismatch(f"{name}: expected {n} labels, got shape {raw.shape}")
+    known = (raw[..., None] == np.arange(classes)).any(axis=-1)
     if not known.all():
-        raise UnknownLabel(f"label {raw[~known][0]} is not a class index in 0..{N_CLASSES - 1}")
+        raise UnknownLabel(f"{name} {raw[~known][0]} is not a class index in 0..{classes - 1}")
     return raw.astype(np.int64)
 
 
@@ -170,17 +143,32 @@ def check_real(value, name, positive=False, high=math.inf):
 
 
 def check_shape(array, shape, name):
-    """Return ``array`` as float64 when its shape is ``shape``, where a
-    None entry matches any length; else raise DimensionMismatch, starting
-    with ``name``."""
+    """Return ``array`` as float64 when it holds numbers, all finite, in
+    the shape ``shape``, where a None entry matches any length.  Anything
+    else raises a ValueError, DimensionMismatch for a wrong shape, that
+    starts with ``name``."""
     try:
-        arr = np.asarray(array, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name}: expected an array of numbers") from None
+        arr = np.asarray(array)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{name}: expected an array of numbers")
     if arr.ndim != len(shape) or any(want is not None and got != want
                                      for got, want in zip(arr.shape, shape)):
         raise DimensionMismatch(f"{name}: expected shape {tuple(shape)}, got {arr.shape}")
-    return arr
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name}: contains non-finite values")
+    return arr.astype(np.float64, copy=False)
+
+
+def check_volume(volume):
+    """Validate a T×H×W grayscale volume and return it as float64."""
+    vol = check_shape(volume, (None, None, None), "video volume")
+    if vol.size == 0:
+        raise EmptyVolume(f"volume of shape {vol.shape} has no pixels")
+    if vol.min() < 0 or vol.max() > 255:
+        raise ValueError("video volume intensities must lie in [0, 255]")
+    return vol
 
 
 def check_scores(scores, name):
@@ -196,9 +184,8 @@ def check_probabilities(table, shape, name):
     float64: every entry finite and non-negative, and every slice along
     the last axis summing to 1 within 1e-12.  Errors start with ``name``."""
     tab = check_shape(table, shape, name)
-    if not (np.all(np.isfinite(tab)) and np.all(tab >= 0)
-            and np.all(np.abs(tab.sum(axis=-1) - 1.0) <= 1e-12)):
-        raise ValueError(f"{name}: probability table entries must be finite and non-negative, "
+    if not (np.all(tab >= 0) and np.all(np.abs(tab.sum(axis=-1) - 1.0) <= 1e-12)):
+        raise ValueError(f"{name}: probability table entries must be non-negative, "
                          "and each row must sum to 1 within 1e-12")
     return tab
 
@@ -449,9 +436,12 @@ def load_manifest(path):
 
 def save_manifest(path, entries):
     """Write a manifest CSV from (clip_id, label index or None,
-    channel->cell) entries.  Each cell, a str or os.PathLike, is written
-    as given; a channel with no cell gets an empty one."""
+    channel->cell) entries; None leaves the label cell empty.  Each cell,
+    a str or os.PathLike, is written as given; a channel with no cell gets
+    an empty one."""
+    entries = list(entries)
+    names = iter(check_labels([label for _, label, _ in entries if label is not None]).tolist())
     write_csv(path, [MANIFEST_COLUMNS, *(
-        [clip_id, "" if label is None else emotion_name(label),
+        [clip_id, "" if label is None else EMOTION_NAMES[next(names)],
          *(os.fspath(paths.get(channel, "")) for channel in CHANNELS)]
         for clip_id, label, paths in entries)])

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (N_CLASSES, check_count, check_matrix, check_scores, check_shape, read_model,
-                   write_models)
+from .core import N_CLASSES, check_count, check_scores, check_shape, read_model, write_models
 
 
 class TooFewSamples(ValueError):
@@ -60,7 +59,7 @@ def pca_fit(X, q):
     the eigenvalues are s²/(n-1).  When the data rank is below q the
     trailing components are an orthonormal completion with eigenvalue 0.
     """
-    X = check_matrix(X)
+    X = check_shape(X, (None, None), "features")
     n, d = X.shape
     q = check_count(q, "q")
     if n < 2:
@@ -77,8 +76,8 @@ def pca_fit(X, q):
 def pca_transform(model, x):
     """Project ``x`` (a d-vector or an n×d matrix of rows) onto the
     retained components: ``components @ (x - mean)``."""
-    x = np.asarray(x, dtype=np.float64)
-    check_matrix(np.atleast_2d(x), cols=model.mean.shape[0])
+    d = model.mean.shape[0]
+    x = check_shape(x, (d,) if np.ndim(x) == 1 else (None, d), "features")
     return (x - model.mean) @ model.components.T
 
 
@@ -95,8 +94,9 @@ def k_average_pool(scores, k=7):
     each bin is averaged, and the bin means are concatenated in order.
     """
     k = check_count(k, "k")
-    mat = np.asarray(scores, dtype=np.float64)
-    check_matrix(check_scores(mat.reshape(-1, mat.shape[-1]) if mat.ndim == 3 else mat, "scores"))
+    mat = np.asarray(scores)
+    mat = check_scores(mat.reshape(-1, mat.shape[-1]) if mat.ndim == 3 else mat,
+                       "scores").reshape(mat.shape)
     n_frames = mat.shape[-2]
     if n_frames < k:
         repeats = np.full(n_frames, k // n_frames)
@@ -126,7 +126,7 @@ def pool_clips(clips):
 
 def normalize_fit(X):
     """Per-dimension mean and population std over training rows."""
-    X = check_matrix(X)
+    X = check_shape(X, (None, None), "features")
     if X.shape[0] < 2:
         raise TooFewSamples(f"normalization needs at least 2 samples, got {X.shape[0]}")
     return NormalizationModel(per_dim_mean=X.mean(axis=0), per_dim_std=X.std(axis=0))
@@ -140,8 +140,8 @@ def normalize_apply(model, x):
     across its own entries; a stage-1 vector with zero spread maps to
     the zero vector.
     """
-    x = np.asarray(x, dtype=np.float64)
-    check_matrix(np.atleast_2d(x), cols=model.per_dim_mean.shape[0])
+    d = model.per_dim_mean.shape[0]
+    x = check_shape(x, (d,) if np.ndim(x) == 1 else (None, d), "features")
     std = model.per_dim_std
     stage1 = np.where(std > 0, (x - model.per_dim_mean) / np.where(std > 0, std, 1.0), 0.0)
     own_mean = stage1.mean(axis=-1, keepdims=True)

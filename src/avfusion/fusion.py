@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CHANNELS, SEGMENT_DIMS, DimensionMismatch, MissingKey, N_CLASSES,
-                   check_probabilities, check_real, emotion_index, emotion_name, read_csv,
-                   read_model, require_key, write_csv, write_models)
+from .core import (CHANNELS, EMOTION_NAMES, SEGMENT_DIMS, DimensionMismatch, MissingKey,
+                   N_CLASSES, UnknownLabel, check_labels, check_probabilities, check_real,
+                   emotion_index, read_csv, read_model, require_key, write_csv,
+                   write_models)
 from .features import normalize_apply, normalize_fit
 from .learn import svm_predict_batch, svm_train
 from .metrics import evaluate
@@ -148,7 +149,7 @@ def fit_measurement_cpt(predictions, truths, alpha=1.0, channel="joint"):
     counts = evaluate(predictions, truths).confusion
     row_totals = counts.sum(axis=1)
     if alpha == 0 and np.any(row_totals == 0):
-        missing = [emotion_name(e) for e in np.flatnonzero(row_totals == 0)]
+        missing = [EMOTION_NAMES[e] for e in np.flatnonzero(row_totals == 0)]
         raise EmptyClassRow(f"no samples of {missing} and alpha=0 leaves their rows undefined")
     cpt = (counts + alpha) / (row_totals + N_CLASSES * alpha)[:, None]
     return MeasurementModel(channel=channel, cpt=cpt)
@@ -191,14 +192,14 @@ def bn_infer(model, observed):
     except ValueError:  # ragged: arrays of different lengths, or a scalar beside an array
         raise DimensionMismatch(f"observed labels differ in shape: "
                                 f"{ {ch: np.shape(v) for ch, v in observed.items()} }") from None
-    if measured.dtype.kind not in "biuf":  # a string beside numbers casts them to strings
-        measured = np.array([observed[meas.channel] for meas in present], dtype=object)
-    bad = ~(measured[..., None] == np.arange(N_CLASSES)).any(axis=-1)
-    if bad.any():
-        raise ValueError(f"{present[np.nonzero(bad)[0][0]].channel}: observed label "
-                         f"{measured[bad][0]} is not a class index in 0..{N_CLASSES - 1}")
+    try:
+        measured = check_labels(measured, "observed label")
+    except UnknownLabel:  # name the channel at fault, and its label as given
+        for meas in present:
+            check_labels(observed[meas.channel], f"{meas.channel}: observed label")
+        raise
     post = model.prior
-    for meas, m in zip(present, measured.astype(np.intp)):
+    for meas, m in zip(present, measured):
         post = post * meas.cpt.T[m]
     total = post.sum(axis=-1, keepdims=True)
     if not total.all():
@@ -237,7 +238,9 @@ def _measurements(doc):
 
 def write_decisions(path, rows):
     """Write a decisions CSV of (clip_id, channel, label index) rows."""
-    write_csv(path, [DECISION_COLUMNS, *((c, ch, emotion_name(label)) for c, ch, label in rows)])
+    labels = check_labels([label for *_, label in rows], n=len(rows))
+    write_csv(path, [DECISION_COLUMNS, *((c, ch, EMOTION_NAMES[label])
+                                         for (c, ch, _), label in zip(rows, labels.tolist()))])
 
 
 def read_decisions(paths):

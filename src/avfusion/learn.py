@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DimensionMismatch, N_CLASSES, check_count, check_labels, check_matrix,
-                   check_real, check_shape, read_model, require_key, write_models)
+from .core import (N_CLASSES, check_count, check_labels, check_real, check_shape, read_model,
+                   require_key, write_models)
 
 
 class ZeroNormCenter(ValueError):
@@ -53,18 +53,13 @@ class LinearSvmModel:
     def __post_init__(self):
         object.__setattr__(self, "W", check_shape(self.W, (N_CLASSES, None), "weights"))
         object.__setattr__(self, "b", check_shape(self.b, (N_CLASSES,), "bias"))
-        object.__setattr__(self, "C", float(check_shape(self.C, (), "C")))
+        object.__setattr__(self, "C", check_real(self.C, "C", positive=True))
 
 
 def _check_batch(X, y, centers):
-    centers = check_matrix(centers)
-    X = check_matrix(X, cols=centers.shape[1])
-    y = np.asarray(y)
-    if y.shape != (X.shape[0],):
-        raise DimensionMismatch("labels must align with batch rows")
-    if not np.isin(y, np.arange(centers.shape[0])).all():
-        raise ValueError("labels must index center rows")
-    return X, y.astype(np.int64), centers
+    centers = check_shape(centers, (None, None), "centers")
+    X = check_shape(X, (None, centers.shape[1]), "batch")
+    return X, check_labels(y, n=len(X), classes=len(centers)), centers
 
 
 def _unit_rows(centers):
@@ -152,10 +147,10 @@ def softmax_probe_train(X, y, params=None, epochs=400, seed=0, lr=0.02):
     lr = check_real(lr, "lr", positive=True)
     epochs = check_count(epochs, "epochs")
     seed = check_count(seed, "seed", least=0)
-    X = check_matrix(X)
-    y = check_labels(y, n=X.shape[0])
+    X = check_shape(X, (None, None), "features")
+    y = check_labels(y, n=len(X))
     m, d = X.shape
-    n_classes = int(y.max()) + 1
+    n_classes = int(y.max(initial=0)) + 1
     if m < n_classes:
         raise DegenerateInput(f"{m} samples cannot cover {n_classes} classes")
     rng = np.random.default_rng(seed)
@@ -241,11 +236,12 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
     C = check_real(C, "C", positive=True)
     epochs = check_count(epochs, "epochs")
     seed = check_count(seed, "seed", least=0)
-    X = check_matrix(X)
-    y = check_labels(y, n=X.shape[0])
+    X = check_shape(X, (None, None), "features")
+    y = check_labels(y, n=len(X))
     n, dim = X.shape
     if np.unique(y).size < 2:
-        raise SingleClass("training data contains a single class")
+        raise SingleClass(f"training labels hold {np.unique(y).size} classes; at least 2 "
+                          "are needed")
     lam = 1.0 / (C * n)
     Xa = np.hstack([X, np.ones((n, 1))])
     rows = Xa[:, None, :]  # each sample as a (1, D+1) row for the outer product
@@ -278,7 +274,7 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
 def svm_predict_batch(model, X):
     """Predicted labels for rows of an n×D matrix: the argmax of the
     scores W x + b, ties broken toward the lowest index."""
-    X = check_matrix(X, cols=model.W.shape[1])
+    X = check_shape(X, (None, model.W.shape[1]), "features")
     return np.argmax(X @ model.W.T + model.b, axis=1)
 
 

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EMOTION_NAMES, N_CLASSES, check_labels, write_csv
+from .core import EMOTION_NAMES, N_CLASSES, DimensionMismatch, check_labels, write_csv
 
 
 @dataclass(frozen=True)
@@ -20,8 +20,11 @@ def evaluate(predictions, truths):
     Per-class accuracy is the diagonal over the row total (0 for classes
     with no truth samples); overall accuracy is trace over total.
     """
-    truths = check_labels(truths)
-    predictions = check_labels(predictions, n=truths.size)
+    truths = check_labels(truths, "truth")
+    if truths.ndim != 1 or not truths.size:
+        raise DimensionMismatch(f"truth: expected a non-empty 1-D sequence of labels, "
+                                f"got shape {truths.shape}")
+    predictions = check_labels(predictions, "prediction", n=truths.size)
     confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     np.add.at(confusion, (truths, predictions), 1)
     row_totals = confusion.sum(axis=1)

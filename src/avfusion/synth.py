@@ -131,6 +131,7 @@ def gaussian_blobs(n_per_class, n_classes=7, dim=2, radius=3.0, noise=1.0, seed=
     n_per_class = check_count(n_per_class, "n_per_class")
     n_classes = check_count(n_classes, "n_classes")
     dim = check_count(dim, "dim", least=2)  # the class means fill two columns
+    radius, noise = check_real(radius, "radius"), check_real(noise, "noise")
     rng = np.random.default_rng(check_count(seed, "seed", least=0))
     angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
     means = np.zeros((n_classes, dim))

@@ -16,18 +16,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avfusion
-from avfusion.features import (load_normalization, load_pca, normalize_fit, pca_fit,
+from avfusion.features import (NormalizationModel, PcaModel, k_average_pool, load_normalization,
+                               load_pca, normalize_apply, normalize_fit, pca_fit, pca_transform,
                                save_normalization, save_pca)
-from avfusion.fusion import (BnFusionModel, MeasurementModel, fit_measurement_cpt, load_bn,
-                             read_decisions, save_bn, uniform_prior, write_decisions)
-from avfusion.learn import (IslandLossParams, LinearSvmModel, load_svm, save_svm,
-                            softmax_probe_train, svm_train, update_centers)
+from avfusion.fusion import (BnFusionModel, MeasurementModel, bn_infer, fit_measurement_cpt,
+                             load_bn, read_decisions, save_bn, uniform_prior, write_decisions)
+from avfusion.lbptop import lbp_top_descriptor
+from avfusion.learn import (IslandLossParams, LinearSvmModel, island_loss, load_svm, save_svm,
+                            softmax_probe_train, svm_predict_batch, svm_train, update_centers)
+from avfusion.metrics import evaluate
 from avfusion.synth import SynthConfig, gaussian_blobs
 from avfusion.core import (CHANNELS, BadMagic, DuplicateClipId, DimensionMismatch,
                            EMOTION_NAMES, MalformedRow, TensorFormatError, Truncated,
-                           UnknownLabel, check_count, check_real, emotion_index, emotion_name,
-                           load_manifest, read_tensor, read_tensor_array, save_manifest,
-                           write_csv, write_tensor, write_tensor_array)
+                           UnknownLabel, check_count, check_labels, check_real, emotion_index,
+                           emotion_name, load_manifest, read_tensor, read_tensor_array,
+                           save_manifest, write_csv, write_tensor, write_tensor_array)
 
 
 def test_label_bijection():
@@ -103,6 +106,10 @@ REAL_SETTINGS = {
                              lambda v: update_centers(np.ones((1, 2)), [0], np.eye(2), v)),
     "informativeness": ("informativeness of cnn", "[0, 1]", 1.5,
                         lambda v: SynthConfig(informativeness=(1.0, 1.0, v, 1.0))),
+    "svm-model-C": ("C", "(0, inf)", -5.0,
+                    lambda v: LinearSvmModel(W=np.zeros((7, 2)), b=np.zeros(7), C=v)),
+    "radius": ("radius", "[0, inf)", -1.0, lambda v: gaussian_blobs(3, radius=v)),
+    "noise": ("noise", "[0, inf)", -1.0, lambda v: gaussian_blobs(3, noise=v)),
 }
 REAL_VALUES = {"None": None, "str": "1", "bool": True, "nan": math.nan, "inf": math.inf,
                "-inf": -math.inf}
@@ -116,6 +123,104 @@ def test_real_setting_refused_at_its_entry_point(setting, value):
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a real number in "
                                          f"{re.escape(interval)}, got {re.escape(repr(bad))}$"):
         call(bad)
+
+
+# Each entry point that takes class indices, called with the labels of two
+# clips whose second is ``v``.
+_BN = BnFusionModel(prior=uniform_prior(), measurements=tuple(
+    MeasurementModel(channel=ch, cpt=np.full((7, 7), 1 / 7)) for ch in ("audio", "cnn")))
+CLASS_INDEX_ENTRY_POINTS = {
+    "emotion_name": lambda v, d: emotion_name(v),
+    "check_labels": lambda v, d: check_labels([0, v]),
+    "bn_infer-one-clip": lambda v, d: bn_infer(_BN, {"audio": 0, "cnn": v}),
+    "bn_infer-arrays": lambda v, d: bn_infer(_BN, {"audio": [0, 1], "cnn": [0, v]}),
+    "write_decisions": lambda v, d: write_decisions(d / "dec.csv", [("a", "cnn", 0),
+                                                                    ("b", "cnn", v)]),
+    "save_manifest": lambda v, d: save_manifest(d / "m.csv", [("a", 0, {}), ("b", v, {})]),
+    "svm_train": lambda v, d: svm_train(np.eye(2), [0, v], epochs=1),
+    "evaluate": lambda v, d: evaluate([0, v], [0, 3]),
+    "island_loss": lambda v, d: island_loss(np.eye(2), [0, v], np.ones((7, 2)), 1.0),
+}
+
+
+@pytest.mark.parametrize("value", [1.5, 7, -1, "1", None], ids=repr)
+@pytest.mark.parametrize("entry", CLASS_INDEX_ENTRY_POINTS)
+def test_class_index_refused_at_its_entry_point(entry, value, tmp_path):
+    """One rule, core.check_labels: only a value equal to an integer in
+    0..6 is a label, and the error names that value as given.  In a
+    manifest None marks an unlabeled clip, so save_manifest takes it."""
+    if entry == "save_manifest" and value is None:
+        save_manifest(tmp_path / "m.csv", [("a", 0, {}), ("b", None, {})])
+        return
+    with pytest.raises(UnknownLabel, match=f" {re.escape(str(value))} is not a class index "
+                                           r"in 0\.\.6$"):
+        CLASS_INDEX_ENTRY_POINTS[entry](value, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), 3.0], ids=repr)
+@pytest.mark.parametrize("entry", CLASS_INDEX_ENTRY_POINTS)
+def test_class_index_taken_at_its_entry_point(entry, value, tmp_path):
+    CLASS_INDEX_ENTRY_POINTS[entry](value, tmp_path)
+
+
+def test_misaligned_labels_are_a_dimension_mismatch():
+    for call in (lambda y: svm_train(np.eye(3), y),
+                 lambda y: island_loss(np.eye(3), y, np.ones((7, 3)), 1.0)):
+        with pytest.raises(DimensionMismatch, match=r"^label: expected 3 labels, got shape \(2,\)$"):
+            call([0, 1])
+
+
+# Each array input: its name in errors, a valid value, and a call of its
+# public entry point with the value.
+_SVM = svm_train(_BLOB_X, _BLOB_Y, epochs=1)
+_PCA = pca_fit(_BLOB_X, 1)
+_NORM = normalize_fit(_BLOB_X)
+ARRAY_INPUTS = {
+    "svm_train": ("features", _BLOB_X, lambda a: svm_train(a, _BLOB_Y, epochs=1)),
+    "svm_predict_batch": ("features", _BLOB_X, lambda a: svm_predict_batch(_SVM, a)),
+    "softmax_probe_train": ("features", _BLOB_X,
+                            lambda a: softmax_probe_train(a, _BLOB_Y, epochs=1)),
+    "island-batch": ("batch", np.eye(2), lambda a: island_loss(a, [0, 1], np.eye(2), 1.0)),
+    "island-centers": ("centers", np.eye(2), lambda a: island_loss(np.eye(2), [0, 1], a, 1.0)),
+    "pca_fit": ("features", _BLOB_X, lambda a: pca_fit(a, 1)),
+    "pca_transform": ("features", _BLOB_X, lambda a: pca_transform(_PCA, a)),
+    "normalize_fit": ("features", _BLOB_X, normalize_fit),
+    "normalize_apply": ("features", _BLOB_X[0], lambda a: normalize_apply(_NORM, a)),
+    "k_average_pool": ("scores", np.full((2, 9, 7), 1 / 7), k_average_pool),
+    "lbp_top_descriptor": ("video volume", np.full((3, 8, 8), 9.0), lbp_top_descriptor),
+    "svm-weights": ("weights", _SVM.W, lambda a: LinearSvmModel(W=a, b=_SVM.b, C=1.0)),
+    "svm-bias": ("bias", _SVM.b, lambda a: LinearSvmModel(W=_SVM.W, b=a, C=1.0)),
+    "pca-mean": ("mean", _PCA.mean, lambda a: PcaModel(a, _PCA.components, _PCA.eigenvalues)),
+    "pca-components": ("components", _PCA.components,
+                       lambda a: PcaModel(_PCA.mean, a, _PCA.eigenvalues)),
+    "pca-eigenvalues": ("eigenvalues", _PCA.eigenvalues,
+                        lambda a: PcaModel(_PCA.mean, _PCA.components, a)),
+    "norm-mean": ("mean", _NORM.per_dim_mean, lambda a: NormalizationModel(a, _NORM.per_dim_std)),
+    "norm-std": ("std", _NORM.per_dim_std, lambda a: NormalizationModel(_NORM.per_dim_mean, a)),
+    "cpt": ("audio CPT", np.eye(7), lambda a: MeasurementModel(channel="audio", cpt=a)),
+    "prior": ("prior", uniform_prior(),
+              lambda a: BnFusionModel(prior=a, measurements=_BN.measurements)),
+}
+
+
+def _spoiled(array, how):
+    if how == "strings":
+        return np.asarray(array).astype(str)
+    bad = np.array(array, dtype=np.float64)
+    bad.reshape(-1)[-1] = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}[how]
+    return bad
+
+
+@pytest.mark.parametrize("how", ["nan", "inf", "-inf", "strings"])
+@pytest.mark.parametrize("entry", ARRAY_INPUTS)
+def test_array_refused_at_its_entry_point(entry, how):
+    """One rule, core.check_shape: an array input holds finite numbers,
+    models built by hand included, and the error starts with its name."""
+    name, good, call = ARRAY_INPUTS[entry]
+    call(good)
+    with pytest.raises(ValueError, match=f"^{re.escape(name)}: "):
+        call(_spoiled(good, how))
 
 
 def test_tensor_roundtrip_2x2(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -528,12 +529,17 @@ def test_svm_model_checks_shapes(W, b, name):
 
 
 @pytest.mark.parametrize("key, value, error", [
-    ("C", [1], DimensionMismatch), ("C", {"a": 1}, ValueError), ("tensors", ["x"], MissingKey),
-    ("tensors", {"weights": 5, "bias": "svm.bias.fvt"}, ValueError)])
+    ("C", [1], ValueError), ("C", {"a": 1}, ValueError), ("tensors", ["x"], MissingKey),
+    ("tensors", {"weights": 5, "bias": "svm.bias.fvt"}, ValueError),
+    ("C", math.nan, ValueError), ("C", -1.0, ValueError), ("C", 0.0, ValueError)])
 def test_load_svm_wrong_typed_field(tmp_path, key, value, error):
+    """A C that is not a real number in (0, inf) fails to load, like a C
+    that is not a number at all."""
     path = _saved_svm(tmp_path)
     doc = json.loads(path.read_text())
     doc[key] = value
     path.write_text(json.dumps(doc))
-    with pytest.raises(error, match=f"^{path}: "):
+    message = rf"C must be a real number in \(0, inf\), got {re.escape(repr(value))}$" \
+        if key == "C" else ""
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: {message}"):
         load_svm(path)
