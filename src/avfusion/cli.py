@@ -14,17 +14,19 @@ import numpy as np
 
 from . import features, fusion, learn, metrics, synth
 from .core import (CHANNELS, JOINT_DIM, SEGMENT_DIMS, DimensionMismatch, check_scores,
-                   load_manifest, read_tensor_array, write_csv, write_models, write_tensor_array)
+                   check_shape, load_manifest, read_tensor_array, write_csv, write_models,
+                   write_tensor_array)
 from .lbptop import lbp_top_descriptor
 
 
 def _channel_matrix(manifest, channel):
     """Per-clip feature rows for one channel of a manifest.
 
-    A rank-1 tensor must hold the channel's ``SEGMENT_DIMS`` values; a rank-2
-    cnn tensor must pass ``core.check_scores`` and is k-average pooled into 7
-    bins, one call per frame count.  Any other shape raises, naming the file.
+    A rank-2 cnn tensor must pass ``core.check_scores`` and is k-average
+    pooled into 7 bins, one call per frame count; any other tensor must be
+    the channel's ``SEGMENT_DIMS``-long vector.  Errors name the file.
     """
+    width = (SEGMENT_DIMS[channel],)
     rows, scores = [], {}
     for i, entry in enumerate(manifest.entries):
         path = entry.paths.get(channel)
@@ -33,20 +35,12 @@ def _channel_matrix(manifest, channel):
         arr = read_tensor_array(path)
         if arr.ndim == 2 and channel == "cnn":
             scores[i] = check_scores(arr, path)
-        elif arr.ndim != 1:
-            raise ValueError(f"{path}: expected a feature vector for channel {channel}, "
-                             f"got rank {arr.ndim}; run the extraction stages first")
-        elif arr.size != SEGMENT_DIMS[channel]:
-            raise DimensionMismatch(f"{path}: expected {SEGMENT_DIMS[channel]} values for "
-                                    f"channel {channel}, got {arr.size}")
+        elif arr.shape != width:  # read_tensor refused non-finite values; this only raises
+            check_shape(arr, width, f"{path}: channel {channel}")
         rows.append(arr)
     for i, row in zip(scores, features.pool_clips(list(scores.values()))):
         rows[i] = row
     return np.stack(rows)
-
-
-def _joint_matrix(manifest):
-    return fusion.build_joint_vector(*(_channel_matrix(manifest, ch) for ch in CHANNELS))
 
 
 def _labelled_decisions(manifest, paths, one_channel=False):
@@ -129,7 +123,7 @@ def cmd_predict_svm(args):
 
 def cmd_fuse_feat_train(args):
     manifest = load_manifest(args.manifest)
-    joint = _joint_matrix(manifest)
+    joint = fusion.build_joint_vector({ch: _channel_matrix(manifest, ch) for ch in CHANNELS})
     norm, svm = fusion.feature_fusion_train(joint, manifest.labels(), epochs=args.epochs,
                                             seed=args.seed)
     write_models(features.normalization_files(norm, args.out_norm),
@@ -140,7 +134,7 @@ def cmd_fuse_feat_train(args):
 
 def cmd_fuse_feat_predict(args):
     manifest = load_manifest(args.manifest)
-    joint = _joint_matrix(manifest)
+    joint = fusion.build_joint_vector({ch: _channel_matrix(manifest, ch) for ch in CHANNELS})
     labels = fusion.feature_fusion_predict(features.load_normalization(args.norm),
                                            learn.load_svm(args.svm), joint)
     fusion.write_decisions(args.out, [(e.clip_id, "joint", int(lab))

@@ -111,11 +111,12 @@ def emotion_name(index):
 def check_labels(labels, name="label", n=None, classes=N_CLASSES):
     """Return a label, or an array of them, as int64 when each equals an
     integer in 0..classes-1; else raise UnknownLabel naming the first
-    one at fault.  Strings and None are compared as objects, so "1" is
-    not 1.  When ``n`` is given the labels must be a 1-D sequence of
-    ``n``, else LengthMismatch.  Errors start with ``name``."""
-    raw = np.asarray(labels)
-    if raw.dtype.kind not in "biuf":
+    one at fault.  Strings, None and ragged nesting are compared as
+    objects, so "1" is not 1.  When ``n`` is given the labels must be a
+    1-D sequence of ``n``, else LengthMismatch.  Errors start with ``name``."""
+    try:
+        raw = _as_numbers(labels, name)
+    except ValueError:  # not an array of numbers: compared as objects
         raw = np.asarray(labels, dtype=object)
     if n is not None and raw.shape != (n,):
         raise LengthMismatch(f"{name}: expected {n} labels, got shape {raw.shape}")
@@ -142,17 +143,24 @@ def check_real(value, name, positive=False, high=math.inf):
     return float(value)
 
 
-def check_shape(array, shape, name):
-    """Return ``array`` as float64 when it holds numbers, all finite, in
-    the shape ``shape``, where a None entry matches any length.  Anything
-    else raises a ValueError, DimensionMismatch for a wrong shape, that
-    starts with ``name``."""
+def _as_numbers(array, name):  # private: inside every array check, and perfbench times public calls
+    """Return ``array`` as a numpy array of numbers (bool, int or float); anything
+    else, ragged nesting included, raises a ValueError starting with ``name``."""
     try:
         arr = np.asarray(array)
     except ValueError:  # ragged nesting
         arr = np.asarray(None)
     if arr.dtype.kind not in "biuf":
         raise ValueError(f"{name}: expected an array of numbers")
+    return arr
+
+
+def check_shape(array, shape, name):
+    """Return ``array`` as float64 when it holds numbers, all finite, in
+    the shape ``shape``, where a None entry matches any length.  Anything
+    else raises a ValueError, DimensionMismatch for a wrong shape, that
+    starts with ``name``."""
+    arr = _as_numbers(array, name)
     if arr.ndim != len(shape) or any(want is not None and got != want
                                      for got, want in zip(arr.shape, shape)):
         raise DimensionMismatch(f"{name}: expected shape {tuple(shape)}, got {arr.shape}")
@@ -194,18 +202,18 @@ def write_tensor(path, dims, values):
     """Write an FVT1 tensor file, byte-exact and deterministic.
 
     Each dim must be an integer >= 0 (not a bool or float), ``prod(dims)``
-    must equal ``len(values)`` and all values must be finite.  Values are
-    stored as little-endian f32.  Every check runs before the file is
-    opened.  An existing file is rewritten in place and cut to the new
-    length; a write that fails partway leaves it empty, which no reader
-    takes for a tensor.
+    must equal ``len(values)`` and all values must be finite numbers, not
+    strings.  Values are stored as little-endian f32.  Every check runs
+    before the file is opened.  An existing file is rewritten in place
+    and cut to the new length; a write that fails partway leaves it empty,
+    which no reader takes for a tensor.
     """
     for d in dims:  # check_count's rule, inline to keep a public call per dim off every write
         if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 0:
             raise DimensionMismatch(f"bad dimension in {dims}: dim must be an integer >= 0, "
                                     f"got {d!r}")
     dims = [int(d) for d in dims]
-    flat = np.asarray(values, dtype=np.float64).reshape(-1)
+    flat = _as_numbers(values, "tensor values").reshape(-1)
     n = math.prod(dims)
     if n != flat.size:
         raise DimensionMismatch(f"prod({dims}) = {n} but got {flat.size} values")
@@ -283,7 +291,7 @@ def read_tensor_array(path):
 
 def write_tensor_array(path, array):
     """Write an array as an FVT1 tensor, dims taken from its shape."""
-    arr = np.asarray(array)
+    arr = _as_numbers(array, "tensor values")
     write_tensor(path, list(arr.shape), arr.reshape(-1))
 
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import N_CLASSES, check_count, check_scores, check_shape, read_model, write_models
+from .core import (N_CLASSES, _as_numbers, check_count, check_scores, check_shape, read_model,
+                   write_models)
 
 
 class TooFewSamples(ValueError):
@@ -77,7 +78,7 @@ def pca_transform(model, x):
     """Project ``x`` (a d-vector or an n×d matrix of rows) onto the
     retained components: ``components @ (x - mean)``."""
     d = model.mean.shape[0]
-    x = check_shape(x, (d,) if np.ndim(x) == 1 else (None, d), "features")
+    x = check_shape(x, (d,) if _as_numbers(x, "features").ndim == 1 else (None, d), "features")
     return (x - model.mean) @ model.components.T
 
 
@@ -94,7 +95,7 @@ def k_average_pool(scores, k=7):
     each bin is averaged, and the bin means are concatenated in order.
     """
     k = check_count(k, "k")
-    mat = np.asarray(scores)
+    mat = _as_numbers(scores, "scores")
     mat = check_scores(mat.reshape(-1, mat.shape[-1]) if mat.ndim == 3 else mat,
                        "scores").reshape(mat.shape)
     n_frames = mat.shape[-2]
@@ -141,7 +142,7 @@ def normalize_apply(model, x):
     the zero vector.
     """
     d = model.per_dim_mean.shape[0]
-    x = check_shape(x, (d,) if np.ndim(x) == 1 else (None, d), "features")
+    x = check_shape(x, (d,) if _as_numbers(x, "features").ndim == 1 else (None, d), "features")
     std = model.per_dim_std
     stage1 = np.where(std > 0, (x - model.per_dim_mean) / np.where(std > 0, std, 1.0), 0.0)
     own_mean = stage1.mean(axis=-1, keepdims=True)

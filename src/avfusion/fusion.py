@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (CHANNELS, EMOTION_NAMES, SEGMENT_DIMS, DimensionMismatch, MissingKey,
-                   N_CLASSES, UnknownLabel, check_labels, check_probabilities, check_real,
-                   emotion_index, read_csv, read_model, require_key, write_csv,
-                   write_models)
+                   N_CLASSES, UnknownLabel, _as_numbers, check_labels, check_probabilities,
+                   check_real, check_shape, emotion_index, read_csv, read_model, require_key,
+                   write_csv, write_models)
 from .features import normalize_apply, normalize_fit
 from .learn import svm_predict_batch, svm_train
 from .metrics import evaluate
@@ -73,18 +73,15 @@ class BnFusionModel:
         return tuple(m.channel for m in self.measurements)
 
 
-def build_joint_vector(audio, lbptop, cnn, blstm):
-    """Concatenate the four channel features in the fixed layout order.
-
-    Each argument is one clip's feature vector, or an n×dim matrix of
-    per-clip rows; the result is the 269-dim joint vector, or n×269.
-    """
-    parts = [np.asarray(v, dtype=np.float64) for v in (audio, lbptop, cnn, blstm)]
-    for channel, arr in zip(CHANNELS, parts):
-        expected = (*parts[0].shape[:-1], SEGMENT_DIMS[channel])
-        if arr.ndim not in (1, 2) or arr.shape != expected:
-            raise DimensionMismatch(f"{channel}: expected shape {expected}, got {arr.shape}")
-    return np.concatenate(parts, axis=-1)
+def build_joint_vector(features):
+    """Concatenate ``{channel: features}`` in the fixed layout order, the
+    one place that spells it: one clip's vectors give the 269-dim joint
+    vector, n×dim matrices of per-clip rows give n×269.  Each channel goes
+    through ``check_shape``, so a missing, misshapen or non-finite one
+    raises an error that starts with its name."""
+    lead = _as_numbers(features.get(CHANNELS[0]), CHANNELS[0]).shape[:-1][:1]  # () or (n,)
+    return np.concatenate([check_shape(features.get(ch), (*lead, dim), ch)
+                           for ch, dim in SEGMENT_DIMS.items()], axis=-1)
 
 
 def feature_fusion_train(X, y, C=1.0, epochs=30, seed=0):
@@ -109,11 +106,13 @@ def fusion_predictions(variants, y, tr, va, te, epochs, seed):
     ``{name: {key: labels of rows te}}`` for the four channels, "joint"
     (feature-level) and "bn" (model-level).
 
-    Training with a seeded sample order is deterministic, so a channel or
-    joint SVM whose training matrix equals one already trained in this
-    call reuses that model: variants that differ in one channel retrain
-    only that channel and the joint SVM.
+    Every variant's joint matrix is built, and so its channels checked,
+    before any SVM trains.  Training with a seeded sample order is
+    deterministic, so a channel or joint SVM whose training matrix equals
+    one already trained in this call reuses that model: variants that
+    differ in one channel retrain only that channel and the joint SVM.
     """
+    joints = {name: build_joint_vector(features) for name, features in variants.items()}
     trained = []  # (trainer, training matrix, model) of this call
 
     def model(train, X):
@@ -131,9 +130,8 @@ def fusion_predictions(variants, y, tr, va, te, epochs, seed):
             val_preds[ch] = svm_predict_batch(svm, features[ch][va])
             preds[ch] = svm_predict_batch(svm, features[ch][te])
         preds["bn"] = bn_infer(fit_bn(val_preds, y[va]), {ch: preds[ch] for ch in CHANNELS})[0]
-        joint = build_joint_vector(*(features[ch] for ch in CHANNELS))
-        preds["joint"] = feature_fusion_predict(*model(feature_fusion_train, joint[tr]),
-                                                joint[te])
+        preds["joint"] = feature_fusion_predict(*model(feature_fusion_train, joints[name][tr]),
+                                                joints[name][te])
         predictions[name] = preds
     return predictions
 
@@ -188,16 +186,12 @@ def bn_infer(model, observed):
         raise UnknownChannel(f"observed channels {sorted(set(observed) - set(model.channels))} "
                              f"not in model channels {list(model.channels)}")
     try:
-        measured = np.array([observed[meas.channel] for meas in present])
-    except ValueError:  # ragged: arrays of different lengths, or a scalar beside an array
-        raise DimensionMismatch(f"observed labels differ in shape: "
-                                f"{ {ch: np.shape(v) for ch, v in observed.items()} }") from None
-    try:
-        measured = check_labels(measured, "observed label")
-    except UnknownLabel:  # name the channel at fault, and its label as given
+        measured = check_labels([observed[meas.channel] for meas in present], "observed label")
+    except UnknownLabel:  # name the channel and label at fault, else the shapes that do not stack
         for meas in present:
             check_labels(observed[meas.channel], f"{meas.channel}: observed label")
-        raise
+        raise DimensionMismatch(f"observed labels differ in shape: "
+                                f"{ {ch: np.shape(v) for ch, v in observed.items()} }") from None
     post = model.prior
     for meas, m in zip(present, measured):
         post = post * meas.cpt.T[m]

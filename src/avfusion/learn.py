@@ -184,7 +184,7 @@ def softmax_probe_train(X, y, params=None, epochs=400, seed=0, lr=0.02):
 
 def probe_features(probe, X):
     """The probe's feature-layer output (its logits) for a batch."""
-    return np.asarray(X, dtype=np.float64) @ probe.W.T + probe.b
+    return check_shape(X, (None, probe.W.shape[1]), "features") @ probe.W.T + probe.b
 
 
 def clustering_ratio(features, y, centers):

@@ -592,18 +592,18 @@ DATA_ERRORS = {
     "no-channel-file": (lambda d: _edit_manifest(d, 3, 2, ""), TRAIN_AUDIO,
                         "ValueError: clip 'clip_00002' has no audio file"),
     "rank-2-feature": (lambda d: write_tensor_array(d / "clip_00002.audio.fvt", np.ones((2, 10))),
-                       TRAIN_AUDIO, "ValueError: {d}/clip_00002.audio.fvt: expected a feature "
-                       "vector for channel audio, got rank 2; run the extraction stages first"),
+                       TRAIN_AUDIO, "DimensionMismatch: {d}/clip_00002.audio.fvt: channel audio: "
+                       "expected shape (20,), got (2, 10)"),
     "trailing-bytes": (lambda d: _append(d / "clip_00002.audio.fvt", b"\0\0\0\0"), TRAIN_AUDIO,
                        "TensorFormatError: {d}/clip_00002.audio.fvt: "
                        "4 trailing bytes after payload"),
     "audio-all-short": (lambda d: [write_tensor_array(p, np.ones(19))
                                    for p in sorted(d.glob("*.audio.fvt"))], TRAIN_AUDIO,
-                        "DimensionMismatch: {d}/clip_00000.audio.fvt: expected 20 values "
-                        "for channel audio, got 19"),
+                        "DimensionMismatch: {d}/clip_00000.audio.fvt: channel audio: "
+                        "expected shape (20,), got (19,)"),
     "audio-one-short": (lambda d: write_tensor_array(d / "clip_00002.audio.fvt", np.ones(19)),
-                        TRAIN_AUDIO, "DimensionMismatch: {d}/clip_00002.audio.fvt: expected 20 "
-                        "values for channel audio, got 19"),
+                        TRAIN_AUDIO, "DimensionMismatch: {d}/clip_00002.audio.fvt: channel "
+                        "audio: expected shape (20,), got (19,)"),
     "cnn-no-frames": (lambda d: write_tensor_array(d / "clip_00002.cnn.fvt", np.ones((0, 7))),
                       ("train-svm", "--manifest", "{d}/manifest.csv", "--channel", "cnn",
                        "--out", "{d}/out"),

@@ -19,14 +19,16 @@ import avfusion
 from avfusion.features import (NormalizationModel, PcaModel, k_average_pool, load_normalization,
                                load_pca, normalize_apply, normalize_fit, pca_fit, pca_transform,
                                save_normalization, save_pca)
-from avfusion.fusion import (BnFusionModel, MeasurementModel, bn_infer, fit_measurement_cpt,
-                             load_bn, read_decisions, save_bn, uniform_prior, write_decisions)
+from avfusion.fusion import (BnFusionModel, MeasurementModel, bn_infer, build_joint_vector,
+                             fit_measurement_cpt, load_bn, read_decisions, save_bn, uniform_prior,
+                             write_decisions)
 from avfusion.lbptop import lbp_top_descriptor
-from avfusion.learn import (IslandLossParams, LinearSvmModel, island_loss, load_svm, save_svm,
-                            softmax_probe_train, svm_predict_batch, svm_train, update_centers)
+from avfusion.learn import (IslandLossParams, LinearSvmModel, island_loss, load_svm,
+                            probe_features, save_svm, softmax_probe_train, svm_predict_batch,
+                            svm_train, update_centers)
 from avfusion.metrics import evaluate
 from avfusion.synth import SynthConfig, gaussian_blobs
-from avfusion.core import (CHANNELS, BadMagic, DuplicateClipId, DimensionMismatch,
+from avfusion.core import (CHANNELS, SEGMENT_DIMS, BadMagic, DuplicateClipId, DimensionMismatch,
                            EMOTION_NAMES, MalformedRow, TensorFormatError, Truncated,
                            UnknownLabel, check_count, check_labels, check_real, emotion_index,
                            emotion_name, load_manifest, read_tensor, read_tensor_array,
@@ -164,6 +166,18 @@ def test_class_index_taken_at_its_entry_point(entry, value, tmp_path):
     CLASS_INDEX_ENTRY_POINTS[entry](value, tmp_path)
 
 
+@pytest.mark.parametrize("entry", ["check_labels", "bn_infer-arrays", "write_decisions",
+                                   "save_manifest", "svm_train", "evaluate", "island_loss"])
+def test_ragged_label_column_refused_at_its_entry_point(entry, tmp_path):
+    """A label column whose second label is a list is ragged nesting, which
+    numpy refuses unnamed; check_labels compares it as objects and names
+    the value.  (For one clip, a list is a column beside a label, so
+    bn_infer-one-clip raises DimensionMismatch instead.)"""
+    with pytest.raises(UnknownLabel, match=r" \[1, 2\] is not a class index in 0\.\.6$"):
+        CLASS_INDEX_ENTRY_POINTS[entry]([1, 2], tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_misaligned_labels_are_a_dimension_mismatch():
     for call in (lambda y: svm_train(np.eye(3), y),
                  lambda y: island_loss(np.eye(3), y, np.ones((7, 3)), 1.0)):
@@ -176,11 +190,14 @@ def test_misaligned_labels_are_a_dimension_mismatch():
 _SVM = svm_train(_BLOB_X, _BLOB_Y, epochs=1)
 _PCA = pca_fit(_BLOB_X, 1)
 _NORM = normalize_fit(_BLOB_X)
+_PROBE = softmax_probe_train(_BLOB_X, _BLOB_Y, epochs=1)
+_JOINT_ROWS = {ch: np.zeros((2, dim)) for ch, dim in SEGMENT_DIMS.items()}
 ARRAY_INPUTS = {
     "svm_train": ("features", _BLOB_X, lambda a: svm_train(a, _BLOB_Y, epochs=1)),
     "svm_predict_batch": ("features", _BLOB_X, lambda a: svm_predict_batch(_SVM, a)),
     "softmax_probe_train": ("features", _BLOB_X,
                             lambda a: softmax_probe_train(a, _BLOB_Y, epochs=1)),
+    "probe_features": ("features", _BLOB_X, lambda a: probe_features(_PROBE, a)),
     "island-batch": ("batch", np.eye(2), lambda a: island_loss(a, [0, 1], np.eye(2), 1.0)),
     "island-centers": ("centers", np.eye(2), lambda a: island_loss(np.eye(2), [0, 1], a, 1.0)),
     "pca_fit": ("features", _BLOB_X, lambda a: pca_fit(a, 1)),
@@ -188,6 +205,10 @@ ARRAY_INPUTS = {
     "normalize_fit": ("features", _BLOB_X, normalize_fit),
     "normalize_apply": ("features", _BLOB_X[0], lambda a: normalize_apply(_NORM, a)),
     "k_average_pool": ("scores", np.full((2, 9, 7), 1 / 7), k_average_pool),
+    "build_joint_vector": ("audio", _JOINT_ROWS["audio"],
+                           lambda a: build_joint_vector({**_JOINT_ROWS, "audio": a})),
+    "build_joint_vector-rows": ("cnn", _JOINT_ROWS["cnn"],
+                                lambda a: build_joint_vector({**_JOINT_ROWS, "cnn": a})),
     "lbp_top_descriptor": ("video volume", np.full((3, 8, 8), 9.0), lbp_top_descriptor),
     "svm-weights": ("weights", _SVM.W, lambda a: LinearSvmModel(W=a, b=_SVM.b, C=1.0)),
     "svm-bias": ("bias", _SVM.b, lambda a: LinearSvmModel(W=_SVM.W, b=a, C=1.0)),
@@ -207,16 +228,20 @@ ARRAY_INPUTS = {
 def _spoiled(array, how):
     if how == "strings":
         return np.asarray(array).astype(str)
+    if how == "ragged":  # one more entry, nested a level deeper than the others
+        nested = np.asarray(array).tolist()
+        return nested + [nested[:1]]
     bad = np.array(array, dtype=np.float64)
     bad.reshape(-1)[-1] = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}[how]
     return bad
 
 
-@pytest.mark.parametrize("how", ["nan", "inf", "-inf", "strings"])
+@pytest.mark.parametrize("how", ["nan", "inf", "-inf", "strings", "ragged"])
 @pytest.mark.parametrize("entry", ARRAY_INPUTS)
 def test_array_refused_at_its_entry_point(entry, how):
-    """One rule, core.check_shape: an array input holds finite numbers,
-    models built by hand included, and the error starts with its name."""
+    """One rule, core.check_shape: an array input holds finite numbers in
+    regular nesting, models built by hand included, and the error starts
+    with its name."""
     name, good, call = ARRAY_INPUTS[entry]
     call(good)
     with pytest.raises(ValueError, match=f"^{re.escape(name)}: "):
@@ -573,6 +598,9 @@ def test_overwrite_leaves_exactly_the_new_bytes(tmp_path):
     ([2, -1], [], DimensionMismatch),
     ([2.7], [1.0, 2.0], DimensionMismatch),
     ([True, 2], [1.0, 2.0], DimensionMismatch),
+    ([2], np.array(["1.5", "2"]), ValueError),
+    ([2], ["1e3", "nan1"], ValueError),
+    ([2], [1.0, [2.0]], ValueError),
 ])
 def test_rejected_write_leaves_file_unchanged(tmp_path, dims, values, error):
     path = tmp_path / "t.fvt"
@@ -581,6 +609,15 @@ def test_rejected_write_leaves_file_unchanged(tmp_path, dims, values, error):
     with pytest.raises(error):
         write_tensor(path, dims, values)
     assert path.read_bytes() == before
+
+
+def test_write_refuses_values_that_are_not_numbers(tmp_path):
+    """Strings are refused, not parsed, with the array rule's message."""
+    for write in (lambda: write_tensor_array(tmp_path / "t.fvt", np.array(["1.5", "2"])),
+                  lambda: write_tensor(tmp_path / "t.fvt", [2], ["1e3", "nan1"])):
+        with pytest.raises(ValueError, match="^tensor values: expected an array of numbers$"):
+            write()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("old_dims", [[4], [40], [2, 2]])

@@ -23,36 +23,51 @@ def test_joint_layout_dimensions():
     assert JOINT_DIM == 269
 
 
+def _channels(lead=(), **changed):
+    """All-zero channel features of one clip, or of n rows with
+    ``lead=(n,)``, with the ``changed`` channels replaced."""
+    return {**{ch: np.zeros((*lead, dim)) for ch, dim in SEGMENT_DIMS.items()}, **changed}
+
+
 def test_build_joint_vector_zero():
-    out = build_joint_vector(np.zeros(20), np.zeros(150), np.zeros(49), np.zeros(50))
+    out = build_joint_vector(_channels())
     assert out.shape == (269,)
     assert np.all(out == 0)
 
 
 def test_build_joint_vector_layout_order():
-    out = build_joint_vector(np.full(20, 1.0), np.full(150, 2.0),
-                             np.full(49, 3.0), np.full(50, 4.0))
+    filled = {"audio": np.full(20, 1.0), "lbptop": np.full(150, 2.0),
+              "cnn": np.full(49, 3.0), "blstm": np.full(50, 4.0)}
+    out = build_joint_vector(filled)
     assert np.all(out[:20] == 1)
     assert np.all(out[20:170] == 2)
     assert np.all(out[170:219] == 3)
     assert np.all(out[219:] == 4)
+    # the layout order, not the dict's own order
+    assert np.array_equal(build_joint_vector(dict(reversed(filled.items()))), out)
     # per-clip rows give the per-clip joint vectors, row by row
     rng = np.random.default_rng(0)
-    parts = [rng.standard_normal((5, SEGMENT_DIMS[ch])) for ch in SEGMENT_DIMS]
-    rows = build_joint_vector(*parts)
+    parts = {ch: rng.standard_normal((5, dim)) for ch, dim in SEGMENT_DIMS.items()}
+    rows = build_joint_vector(parts)
     assert rows.shape == (5, 269)
     for i in range(5):
-        assert np.array_equal(rows[i], build_joint_vector(*(p[i] for p in parts)))
+        assert np.array_equal(rows[i], build_joint_vector({ch: p[i] for ch, p in parts.items()}))
 
 
 def test_build_joint_vector_names_offending_channel():
-    with pytest.raises(DimensionMismatch, match="audio"):
-        build_joint_vector(np.zeros(21), np.zeros(150), np.zeros(49), np.zeros(50))
-    with pytest.raises(DimensionMismatch, match="blstm"):
-        build_joint_vector(np.zeros(20), np.zeros(150), np.zeros(49), np.zeros(51))
-    with pytest.raises(DimensionMismatch, match="cnn"):
-        build_joint_vector(np.zeros((3, 20)), np.zeros((3, 150)), np.zeros((2, 49)),
-                           np.zeros((3, 50)))
+    for features, error, message in [
+        (_channels(audio=np.zeros(21)), DimensionMismatch,
+         r"audio: expected shape \(20,\), got \(21,\)"),
+        (_channels(blstm=np.zeros(51)), DimensionMismatch,
+         r"blstm: expected shape \(50,\), got \(51,\)"),
+        (_channels((3,), cnn=np.zeros((2, 49))), DimensionMismatch,
+         r"cnn: expected shape \(3, 49\), got \(2, 49\)"),
+        ({ch: v for ch, v in _channels().items() if ch != "lbptop"}, ValueError,
+         "lbptop: expected an array of numbers"),
+        (_channels(blstm=np.full(50, np.nan)), ValueError, "blstm: contains non-finite values"),
+    ]:
+        with pytest.raises(error, match=f"^{message}$"):
+            build_joint_vector(features)
 
 
 def _toy_joint_data(seed=0, n=70):
@@ -140,6 +155,30 @@ def test_fusion_predictions_trains_each_distinct_model_once(monkeypatch, seed):
         assert sorted(together[name]) == sorted([*CHANNELS, "joint", "bn"])
         for key, labels in apart[name].items():
             assert together[name][key].tobytes() == labels.tobytes(), (name, key)
+
+
+def _with_nan(matrix):
+    spoiled = matrix.copy()
+    spoiled[5, 3] = np.nan
+    return spoiled
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (lambda f: {**f, "lbptop": np.zeros((70, 100))},
+     r"lbptop: expected shape \(70, 150\), got \(70, 100\)"),
+    (lambda f: {**f, "blstm": _with_nan(f["blstm"])}, "blstm: contains non-finite values"),
+    (lambda f: {ch: v for ch, v in f.items() if ch != "cnn"}, "cnn: expected an array of numbers"),
+], ids=["wrong-width", "nan", "missing"])
+def test_fusion_predictions_checks_every_variant_before_training(monkeypatch, spoil, message):
+    """A bad channel in any variant, the last included, fails before any
+    SVM trains, and the error names the channel."""
+    data = synth_dataset(SynthConfig(n_clips=70, seed=0))
+    calls = []
+    monkeypatch.setattr(fusion, "svm_train", lambda *args, **kw: calls.append(args))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fusion_predictions({"intact": data.features, "bad": spoil(data.features)}, data.labels,
+                           slice(0, 30), slice(30, 50), slice(50, None), epochs=2, seed=0)
+    assert calls == []
 
 
 def test_cpt_perfect_predictor():
