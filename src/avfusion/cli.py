@@ -20,14 +20,15 @@ from .lbptop import lbp_top_descriptor
 
 
 def _channel_matrix(manifest, channel):
-    """Per-clip feature rows for one channel of a manifest.
+    """Per-clip feature rows for one channel of a manifest, filled into one
+    n×width matrix as the files are read.
 
     A rank-2 cnn tensor must pass ``core.check_scores`` and is k-average
     pooled into 7 bins, one call per frame count; any other tensor must be
     the channel's ``SEGMENT_DIMS``-long vector.  Errors name the file.
     """
     width = (SEGMENT_DIMS[channel],)
-    rows, scores = [], {}
+    out, scores = np.empty((len(manifest.entries),) + width), {}
     for i, entry in enumerate(manifest.entries):
         path = entry.paths.get(channel)
         if path is None:
@@ -37,10 +38,11 @@ def _channel_matrix(manifest, channel):
             scores[i] = check_scores(arr, path)
         elif arr.shape != width:  # read_tensor refused non-finite values; this only raises
             check_shape(arr, width, f"{path}: channel {channel}")
-        rows.append(arr)
-    for i, row in zip(scores, features.pool_clips(list(scores.values()))):
-        rows[i] = row
-    return np.stack(rows)
+        else:
+            out[i] = arr
+    if scores:
+        out[list(scores)] = features.pool_clips(list(scores.values()))
+    return out
 
 
 def _labelled_decisions(manifest, paths, one_channel=False):

@@ -3,8 +3,8 @@
 Tensors are exchanged in the FVT1 binary format: the magic bytes ``FVT1``,
 a little-endian u32 rank, ``rank`` little-endian u32 dims, then
 ``prod(dims)`` little-endian f32 values with no padding.  Values are kept
-as float64 in memory and stored as float32 on disk; they must be finite,
-which both writing and reading check.
+as float64 in memory and stored as float32 on disk; they must be finite
+as float32, which both writing and reading check.
 
 Dataset manifests are CSV files with the header
 ``clip_id,label,audio,lbptop_video,cnn_scores,blstm_feat`` and at least
@@ -103,24 +103,34 @@ def emotion_index(name):
 
 
 def emotion_name(index):
-    """Map a class index (0..6) back to its canonical name; anything
-    ``check_labels`` refuses raises UnknownLabel."""
-    return EMOTION_NAMES[int(check_labels(index, "emotion index"))]
+    """Map one class index (0..6) back to its canonical name; anything
+    ``check_labels`` refuses, and any array but a 0-d one, raises UnknownLabel."""
+    label = check_labels(index, "emotion index")
+    if label.ndim:
+        raise UnknownLabel(f"emotion index {index} is not a class index in 0..{N_CLASSES - 1}")
+    return EMOTION_NAMES[int(label)]
 
 
 def check_labels(labels, name="label", n=None, classes=N_CLASSES):
     """Return a label, or an array of them, as int64 when each equals an
     integer in 0..classes-1; else raise UnknownLabel naming the first
-    one at fault.  Strings, None and ragged nesting are compared as
-    objects, so "1" is not 1.  When ``n`` is given the labels must be a
-    1-D sequence of ``n``, else LengthMismatch.  Errors start with ``name``."""
+    one at fault.  Strings, None, ragged nesting and array elements are
+    compared as objects, one element at a time, so "1" is not 1 and an
+    element that is not a scalar is no label.  When ``n`` is given the
+    labels must be a 1-D sequence of ``n``, else LengthMismatch.  Errors
+    start with ``name``."""
     try:
         raw = _as_numbers(labels, name)
-    except ValueError:  # not an array of numbers: compared as objects
-        raw = np.asarray(labels, dtype=object)
+    except ValueError:  # not an array of numbers
+        try:
+            raw = np.asarray(labels, dtype=object)
+        except ValueError:  # array elements of differing shapes
+            raw = np.fromiter(labels, dtype=object)
+        known = np.vectorize(lambda v: np.isscalar(v) and v in range(classes), otypes=[bool])(raw)
+    else:
+        known = (raw[..., None] == np.arange(classes)).any(axis=-1)
     if n is not None and raw.shape != (n,):
         raise LengthMismatch(f"{name}: expected {n} labels, got shape {raw.shape}")
-    known = (raw[..., None] == np.arange(classes)).any(axis=-1)
     if not known.all():
         raise UnknownLabel(f"{name} {raw[~known][0]} is not a class index in 0..{classes - 1}")
     return raw.astype(np.int64)
@@ -202,8 +212,8 @@ def write_tensor(path, dims, values):
     """Write an FVT1 tensor file, byte-exact and deterministic.
 
     Each dim must be an integer >= 0 (not a bool or float), ``prod(dims)``
-    must equal ``len(values)`` and all values must be finite numbers, not
-    strings.  Values are stored as little-endian f32.  Every check runs
+    must equal ``len(values)`` and all values must be numbers, not strings,
+    that stay finite when stored as little-endian f32.  Every check runs
     before the file is opened.  An existing file is rewritten in place
     and cut to the new length; a write that fails partway leaves it empty,
     which no reader takes for a tensor.
@@ -217,10 +227,12 @@ def write_tensor(path, dims, values):
     n = math.prod(dims)
     if n != flat.size:
         raise DimensionMismatch(f"prod({dims}) = {n} but got {flat.size} values")
-    if not np.isfinite(flat).all():
+    with np.errstate(over="ignore"):  # a value beyond the f32 range becomes inf, refused below
+        payload = flat.astype("<f4")
+    if not np.isfinite(payload).all():
         raise ValueError("tensor values must be finite")
     header = _MAGIC + struct.pack(f"<{len(dims) + 1}I", len(dims), *dims)
-    data = header + flat.astype("<f4").tobytes()
+    data = header + payload.tobytes()
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         info = os.fstat(fd)

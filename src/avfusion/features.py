@@ -144,10 +144,15 @@ def normalize_apply(model, x):
     d = model.per_dim_mean.shape[0]
     x = check_shape(x, (d,) if _as_numbers(x, "features").ndim == 1 else (None, d), "features")
     std = model.per_dim_std
-    stage1 = np.where(std > 0, (x - model.per_dim_mean) / np.where(std > 0, std, 1.0), 0.0)
-    own_mean = stage1.mean(axis=-1, keepdims=True)
-    own_std = stage1.std(axis=-1, keepdims=True)
-    return np.where(own_std > 0, (stage1 - own_mean) / np.where(own_std > 0, own_std, 1.0), 0.0)
+    out = x - model.per_dim_mean  # the one full-size array: both stages run in place in it
+    out /= np.where(std > 0, std, 1.0)
+    np.copyto(out, 0.0, where=std == 0)
+    own_mean = out.mean(axis=-1, keepdims=True)
+    own_std = out.std(axis=-1, keepdims=True)
+    out -= own_mean
+    out /= np.where(own_std > 0, own_std, 1.0)
+    np.copyto(out, 0.0, where=own_std == 0)
+    return out
 
 
 def save_pca(model, path):

@@ -97,8 +97,8 @@ def synth_dataset(config):
             dim = SEGMENT_DIMS[channel]
             directions = chan_rng.standard_normal((7, dim))
             directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-            noise = chan_rng.standard_normal((n, dim))
-            features[channel] = sep * directions[labels] + noise
+            features[channel] = chan_rng.standard_normal((n, dim))
+            features[channel] += sep * directions[labels]
     return SynthDataset(labels=labels, features=features, cnn_scores=cnn_scores)
 
 

@@ -5,6 +5,7 @@ import stat
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +343,21 @@ def test_cnn_rows_pool_once_per_frame_count(tmp_path, monkeypatch):
     rows = _channel_matrix(load_manifest(tmp_path / "manifest.csv"), "cnn")
     assert rows.tobytes() == np.stack(expected).tobytes()
     assert sorted(shape[1] for shape in calls) == sorted({T for T in lengths if T is not None})
+
+
+def test_channel_matrix_memory_stays_within_one_and_a_half_outputs(tmp_path):
+    """A stage reads a vector channel's files straight into its one n×width
+    matrix; a list of per-clip rows stacked at the end takes the peak past
+    twice the matrix."""
+    assert run("synth", "--out", tmp_path, "--n-clips", 500, "--seed", 3) == 0
+    manifest = load_manifest(tmp_path / "manifest.csv")
+    tracemalloc.start()
+    try:
+        rows = _channel_matrix(manifest, "lbptop")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * rows.nbytes
 
 
 def test_cnn_matrix_of_wrong_width_names_its_file(tmp_path, capsys):

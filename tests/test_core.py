@@ -59,7 +59,12 @@ def test_emotion_name_takes_only_class_indices(tmp_path):
     for value in (1.5, -0.5, 6.9, "1"):
         with pytest.raises(UnknownLabel, match="is not a class index in 0..6"):
             emotion_name(value)
-    assert [emotion_name(v) for v in (np.int64(1), 6.0)] == ["Disgust", "Surprise"]
+    assert [emotion_name(v) for v in (np.int64(1), 6.0, np.array(3))] == ["Disgust", "Surprise",
+                                                                          "Happy"]
+    for value in ([1, 2], [3], np.array([[3]])):  # one label, not an array of them
+        with pytest.raises(UnknownLabel, match=f"^emotion index {re.escape(str(value))} is not "
+                                               r"a class index in 0\.\.6$"):
+            emotion_name(value)
     with pytest.raises(UnknownLabel):
         write_decisions(tmp_path / "dec.csv", [("c1", "audio", 2), ("c2", "audio", 1.5)])
 
@@ -166,8 +171,12 @@ def test_class_index_taken_at_its_entry_point(entry, value, tmp_path):
     CLASS_INDEX_ENTRY_POINTS[entry](value, tmp_path)
 
 
-@pytest.mark.parametrize("entry", ["check_labels", "bn_infer-arrays", "write_decisions",
-                                   "save_manifest", "svm_train", "evaluate", "island_loss"])
+# The entry points above that take a column of labels.
+COLUMN_ENTRY_POINTS = ["check_labels", "bn_infer-arrays", "write_decisions", "save_manifest",
+                       "svm_train", "evaluate", "island_loss"]
+
+
+@pytest.mark.parametrize("entry", COLUMN_ENTRY_POINTS)
 def test_ragged_label_column_refused_at_its_entry_point(entry, tmp_path):
     """A label column whose second label is a list is ragged nesting, which
     numpy refuses unnamed; check_labels compares it as objects and names
@@ -176,6 +185,23 @@ def test_ragged_label_column_refused_at_its_entry_point(entry, tmp_path):
     with pytest.raises(UnknownLabel, match=r" \[1, 2\] is not a class index in 0\.\.6$"):
         CLASS_INDEX_ENTRY_POINTS[entry]([1, 2], tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("entry", COLUMN_ENTRY_POINTS)
+def test_array_label_refused_at_its_entry_point(entry, tmp_path):
+    """A label that is itself an array is compared as an object and, like a
+    list, is no label; the error names it under the input's name."""
+    with pytest.raises(UnknownLabel, match=r" \[1 2\] is not a class index in 0\.\.6$"):
+        CLASS_INDEX_ENTRY_POINTS[entry](np.array([1, 2]), tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_label_column_of_array_elements_is_refused_under_its_name():
+    """Array elements of differing shapes, which numpy cannot stack even as
+    objects, are each compared as objects too."""
+    for labels in ([np.array([1, 2]), 3], [np.zeros((2, 3)), np.zeros((2, 4))]):
+        with pytest.raises(UnknownLabel, match=r"(?s)^label \[.* is not a class index in 0\.\.6$"):
+            check_labels(labels)
 
 
 def test_misaligned_labels_are_a_dimension_mismatch():
@@ -601,6 +627,7 @@ def test_overwrite_leaves_exactly_the_new_bytes(tmp_path):
     ([2], np.array(["1.5", "2"]), ValueError),
     ([2], ["1e3", "nan1"], ValueError),
     ([2], [1.0, [2.0]], ValueError),
+    ([1], [1e300], ValueError),  # finite in float64, infinite as the f32 it is stored as
 ])
 def test_rejected_write_leaves_file_unchanged(tmp_path, dims, values, error):
     path = tmp_path / "t.fvt"

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avfusion.core import DimensionMismatch, MissingKey, read_tensor_array, write_tensor_array
+from avfusion.fusion import build_joint_vector
 from avfusion.features import (NormalizationModel, PcaModel, TooFewSamples, k_average_pool,
                                load_normalization, load_pca, normalize_apply,
                                normalize_fit, pca_fit, pca_transform,
                                save_normalization, save_pca)
+from avfusion.synth import SynthConfig, synth_dataset
 
 
 def test_pca_axis_aligned():
@@ -298,14 +300,32 @@ def test_normalize_train_statistics():
     assert np.max(np.abs(stage1.std(axis=0) - 1.0)) < 1e-9
 
 
+def _assert_normalize_is_the_formula(model, x):
+    """``normalize_apply`` gives the bytes of the two-stage formula written
+    with ``np.where``, one new array per step."""
+    std = model.per_dim_std
+    stage1 = np.where(std > 0, (x - model.per_dim_mean) / np.where(std > 0, std, 1.0), 0.0)
+    own_mean = stage1.mean(axis=-1, keepdims=True)
+    own_std = stage1.std(axis=-1, keepdims=True)
+    expected = np.where(own_std > 0, (stage1 - own_mean) / np.where(own_std > 0, own_std, 1.0),
+                        0.0)
+    out = normalize_apply(model, x)
+    assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+    return out
+
+
 def test_normalize_stage2_per_vector():
     rng = np.random.default_rng(15)
     X = rng.standard_normal((20, 8))
     model = normalize_fit(X)
     held_out = rng.standard_normal((10, 8)) + 2.0
-    out = normalize_apply(model, held_out)
+    out = _assert_normalize_is_the_formula(model, held_out)
     assert np.max(np.abs(out.mean(axis=1))) < 1e-9
     assert np.max(np.abs(out.std(axis=1) - 1.0)) < 1e-9
+    for x in (held_out[0], held_out[:1]):  # one vector, and a single row
+        _assert_normalize_is_the_formula(model, x)
+    joint = build_joint_vector(synth_dataset(SynthConfig(n_clips=2000, seed=0)).features)
+    _assert_normalize_is_the_formula(normalize_fit(joint), joint)
 
 
 def test_normalize_double_zero():
@@ -313,6 +333,28 @@ def test_normalize_double_zero():
     X = rng.standard_normal((12, 5))
     model = normalize_fit(X)
     assert np.allclose(normalize_apply(model, model.per_dim_mean), 0.0, atol=1e-12)
+    X[:, 2] = 4.0  # a std-0 column, and a row at the training mean beside others
+    model = normalize_fit(X)
+    rows = np.vstack([X[:3], model.per_dim_mean, X[3:]])
+    out = _assert_normalize_is_the_formula(model, rows)
+    assert not out[3].any() and out[[0, 1, 2, 4]].all()
+    assert not _assert_normalize_is_the_formula(model, model.per_dim_mean).any()
+
+
+def test_normalize_apply_memory_stays_within_two_and_a_half_outputs():
+    """One full-size array, the result, with both stages computed in place
+    in it; np.std's one temporary is the rest.  A temporary per step of
+    the formula takes the peak past 3× the output."""
+    rng = np.random.default_rng(33)
+    X = rng.standard_normal((2000, 269))
+    model = normalize_fit(X)
+    tracemalloc.start()
+    try:
+        out = normalize_apply(model, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * out.nbytes
 
 
 def test_normalize_heldout_mean_not_zero():
