@@ -39,6 +39,7 @@ _NAME_TO_INDEX = {name: i for i, name in enumerate(EMOTION_NAMES)}
 SEGMENT_DIMS = {"audio": 20, "lbptop": 150, "cnn": 49, "blstm": 50}
 CHANNELS = tuple(SEGMENT_DIMS)
 JOINT_DIM = sum(SEGMENT_DIMS.values())  # 269
+ROW_BLOCK = 256  # rows of an n×D matrix that svm_train and normalize_apply take at a time
 
 _MAGIC = b"FVT1"
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (N_CLASSES, _as_numbers, check_count, check_scores, check_shape, read_model,
-                   write_models)
+from .core import (N_CLASSES, ROW_BLOCK, _as_numbers, check_count, check_scores, check_shape,
+                   read_model, write_models)
 
 
 class TooFewSamples(ValueError):
@@ -143,15 +143,15 @@ def normalize_apply(model, x):
     """
     d = model.per_dim_mean.shape[0]
     x = check_shape(x, (d,) if _as_numbers(x, "features").ndim == 1 else (None, d), "features")
-    std = model.per_dim_std
-    out = x - model.per_dim_mean  # the one full-size array: both stages run in place in it
-    out /= np.where(std > 0, std, 1.0)
-    np.copyto(out, 0.0, where=std == 0)
-    own_mean = out.mean(axis=-1, keepdims=True)
-    own_std = out.std(axis=-1, keepdims=True)
-    out -= own_mean
-    out /= np.where(own_std > 0, own_std, 1.0)
-    np.copyto(out, 0.0, where=own_std == 0)
+    out = np.subtract(x, model.per_dim_mean, order="C")  # C order: the same std in any block
+    out /= np.where(model.per_dim_std > 0, model.per_dim_std, 1.0)
+    np.copyto(out, 0.0, where=model.per_dim_std == 0)
+    rows = np.atleast_2d(out)  # a view; a vector is one row
+    for block in np.split(rows, range(ROW_BLOCK, len(rows), ROW_BLOCK)):
+        own_std = block.std(axis=-1, keepdims=True)  # its temporary: one block, not out
+        block -= block.mean(axis=-1, keepdims=True)
+        block /= np.where(own_std > 0, own_std, 1.0)
+        np.copyto(block, 0.0, where=own_std == 0)
     return out
 
 

@@ -88,8 +88,7 @@ def feature_fusion_train(X, y, C=1.0, epochs=30, seed=0):
     """Fit normalization on joint vectors, then a linear SVM on the
     normalized rows; returns ``(NormalizationModel, LinearSvmModel)``."""
     norm = normalize_fit(X)
-    svm = svm_train(normalize_apply(norm, X), y, C=C, epochs=epochs, seed=seed)
-    return norm, svm
+    return norm, svm_train(normalize_apply(norm, X), y, C=C, epochs=epochs, seed=seed)
 
 
 def feature_fusion_predict(norm, svm, X):

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (N_CLASSES, check_count, check_labels, check_real, check_shape, read_model,
-                   require_key, write_models)
+from .core import (N_CLASSES, ROW_BLOCK, check_count, check_labels, check_real, check_shape,
+                   read_model, require_key, write_models)
 
 
 class ZeroNormCenter(ValueError):
@@ -220,18 +220,17 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
     feature.  Identical inputs and seed give identical models.
 
     Each step makes one dense update of all 7 rows into buffers
-    allocated once, from rates computed per epoch: W shrinks by
-    1 - eta*lambda_reg, then gains (violated * s * eta) ⊗ x, where s
-    holds the sample's ±1 class signs.  The margin test s*m < 1 is
-    m > -1 on the rows where s = -1 and m < 1 on the own-class row,
-    exact because negation is.  The outer product is a (7,1)·(1,D+1)
-    matrix product, one multiply per entry.  Its zeros (±0 on rows whose
-    margin holds, +0 where BLAS adds a -0 product to 0) leave W's bits
-    alone, since W starts at +0 and a sum is -0 only when both terms
-    are.  So the model is byte-identical to updating only the violated
-    rows.  Bound ``W.dot`` and ``coef_column.dot`` and positional ``out``
-    arguments skip only numpy's Python-level dispatch: the same dgemv and
-    dgemm run on the same operands in the same order, so no bit changes.
+    allocated once: W shrinks by 1 - eta*lambda_reg, then gains
+    (violated * s * eta) ⊗ x, where s holds the sample's ±1 class signs.
+    The margin test s*m < 1 is m > -1 on the rows where s = -1 and m < 1
+    on the own-class row, exact because negation is.  The outer
+    product's zeros (±0 where a margin holds, +0 where BLAS adds a -0
+    product to 0) leave W's bits alone: W starts at +0, and a sum is -0
+    only when both terms are.  Samples are gathered ``ROW_BLOCK`` at a
+    time, in epoch order, into one buffer whose last column is the
+    bias's 1, so no n×(D+1) copy is made; every dgemv and (7,1)·(1,D+1)
+    product still gets the same contiguous row in the same order, and
+    the model is byte-identical to updating only the violated rows.
     """
     C = check_real(C, "C", positive=True)
     epochs = check_count(epochs, "epochs")
@@ -243,31 +242,32 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
         raise SingleClass(f"training labels hold {np.unique(y).size} classes; at least 2 "
                           "are needed")
     lam = 1.0 / (C * n)
-    Xa = np.hstack([X, np.ones((n, 1))])
-    rows = Xa[:, None, :]  # each sample as a (1, D+1) row for the outer product
+    block = np.ones((min(ROW_BLOCK, n), dim + 1))  # gathered samples; the bias's 1 last
+    xs, rows = list(block), list(block[:, None, :])  # its rows as (D+1,) and (1, D+1) views
     signs = np.where(y[:, None] == np.arange(N_CLASSES)[None, :], 1.0, -1.0)
     W = np.zeros((N_CLASSES, dim + 1))
     margin = np.empty(N_CLASSES)
     violated = np.empty(N_CLASSES, dtype=bool)
     coef = np.empty(N_CLASSES)
-    coef_column = coef[:, None]  # a view of coef, shaped for the outer product
     update = np.empty_like(W)
-    w_dot, coef_dot = W.dot, coef_column.dot
+    w_dot, coef_dot = W.dot, coef[:, None].dot  # coef as a (7, 1) column for the outer product
     greater, multiply, add = np.greater, np.multiply, np.add
     rng = np.random.default_rng(seed)
     for epoch in range(epochs):
         order = rng.permutation(n)
         eta = 1.0 / (lam * np.arange(epoch * n + 1, epoch * n + n + 1))
-        rates = signs[order] * eta[:, None]
-        for i, own, rate, shrink in zip(order.tolist(), y[order].tolist(), rates,
-                                        (1.0 - eta * lam).tolist()):
-            w_dot(Xa[i], margin)
-            greater(margin, -1.0, violated)
-            violated[own] = margin[own] < 1.0
-            multiply(rate, violated, coef)
-            multiply(W, shrink, W)
-            coef_dot(rows[i], update)
-            add(W, update, W)
+        # zip takes left to right, so zip(xs, rows, steps) stops at a block's end
+        steps = zip(y[order].tolist(), signs[order] * eta[:, None], (1.0 - eta * lam).tolist())
+        for b0 in range(0, n, ROW_BLOCK):
+            block[:n - b0, :dim] = X[order[b0:b0 + ROW_BLOCK]]
+            for x, row, (own, rate, shrink) in zip(xs, rows, steps):
+                w_dot(x, margin)
+                greater(margin, -1.0, violated)
+                violated[own] = margin[own] < 1.0
+                multiply(rate, violated, coef)
+                multiply(W, shrink, W)
+                coef_dot(row, update)
+                add(W, update, W)
     return LinearSvmModel(W=W[:, :dim].copy(), b=W[:, dim].copy(), C=C)
 
 
