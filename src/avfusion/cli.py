@@ -63,9 +63,15 @@ def _labelled_decisions(manifest, paths, one_channel=False):
 
 
 def cmd_synth(args):
+    rho = args.informativeness.split(",")  # a wrong count is SynthConfig's error
+    for k, (channel, value) in enumerate(zip(CHANNELS, rho)):
+        try:
+            rho[k] = float(value)
+        except ValueError:
+            raise ValueError(f"--informativeness: {value!r} ({channel}) is not a number") from None
     config = synth.SynthConfig(
         n_clips=args.n_clips,
-        informativeness=tuple(float(v) for v in args.informativeness.split(",")),
+        informativeness=tuple(rho),
         failed_channels=tuple(c for c in args.fail.split(",") if c),
         seed=args.seed,
     )
@@ -125,12 +131,12 @@ def cmd_predict_svm(args):
 
 def cmd_fuse_feat_train(args):
     manifest = load_manifest(args.manifest)
-    joint = fusion.build_joint_vector({ch: _channel_matrix(manifest, ch) for ch in CHANNELS})
-    norm, svm = fusion.feature_fusion_train(joint, manifest.labels(), epochs=args.epochs,
-                                            seed=args.seed)
+    norm, svm = fusion.feature_fusion_train(  # holds no name for the raw joint rows
+        fusion.build_joint_vector({ch: _channel_matrix(manifest, ch) for ch in CHANNELS}),
+        manifest.labels(), epochs=args.epochs, seed=args.seed)
     write_models(features.normalization_files(norm, args.out_norm),
                  learn.svm_files(svm, args.out_svm, epochs=args.epochs, seed=args.seed))
-    print(f"trained feature fusion on {joint.shape[0]} clips; "
+    print(f"trained feature fusion on {len(manifest.entries)} clips; "
           f"saved {args.out_norm} and {args.out_svm}")
 
 

@@ -88,7 +88,8 @@ def feature_fusion_train(X, y, C=1.0, epochs=30, seed=0):
     """Fit normalization on joint vectors, then a linear SVM on the
     normalized rows; returns ``(NormalizationModel, LinearSvmModel)``."""
     norm = normalize_fit(X)
-    return norm, svm_train(normalize_apply(norm, X), y, C=C, epochs=epochs, seed=seed)
+    X = normalize_apply(norm, X)  # raw rows that only this call holds are freed here
+    return norm, svm_train(X, y, C=C, epochs=epochs, seed=seed)
 
 
 def feature_fusion_predict(norm, svm, X):

@@ -230,7 +230,9 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
     time, in epoch order, into one buffer whose last column is the
     bias's 1, so no n×(D+1) copy is made; every dgemv and (7,1)·(1,D+1)
     product still gets the same contiguous row in the same order, and
-    the model is byte-identical to updating only the violated rows.
+    the model is byte-identical to updating only the violated rows.  Each
+    gather passes through one ROW_BLOCK×D temporary, since numpy buffers
+    any gather into the block's strided columns; it is freed at once.
     """
     C = check_real(C, "C", positive=True)
     epochs = check_count(epochs, "epochs")

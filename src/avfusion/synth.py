@@ -9,15 +9,15 @@ output carries no label information at all.  The CNN channel emits a
 T×7 per-frame score matrix (softmax rows whose logits favor the true
 class by the same scaled margin) so temporal pooling is exercised on
 the way to its 49-dim clip feature.  All clips' frames are drawn and
-softmaxed in one pass over one array, ``cnn_scores[i]`` is a view into
-it, and ``features.pool_clips`` pools the clips of each length at once.
+softmaxed in one pass over one array; ``synth_generate`` writes each
+clip's frames, and ``synth_dataset`` keeps only their pooled rows.
 
 Channels use independent seed streams, so failing one channel leaves
 the bytes of every other channel untouched for the same seed.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +49,6 @@ class SynthConfig:
 class SynthDataset:
     labels: np.ndarray      # (n,)
     features: dict          # channel -> (n, dim); cnn holds the pooled 49-dim rows
-    cnn_scores: list = field(default_factory=list)  # per-clip (T, 7) views of one array
 
 
 # Class-mean separation of a channel at informativeness 1.
@@ -69,8 +68,9 @@ CNN_FRAMES = (8, 24)
 BASELINE_INFORMATIVENESS = (0.203, 0.229, 0.231, 0.275)
 
 
-def synth_dataset(config):
-    """Generate an in-memory dataset; deterministic under config.seed."""
+def _draw(config):
+    """The labels, and ``rows(channel)``: a channel's per-clip rows (n×dim, or for cnn T×7
+    views into one array of all frames), drawn from its own seed stream in any order."""
     streams = np.random.SeedSequence(config.seed).spawn(len(CHANNELS) + 1)
     rng = np.random.default_rng(streams[0])
     n = config.n_clips
@@ -78,8 +78,8 @@ def synth_dataset(config):
     rng.shuffle(labels)
     frames = rng.integers(CNN_FRAMES[0], CNN_FRAMES[1] + 1, size=n)
 
-    features = {}
-    for idx, channel in enumerate(CHANNELS):
+    def rows(channel):
+        idx = CHANNELS.index(channel)
         chan_rng = np.random.default_rng(streams[idx + 1])
         rho = 0.0 if channel in config.failed_channels else config.informativeness[idx]
         sep = BASE_SEPARATION * rho
@@ -91,15 +91,21 @@ def synth_dataset(config):
             scores -= scores.max(axis=1, keepdims=True)
             np.exp(scores, out=scores)
             scores /= scores.sum(axis=1, keepdims=True)
-            cnn_scores = np.split(scores, np.cumsum(frames)[:-1])
-            features[channel] = pool_clips(cnn_scores)
-        else:
-            dim = SEGMENT_DIMS[channel]
-            directions = chan_rng.standard_normal((7, dim))
-            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-            features[channel] = chan_rng.standard_normal((n, dim))
-            features[channel] += sep * directions[labels]
-    return SynthDataset(labels=labels, features=features, cnn_scores=cnn_scores)
+            return np.split(scores, np.cumsum(frames)[:-1])
+        directions = chan_rng.standard_normal((7, SEGMENT_DIMS[channel]))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        out = chan_rng.standard_normal((n, SEGMENT_DIMS[channel]))
+        for label in range(7):  # class means added in place: no n×dim temporary
+            out[labels == label] += sep * directions[label]
+        return out
+    return labels, rows
+
+
+def synth_dataset(config):
+    """Generate an in-memory dataset; deterministic under config.seed."""
+    labels, rows = _draw(config)
+    cnn = pool_clips(rows("cnn"))  # its frames are freed before the vector channels are drawn
+    return SynthDataset(labels, {ch: cnn if ch == "cnn" else rows(ch) for ch in CHANNELS})
 
 
 def synth_generate(config, out_dir):
@@ -111,16 +117,16 @@ def synth_generate(config, out_dir):
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    data = synth_dataset(config)
+    labels, rows = _draw(config)
+    clips = {channel: rows(channel) for channel in CHANNELS}
     base = os.path.join(out_dir, "")
     entries = []
     for i in range(config.n_clips):
         clip_id = f"clip_{i:05d}"
         cells = {channel: f"{clip_id}.{channel}.fvt" for channel in CHANNELS}
         for channel, cell in cells.items():
-            write_tensor_array(base + cell, data.cnn_scores[i] if channel == "cnn"
-                               else data.features[channel][i])
-        entries.append((clip_id, int(data.labels[i]), cells))
+            write_tensor_array(base + cell, clips[channel][i])
+        entries.append((clip_id, int(labels[i]), cells))
     manifest_path = out_dir / "manifest.csv"
     save_manifest(manifest_path, entries)
     return manifest_path

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from avfusion import features
+from avfusion import features, synth
 from avfusion.cli import _channel_matrix, main
 from avfusion.core import (CHANNELS, MANIFEST_COLUMNS, load_manifest, read_tensor_array,
                            save_manifest, write_tensor_array)
@@ -19,7 +19,7 @@ from avfusion.features import k_average_pool
 from avfusion.fusion import (BnFusionModel, MeasurementModel, bn_infer, fusion_predictions,
                              load_bn, read_decisions, save_bn, uniform_prior, write_decisions)
 from avfusion.learn import LinearSvmModel, save_svm
-from avfusion.synth import SynthConfig, synth_dataset
+from avfusion.synth import SynthConfig
 
 
 def run(*argv):
@@ -249,6 +249,17 @@ def test_synth_informativeness_count_exits_1(tmp_path, capsys):
     assert "informativeness" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("values, bad, channel", [("1,x", "x", "lbptop"),
+                                                  ("abc,1,1,1", "abc", "audio"),
+                                                  ("1,1,1,", "", "blstm")])
+def test_synth_informativeness_not_a_number_names_flag_and_channel(tmp_path, capsys, values,
+                                                                   bad, channel):
+    assert run("synth", "--out", tmp_path, "--informativeness", values) == 1
+    assert capsys.readouterr().err == (f"error: ValueError: --informativeness: {bad!r} "
+                                       f"({channel}) is not a number\n")
+    assert not any(tmp_path.iterdir())
+
+
 def test_nan_feature_file_exits_1(tmp_path, capsys):
     """Every stage that reads channel features names a file holding NaN."""
     assert run("synth", "--out", tmp_path, "--n-clips", 21, "--seed", 4) == 0
@@ -306,14 +317,14 @@ def test_cli_matches_library_pipeline(tmp_path):
                "--norm", tmp_path / "norm.json", "--svm", tmp_path / "joint.json",
                "--out", tmp_path / "joint_test.csv") == 0
 
-    data = synth_dataset(SynthConfig(n_clips=70, informativeness=rho, seed=seed))
+    truths, draw = synth._draw(SynthConfig(n_clips=70, informativeness=rho, seed=seed))
 
     def f32(a):
         return np.asarray(a, dtype=np.float32).astype(np.float64)
 
-    feats = {ch: f32(data.features[ch]) for ch in CHANNELS if ch != "cnn"}
-    feats["cnn"] = np.stack([k_average_pool(f32(s)) for s in data.cnn_scores])
-    expected = fusion_predictions({"cli": feats}, data.labels, tr, va, te,
+    feats = {ch: f32(draw(ch)) for ch in CHANNELS if ch != "cnn"}
+    feats["cnn"] = np.stack([k_average_pool(f32(s)) for s in draw("cnn")])  # the written frames
+    expected = fusion_predictions({"cli": feats}, truths, tr, va, te,
                                   epochs=epochs, seed=seed)["cli"]
     assert sorted(expected) == sorted([*CHANNELS, "joint", "bn"])
     test_ids = [f"clip_{i:05d}" for i in range(50, 70)]

@@ -1,5 +1,7 @@
 import itertools
 import json
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -105,6 +107,31 @@ def test_feature_fusion_equals_manual_chain():
     assert np.array_equal(svm.b, svm2.b)
     labels = feature_fusion_predict(norm, svm, X)
     assert np.array_equal(labels, svm_predict_batch(svm2, normalize_apply(norm2, X)))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before CPython 3.11 a caller's stack holds its call arguments")
+def test_feature_fusion_train_frees_raw_rows_before_the_svm_trains(monkeypatch):
+    """Handed a joint matrix that only the call holds, feature_fusion_train
+    drops it once the rows are normalized: while the SVM trains, the call
+    holds the normalized matrix and not the raw one beside it."""
+    data = synth_dataset(SynthConfig(n_clips=2000, seed=0))
+    # a first call makes its one-time allocations (lazy numpy imports) outside the trace
+    feature_fusion_train(build_joint_vector(data.features)[:50], data.labels[:50], epochs=1)
+    seen = {}
+
+    def spy(X, y, **kwargs):
+        seen["held"], seen["normalized"] = tracemalloc.get_traced_memory()[0], X.nbytes
+        return svm_train(X, y, **kwargs)
+
+    monkeypatch.setattr(fusion, "svm_train", spy)
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        feature_fusion_train(build_joint_vector(data.features), data.labels, epochs=1)
+    finally:
+        tracemalloc.stop()
+    assert seen["held"] - baseline <= 1.1 * seen["normalized"]
 
 
 def test_feature_fusion_deterministic():

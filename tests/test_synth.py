@@ -46,9 +46,10 @@ def test_dataset_shapes_and_balance():
     assert data.features["lbptop"].shape == (140, 150)
     assert data.features["cnn"].shape == (140, 49)
     assert data.features["blstm"].shape == (140, 50)
-    assert len(data.cnn_scores) == 140
+    cnn_scores = synth._draw(cfg)[1]("cnn")  # the frames synth_generate writes
+    assert len(cnn_scores) == 140
     assert np.array_equal(np.bincount(data.labels, minlength=7), np.full(7, 20))
-    for scores in data.cnn_scores[:5]:
+    for scores in cnn_scores[:5]:
         assert scores.shape[1] == 7
         assert np.allclose(scores.sum(axis=1), 1.0, atol=1e-9)
         assert scores.min() >= 0
@@ -121,8 +122,9 @@ def _assert_matches_per_clip(config):
     features, scores = synth_dataset_per_clip(config)
     for channel in CHANNELS:
         assert data.features[channel].tobytes() == features[channel].tobytes(), channel
-    assert len(data.cnn_scores) == len(scores)
-    for got, want in zip(data.cnn_scores, scores):
+    cnn_scores = synth._draw(config)[1]("cnn")  # the frames synth_generate writes
+    assert len(cnn_scores) == len(scores)
+    for got, want in zip(cnn_scores, scores):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -152,6 +154,20 @@ def test_synth_dataset_keeps_no_spent_channel_matrix():
     finally:
         tracemalloc.stop()
     assert peak - kept < 0.5 * data.features["lbptop"].nbytes
+
+
+def test_synth_dataset_keeps_only_features_and_labels():
+    """The cnn frames are pooled and freed inside the call: what the dataset
+    keeps is its features and labels, with no T×7 frame array behind them."""
+    synth_dataset(SynthConfig(n_clips=50, seed=0))  # first-call allocations happen here
+    tracemalloc.start()
+    try:
+        data = synth_dataset(SynthConfig(n_clips=5000, seed=0))
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert not hasattr(data, "cnn_scores")
+    assert kept <= 1.01 * (sum(f.nbytes for f in data.features.values()) + data.labels.nbytes)
 
 
 def test_generate_writes_loadable_dataset(tmp_path):
