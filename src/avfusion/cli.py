@@ -87,8 +87,7 @@ def cmd_lbptop(args):
 
 def cmd_pca_fit(args):
     X = read_tensor_array(args.infile)
-    model = features.pca_fit(X, args.q)
-    features.save_pca(model, args.out)
+    write_models(features.pca_files(features.pca_fit(X, args.q), args.out))
     print(f"fit PCA {X.shape[1]} -> {args.q} on {X.shape[0]} samples; saved to {args.out}")
 
 
@@ -109,7 +108,7 @@ def cmd_train_svm(args):
     manifest = load_manifest(args.manifest)
     X = _channel_matrix(manifest, args.channel)
     model = learn.svm_train(X, manifest.labels(), epochs=args.epochs, seed=args.seed)
-    learn.save_svm(model, args.out, epochs=args.epochs, seed=args.seed)
+    write_models(learn.svm_files(model, args.out, epochs=args.epochs, seed=args.seed))
     print(f"trained {args.channel} SVM on {X.shape[0]} clips; saved to {args.out}")
 
 
@@ -153,7 +152,7 @@ def cmd_fuse_feat_predict(args):
 def cmd_fuse_bn_fit(args):
     decisions, truths = _labelled_decisions(load_manifest(args.manifest), args.decisions)
     model = fusion.fit_bn(decisions, truths)
-    fusion.save_bn(model, args.out)
+    write_models(fusion.bn_files(model, args.out))
     print(f"fit BN fusion over channels {list(model.channels)}; saved to {args.out}")
 
 

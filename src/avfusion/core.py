@@ -344,11 +344,12 @@ def write_csv(path, rows):
         csv.writer(fh).writerows(rows)
 
 
-def read_csv(path, columns, error):
-    """Yield ``(line number, stripped cells)`` for each row of the CSV file
-    at ``path``, whose header must be ``columns``.  A wrong or missing
-    header, a row not ``len(columns)`` cells wide, or a file with no rows
-    raises ``error`` naming the file, and for a row its line."""
+def read_csv(path, columns, error, parse):
+    """Yield ``parse(*stripped cells)`` for each row of the CSV file at
+    ``path``, whose header must be ``columns``.  A wrong or missing header,
+    a row not ``len(columns)`` cells wide, or a file with no rows raises
+    ``error`` naming the file, and for a row its line; a ValueError from
+    ``parse`` is re-raised with ``path:line:`` in front, its type kept."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         if tuple(h.strip() for h in next(reader, ())) != columns:
@@ -357,7 +358,10 @@ def read_csv(path, columns, error):
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(columns):
                 raise error(f"{path}:{lineno}: expected {len(columns)} cells, got {len(row)}")
-            yield lineno, [cell.strip() for cell in row]
+            try:  # cells as a list: a generator's resized args tuples pile up in the free list
+                yield parse(*[cell.strip() for cell in row])
+            except ValueError as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from exc
     if lineno == 1:
         raise error(f"{path}: no rows below the header")
 
@@ -439,20 +443,18 @@ def load_manifest(path):
     """Load a dataset manifest CSV; validates labels and ids.  A relative path
     cell is joined to the manifest's directory as text, not opened: a
     missing file fails where a stage reads it."""
-    folder = os.path.dirname(path)
-    entries = []
-    seen = set()
-    for lineno, (clip_id, label, *cells) in read_csv(path, MANIFEST_COLUMNS, MalformedRow):
+    folder, seen = os.path.dirname(path), set()
+
+    def entry(clip_id, label, *cells):
         if not clip_id:
-            raise MalformedRow(f"{path}:{lineno}: empty clip_id")
+            raise MalformedRow("empty clip_id")
         if clip_id in seen:
-            raise DuplicateClipId(f"{path}:{lineno}: clip_id {clip_id!r} repeats")
+            raise DuplicateClipId(f"clip_id {clip_id!r} repeats")
         seen.add(clip_id)
-        paths = {channel: os.path.join(folder, cell)
-                 for channel, cell in zip(CHANNELS, cells) if cell}
-        entries.append(ManifestEntry(clip_id=clip_id, label=emotion_index(label) if label else None,
-                                     paths=paths))
-    return DatasetManifest(entries=entries)
+        return ManifestEntry(clip_id=clip_id, label=emotion_index(label) if label else None,
+                             paths={channel: os.path.join(folder, cell)
+                                    for channel, cell in zip(CHANNELS, cells) if cell})
+    return DatasetManifest(entries=list(read_csv(path, MANIFEST_COLUMNS, MalformedRow, entry)))
 
 
 def save_manifest(path, entries):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (N_CLASSES, ROW_BLOCK, _as_numbers, check_count, check_scores, check_shape,
-                   read_model, write_models)
+                   read_model)
 
 
 class TooFewSamples(ValueError):
@@ -155,9 +155,10 @@ def normalize_apply(model, x):
     return out
 
 
-def save_pca(model, path):
-    write_models((path, "pca", {"mean": model.mean, "components": model.components,
-                                "eigenvalues": model.eigenvalues}, {}))
+def pca_files(model, path):
+    """The model as a ``(path, kind, tensors, fields)`` save spec."""
+    return path, "pca", {"mean": model.mean, "components": model.components,
+                         "eigenvalues": model.eigenvalues}, {}
 
 
 def load_pca(path):
@@ -166,12 +167,8 @@ def load_pca(path):
 
 
 def normalization_files(model, path):
-    """The model :func:`save_normalization` saves, as ``core.write_models`` takes it."""
+    """The model as a ``(path, kind, tensors, fields)`` save spec."""
     return path, "normalization", {"mean": model.per_dim_mean, "std": model.per_dim_std}, {}
-
-
-def save_normalization(model, path):
-    write_models(normalization_files(model, path))
 
 
 def load_normalization(path):

@@ -17,7 +17,7 @@ import numpy as np
 from .core import (CHANNELS, EMOTION_NAMES, SEGMENT_DIMS, DimensionMismatch, MissingKey,
                    N_CLASSES, UnknownLabel, _as_numbers, check_labels, check_probabilities,
                    check_real, check_shape, emotion_index, read_csv, read_model, require_key,
-                   write_csv, write_models)
+                   write_csv)
 from .features import normalize_apply, normalize_fit
 from .learn import svm_predict_batch, svm_train
 from .metrics import evaluate
@@ -203,16 +203,16 @@ def bn_infer(model, observed):
     return (labels if labels.ndim else int(labels)), post
 
 
-def save_bn(model, path):
-    """Write the model as JSON, recording the smoothing :func:`fit_bn` uses."""
-    write_models((path, "bn_fusion", {}, {
+def bn_files(model, path):
+    """The model as a save spec: JSON only, with the smoothing :func:`fit_bn` uses."""
+    return path, "bn_fusion", {}, {
         "prior": model.prior.tolist(),
         "measurements": [{"channel": m.channel, "cpt": m.cpt.tolist()} for m in model.measurements],
-        "smoothing": {"mode": "confusion", "alpha": 1.0, "prior": "uniform"}}))
+        "smoothing": {"mode": "confusion", "alpha": 1.0, "prior": "uniform"}}
 
 
 def load_bn(path):
-    """Read a model written by :func:`save_bn`; errors name the file."""
+    """Read a model saved from :func:`bn_files`; errors name the file."""
     return read_model(path, "bn_fusion", lambda doc, tensor: BnFusionModel(
         prior=require_key(doc, "prior"), measurements=_measurements(doc)))
 
@@ -248,13 +248,14 @@ def read_decisions(paths):
     if isinstance(paths, (str, os.PathLike)):
         raise TypeError(f"read_decisions takes a list of paths, got {paths!r}")
     merged = {}
+
+    def decision(clip_id, channel, label):  # sees every row merged before it
+        if not (clip_id and channel):
+            raise ValueError(f"empty {'channel' if clip_id else 'clip_id'}")
+        if channel in merged.get(clip_id, ()):
+            raise DuplicateDecision(f"second {channel} decision for {clip_id!r}")
+        return clip_id, channel, emotion_index(label)
     for path in paths:
-        for lineno, (clip_id, channel, label) in read_csv(path, DECISION_COLUMNS, ValueError):
-            if not (clip_id and channel):
-                raise ValueError(f"{path}:{lineno}: empty {'channel' if clip_id else 'clip_id'}")
-            observed = merged.setdefault(clip_id, {})
-            if channel in observed:
-                raise DuplicateDecision(f"{path}:{lineno}: second {channel} decision "
-                                        f"for {clip_id!r}")
-            observed[channel] = emotion_index(label)
+        for clip_id, channel, label in read_csv(path, DECISION_COLUMNS, ValueError, decision):
+            merged.setdefault(clip_id, {})[channel] = label
     return merged

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (N_CLASSES, ROW_BLOCK, check_count, check_labels, check_real, check_shape,
-                   read_model, require_key, write_models)
+                   read_model, require_key)
 
 
 class ZeroNormCenter(ValueError):
@@ -281,17 +281,13 @@ def svm_predict_batch(model, X):
 
 
 def svm_files(model, path, epochs=None, seed=None):
-    """The model :func:`save_svm` saves, as ``core.write_models`` takes it."""
+    """The model as a ``(path, kind, tensors, fields)`` save spec."""
     return (path, "linear_svm", {"weights": model.W, "bias": model.b},
             {"C": model.C, "shapes": {"weights": list(model.W.shape), "bias": list(model.b.shape)},
              **{key: int(v) for key, v in (("epochs", epochs), ("seed", seed)) if v is not None}})
 
 
-def save_svm(model, path, epochs=None, seed=None):
-    write_models(svm_files(model, path, epochs, seed))
-
-
 def load_svm(path):
-    """Read a model written by :func:`save_svm`; errors name the file."""
+    """Read a model saved from :func:`svm_files`; errors name the file."""
     return read_model(path, "linear_svm", lambda doc, tensor: LinearSvmModel(
         W=tensor("weights"), b=tensor("bias"), C=require_key(doc, "C")))

@@ -13,12 +13,12 @@ import pytest
 
 from avfusion import features, synth
 from avfusion.cli import _channel_matrix, main
-from avfusion.core import (CHANNELS, MANIFEST_COLUMNS, load_manifest, read_tensor_array,
-                           save_manifest, write_tensor_array)
+from avfusion.core import (CHANNELS, EMOTION_NAMES, MANIFEST_COLUMNS, load_manifest,
+                           read_tensor_array, save_manifest, write_models, write_tensor_array)
 from avfusion.features import k_average_pool
 from avfusion.fusion import (BnFusionModel, MeasurementModel, bn_infer, fusion_predictions,
-                             load_bn, read_decisions, save_bn, uniform_prior, write_decisions)
-from avfusion.learn import LinearSvmModel, save_svm
+                             bn_files, load_bn, read_decisions, uniform_prior, write_decisions)
+from avfusion.learn import LinearSvmModel, svm_files
 from avfusion.synth import SynthConfig
 
 
@@ -177,9 +177,9 @@ def test_fuse_bn_infer_marginalizes_a_clips_missing_channel(tmp_path):
     they have: each output label is that of a one-clip ``bn_infer`` call."""
     rng = np.random.default_rng(0)
     cpts = rng.random((2, 7, 7)) + 0.05
-    save_bn(BnFusionModel(prior=uniform_prior(), measurements=tuple(
+    write_models(bn_files(BnFusionModel(prior=uniform_prior(), measurements=tuple(
         MeasurementModel(channel=ch, cpt=cpt / cpt.sum(axis=1, keepdims=True))
-        for ch, cpt in zip(("audio", "cnn"), cpts))), tmp_path / "bn.json")
+        for ch, cpt in zip(("audio", "cnn"), cpts))), tmp_path / "bn.json"))
     clips = [f"clip_{i:05d}" for i in range(60)]
     has = rng.random((2, 60))
     for ch, keep in (("audio", has[0] > 0.2), ("cnn", has[1] > 0.4)):
@@ -207,8 +207,8 @@ def test_duplicate_decision_exits_1(synth_dirs, tmp_path, capsys, argv):
     dec = tmp_path / "dec.csv"
     write_decisions(dec, [(cid, "audio", 0) for cid in ids] + [(ids[3], "audio", 1)])
     bn = tmp_path / "bn.json"
-    save_bn(BnFusionModel(prior=uniform_prior(),
-                          measurements=(MeasurementModel(channel="audio", cpt=np.eye(7)),)), bn)
+    write_models(bn_files(BnFusionModel(prior=uniform_prior(), measurements=(
+        MeasurementModel(channel="audio", cpt=np.eye(7)),)), bn))
     paths = {"manifest": manifest, "dec": dec, "bn": bn, "out": tmp_path / "out.csv"}
     assert run(*(a.format(**paths) for a in argv)) == 1
     assert "DuplicateDecision" in capsys.readouterr().err
@@ -440,6 +440,29 @@ def test_fuse_feat_train_saves_both_models_or_neither(synth_dirs, tmp_path, caps
     assert not any(folder.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ("train-svm", "--manifest", "{train}", "--channel", "audio", "--epochs", "2"),
+    ("pca", "fit", "--in", "{matrix}", "--q", "2"),
+    ("fuse-bn", "fit", "--manifest", "{test}", "--decisions", "{dec}"),
+], ids=["train-svm", "pca-fit", "fuse-bn-fit"])
+def test_model_stage_onto_a_directory_writes_nothing(synth_dirs, tmp_path, capsys, argv):
+    """Every other model-writing stage with ``--out`` onto a directory exits
+    1 before writing: no file appears and no temporary is left."""
+    _, train_manifest, test_manifest = synth_dirs
+    matrix, dec, out = tmp_path / "x.fvt", tmp_path / "dec.csv", tmp_path / "model.json"
+    write_tensor_array(matrix, np.random.default_rng(0).standard_normal((20, 6)))
+    write_decisions(dec, [(e.clip_id, "audio", e.label)
+                          for e in load_manifest(test_manifest).entries])
+    out.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    paths = {"train": train_manifest, "test": test_manifest, "matrix": matrix, "dec": dec}
+    assert run(*(a.format(**paths) for a in argv), "--out", out) == 1
+    assert capsys.readouterr().err == (f"error: OSError: {out}: exists and is not "
+                                       "a regular file; refusing to replace it\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_stage_determinism(tmp_path):
     """Rerunning stages with identical flags yields byte-identical files."""
     for tag in ("a", "b"):
@@ -587,13 +610,14 @@ def _append(path, data):
 
 
 def _bn_without_decisions(d):
-    save_bn(BnFusionModel(prior=uniform_prior(), measurements=(
-        MeasurementModel(channel="audio", cpt=np.eye(7)),)), d / "bn.json")
+    write_models(bn_files(BnFusionModel(prior=uniform_prior(), measurements=(
+        MeasurementModel(channel="audio", cpt=np.eye(7)),)), d / "bn.json"))
     write_decisions(d / "dec.csv", [])
 
 
 def _svm_of_width(d, width):
-    save_svm(LinearSvmModel(W=np.zeros((7, width)), b=np.zeros(7), C=1.0), d / "svm.json")
+    write_models(svm_files(LinearSvmModel(W=np.zeros((7, width)), b=np.zeros(7), C=1.0),
+                           d / "svm.json"))
 
 
 # Each data error: how to make it in a fresh 7-clip dataset ``d`` whose
@@ -616,6 +640,11 @@ DATA_ERRORS = {
                         "clip_id,label,audio,lbptop_video,cnn_scores,blstm_feat"),
     "manifest-clip-id": (lambda d: _edit_manifest(d, 3, 0, " "), TRAIN_AUDIO,
                          "MalformedRow: {d}/manifest.csv:4: empty clip_id"),
+    "manifest-label": (lambda d: _edit_manifest(d, 1, 1, "Hapy"),
+                       ("fuse-bn", "fit", "--manifest", "{d}/manifest.csv",
+                        "--decisions", "{d}/dec.csv", "--out", "{d}/out"),
+                       "UnknownLabel: {d}/manifest.csv:2: unknown emotion label 'Hapy'; "
+                       f"expected one of {EMOTION_NAMES}"),
     "no-channel-file": (lambda d: _edit_manifest(d, 3, 2, ""), TRAIN_AUDIO,
                         "ValueError: clip 'clip_00002' has no audio file"),
     "rank-2-feature": (lambda d: write_tensor_array(d / "clip_00002.audio.fvt", np.ones((2, 10))),
@@ -653,6 +682,10 @@ DATA_ERRORS = {
     "decisions-header": (lambda d: _edit_text(d / "dec.csv", "channel", "chan"), EVALUATE,
                          "ValueError: {d}/dec.csv: header must be "
                          "clip_id,channel,predicted_label"),
+    "decisions-label": (lambda d: _edit_text(d / "dec.csv", "clip_00000,audio,Neutral",
+                                             "clip_00000,audio,Happpy"), EVALUATE,
+                        "UnknownLabel: {d}/dec.csv:2: unknown emotion label 'Happpy'; "
+                        f"expected one of {EMOTION_NAMES}"),
     "decisions-row": (lambda d: _append(d / "dec.csv", b"clip_00002,audio\n"), EVALUATE,
                       "ValueError: {d}/dec.csv:9: expected 3 cells, got 2"),
     "decisions-empty": (_bn_without_decisions,

@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import string
 import struct
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,14 +19,14 @@ from hypothesis import strategies as st
 
 import avfusion
 from avfusion.features import (NormalizationModel, PcaModel, k_average_pool, load_normalization,
-                               load_pca, normalize_apply, normalize_fit, pca_fit, pca_transform,
-                               save_normalization, save_pca)
-from avfusion.fusion import (BnFusionModel, MeasurementModel, bn_infer, build_joint_vector,
-                             fit_measurement_cpt, load_bn, read_decisions, save_bn, uniform_prior,
-                             write_decisions)
+                               load_pca, normalization_files, normalize_apply, normalize_fit,
+                               pca_files, pca_fit, pca_transform)
+from avfusion.fusion import (BnFusionModel, MeasurementModel, bn_files, bn_infer,
+                             build_joint_vector, fit_measurement_cpt, load_bn, read_decisions,
+                             uniform_prior, write_decisions)
 from avfusion.lbptop import lbp_top_descriptor
 from avfusion.learn import (IslandLossParams, LinearSvmModel, island_loss, load_svm,
-                            probe_features, save_svm, softmax_probe_train, svm_predict_batch,
+                            probe_features, softmax_probe_train, svm_files, svm_predict_batch,
                             svm_train, update_centers)
 from avfusion.metrics import evaluate
 from avfusion.synth import SynthConfig, gaussian_blobs
@@ -32,7 +34,8 @@ from avfusion.core import (CHANNELS, SEGMENT_DIMS, BadMagic, DuplicateClipId, Di
                            EMOTION_NAMES, MalformedRow, TensorFormatError, Truncated,
                            UnknownLabel, check_count, check_labels, check_real, emotion_index,
                            emotion_name, load_manifest, read_tensor, read_tensor_array,
-                           save_manifest, write_csv, write_tensor, write_tensor_array)
+                           save_manifest, write_csv, write_models, write_tensor,
+                           write_tensor_array)
 
 
 def test_label_bijection():
@@ -376,8 +379,8 @@ def test_one_reader_per_csv_kind():
 
 
 def _model_kinds():
-    """Each model kind: its save, its load, a model, and the arrays of a
-    loaded model as bytes."""
+    """Each model kind: its ``core.write_models`` spec, its load, a model,
+    and the arrays of a loaded model as bytes."""
     rng = np.random.default_rng(21)
     X = rng.standard_normal((12, 4))
     cpts = rng.random((2, 7, 7)) + 0.05
@@ -385,15 +388,15 @@ def _model_kinds():
         MeasurementModel(channel=ch, cpt=cpt / cpt.sum(axis=1, keepdims=True))
         for ch, cpt in zip(("audio", "cnn"), cpts)])
     return {
-        "linear_svm": (lambda model, path: save_svm(model, path, epochs=2, seed=0), load_svm,
+        "linear_svm": (lambda model, path: svm_files(model, path, epochs=2, seed=0), load_svm,
                        LinearSvmModel(W=rng.standard_normal((7, 4)), b=rng.standard_normal(7),
                                       C=0.5),
                        lambda m: (m.W.tobytes(), m.b.tobytes(), m.C)),
-        "pca": (save_pca, load_pca, pca_fit(X, 2),
+        "pca": (pca_files, load_pca, pca_fit(X, 2),
                 lambda m: (m.mean.tobytes(), m.components.tobytes(), m.eigenvalues.tobytes())),
-        "normalization": (save_normalization, load_normalization, normalize_fit(X),
+        "normalization": (normalization_files, load_normalization, normalize_fit(X),
                           lambda m: (m.per_dim_mean.tobytes(), m.per_dim_std.tobytes())),
-        "bn_fusion": (save_bn, load_bn, bn,
+        "bn_fusion": (bn_files, load_bn, bn,
                       lambda m: (m.prior.tobytes(), *((x.channel, x.cpt.tobytes())
                                                       for x in m.measurements))),
     }
@@ -427,10 +430,10 @@ def test_model_file_mutation_property(kind, data):
     loads as before or raises a ValueError naming the sidecar; never a
     KeyError, TypeError, AttributeError or IndexError, nor a JSON error
     that does not say which file it is in."""
-    save, load, model, arrays = _MODEL_KINDS[kind]
+    files, load, model, arrays = _MODEL_KINDS[kind]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
-        save(model, path)
+        write_models(files(model, path))
         expected = arrays(load(path))
         doc = json.loads(path.read_text())
         action, target = data.draw(st.sampled_from(_mutations(doc, path.name)))
@@ -467,14 +470,14 @@ def test_model_file_mutation_property(kind, data):
 def test_model_save_is_all_or_nothing(tmp_path, monkeypatch, kind):
     """A save that fails while writing the JSON document, after any tensor
     files, leaves the directory's bytes as they were and no temporary file."""
-    save, _, model, _ = _MODEL_KINDS[kind]
+    files, _, model, _ = _MODEL_KINDS[kind]
     X = np.random.default_rng(22).standard_normal((12, 4))
     other = {"linear_svm": LinearSvmModel(W=np.full((7, 4), 2.0), b=np.zeros(7), C=1.0),
              "pca": pca_fit(X, 2), "normalization": normalize_fit(X),
              "bn_fusion": BnFusionModel(prior=uniform_prior(),
                                         measurements=[MeasurementModel("audio", np.eye(7))])}[kind]
     path = tmp_path / "model.json"
-    save(model, path)
+    write_models(files(model, path))
     before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
 
     def dump_then_fail(doc, fh, **kwargs):
@@ -483,7 +486,7 @@ def test_model_save_is_all_or_nothing(tmp_path, monkeypatch, kind):
 
     monkeypatch.setattr(avfusion.core.json, "dump", dump_then_fail)
     with pytest.raises(OSError, match="No space left"):
-        save(other, path)
+        write_models(files(other, path))
     assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
     tensors = json.loads(before["model.json"]).get("tensors", {})
     assert sorted(before) == sorted(["model.json", *tensors.values()])
@@ -495,9 +498,9 @@ def test_model_save_refuses_a_target_that_is_not_a_regular_file(tmp_path, kind, 
     """A model path, or a tensor sibling of it, that names a directory or a
     FIFO fails with an OSError naming it before any file is created or
     renamed."""
-    save, _, model, _ = _MODEL_KINDS[kind]
+    files, _, model, _ = _MODEL_KINDS[kind]
     path = tmp_path / "model.json"
-    save(model, tmp_path / "probe.json")  # the tensor names this kind writes
+    write_models(files(model, tmp_path / "probe.json"))  # the tensor names this kind writes
     siblings = sorted(f.name.replace("probe", "model") for f in tmp_path.iterdir()
                       if f.suffix == ".fvt")
     for f in tmp_path.iterdir():
@@ -507,7 +510,7 @@ def test_model_save_refuses_a_target_that_is_not_a_regular_file(tmp_path, kind, 
         blocker.mkdir() if target == "directory" else os.mkfifo(blocker)
         with pytest.raises(OSError, match=f"^{re.escape(str(blocker))}: exists and is not "
                                           "a regular file"):
-            save(model, path)
+            write_models(files(model, path))
         assert [f.name for f in tmp_path.iterdir()] == [name]
         assert stat.S_ISDIR(blocker.stat().st_mode) if target == "directory" else \
             stat.S_ISFIFO(blocker.stat().st_mode)
@@ -788,6 +791,29 @@ def test_manifest_roundtrip(tmp_path):
         for _, _, paths in entries]
 
 
+@pytest.mark.parametrize("kind", ["manifest", "decisions"])
+def test_csv_reader_leaves_no_per_row_garbage(tmp_path, kind):
+    """A 2000-row manifest or decisions load leaves allocated only what its
+    result holds: no per-row object waits in a free list or for the cycle
+    collector, where it would stay beside the manifest through a stage."""
+    ids = [f"clip_{i:05d}" for i in range(2000)]
+    path = tmp_path / f"{kind}.csv"
+    if kind == "manifest":
+        save_manifest(path, [(c, i % 7, {ch: f"{c}.{ch}.fvt" for ch in CHANNELS})
+                             for i, c in enumerate(ids)])
+    else:
+        write_decisions(path, [(c, "audio", i % 7) for i, c in enumerate(ids)])
+    tracemalloc.start()
+    try:
+        loaded = load_manifest(path) if kind == "manifest" else read_decisions([path])
+        kept = tracemalloc.get_traced_memory()[0]
+        gc.collect()  # a full collection also empties the interpreter's free lists
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert loaded and kept <= 1.02 * held
+
+
 _CLIP_ID_CHARS = string.ascii_letters + string.digits + '_-.,"'
 
 
@@ -848,7 +874,8 @@ def test_manifest_unknown_label(tmp_path):
     mpath = tmp_path / "manifest.csv"
     mpath.write_text("clip_id,label,audio,lbptop_video,cnn_scores,blstm_feat\n"
                      "c1,Joy,,,,\n")
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(UnknownLabel, match=f"^{re.escape(str(mpath))}:2: unknown emotion "
+                                           "label 'Joy'; expected one of"):
         load_manifest(mpath)
 
 

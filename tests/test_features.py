@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avfusion import features
-from avfusion.core import DimensionMismatch, MissingKey, read_tensor_array, write_tensor_array
+from avfusion.core import (DimensionMismatch, MissingKey, read_tensor_array, write_models,
+                           write_tensor_array)
 from avfusion.fusion import build_joint_vector
 from avfusion.features import (NormalizationModel, PcaModel, TooFewSamples, k_average_pool,
-                               load_normalization, load_pca, normalize_apply,
-                               normalize_fit, pca_fit, pca_transform,
-                               save_normalization, save_pca)
+                               load_normalization, load_pca, normalization_files,
+                               normalize_apply, normalize_fit, pca_files, pca_fit,
+                               pca_transform)
 from avfusion.synth import SynthConfig, synth_dataset
 
 
@@ -401,14 +402,14 @@ def test_pca_and_normalization_serialization(tmp_path):
     rng = np.random.default_rng(18)
     X = rng.standard_normal((20, 6))
     pca = pca_fit(X, 3)
-    save_pca(pca, tmp_path / "pca.json")
+    write_models(pca_files(pca, tmp_path / "pca.json"))
     loaded = load_pca(tmp_path / "pca.json")
     # f32 storage: values round-trip at f32 precision
     assert np.allclose(loaded.components, pca.components, atol=1e-6)
     assert np.allclose(loaded.mean, pca.mean, atol=1e-6)
 
     norm = normalize_fit(X)
-    save_normalization(norm, tmp_path / "norm.json")
+    write_models(normalization_files(norm, tmp_path / "norm.json"))
     loaded_norm = load_normalization(tmp_path / "norm.json")
     assert np.allclose(loaded_norm.per_dim_mean, norm.per_dim_mean, atol=1e-6)
     assert np.allclose(loaded_norm.per_dim_std, norm.per_dim_std, atol=1e-6)
@@ -419,9 +420,9 @@ def test_pca_and_normalization_serialization(tmp_path):
 def test_pca_and_normalization_missing_key(tmp_path, kind, drop):
     X = np.random.default_rng(19).standard_normal((20, 6))
     path = tmp_path / f"{kind}.json"
-    save, load = {"pca": (save_pca, load_pca),
-                  "norm": (save_normalization, load_normalization)}[kind]
-    save(pca_fit(X, 3) if kind == "pca" else normalize_fit(X), path)
+    files, load = {"pca": (pca_files, load_pca),
+                   "norm": (normalization_files, load_normalization)}[kind]
+    write_models(files(pca_fit(X, 3) if kind == "pca" else normalize_fit(X), path))
     doc = json.loads(path.read_text())
     if drop is None:
         doc, drop = [doc], "kind"  # a sidecar that is not a JSON object
@@ -441,9 +442,9 @@ def test_load_checks_model_shapes(tmp_path, kind, name, shape):
     X = np.random.default_rng(20).standard_normal((20, 6))
     path = tmp_path / f"{kind}.json"
     if kind == "pca":
-        save_pca(pca_fit(X, 3), path)
+        write_models(pca_files(pca_fit(X, 3), path))
     else:
-        save_normalization(normalize_fit(X), path)
+        write_models(normalization_files(normalize_fit(X), path))
     tensor = tmp_path / f"{kind}.{name}.fvt"
     write_tensor_array(tensor, np.resize(read_tensor_array(tensor).reshape(-1), shape))
     with pytest.raises(DimensionMismatch, match=f"{kind}.json: {name}: expected shape"):
@@ -473,7 +474,8 @@ def test_models_check_shapes_when_built(fields, error, name):
 
 def test_load_pca_refuses_bad_eigenvalues(tmp_path):
     path = tmp_path / "pca.json"
-    save_pca(PcaModel(mean=np.zeros(2), components=np.eye(2), eigenvalues=[3.0, 1.0]), path)
+    write_models(pca_files(PcaModel(mean=np.zeros(2), components=np.eye(2),
+                                    eigenvalues=[3.0, 1.0]), path))
     write_tensor_array(tmp_path / "pca.eigenvalues.fvt", np.array([-1.0, 3.0]))
     with pytest.raises(ValueError, match="pca.json: eigenvalues: entries must be non-negative"):
         load_pca(path)

@@ -9,13 +9,14 @@ import pytest
 
 from avfusion import fusion
 from avfusion.core import (CHANNELS, JOINT_DIM, SEGMENT_DIMS, DimensionMismatch,
-                           LengthMismatch, MissingKey, UnknownLabel)
+                           LengthMismatch, MissingKey, UnknownLabel, write_models)
 from avfusion.features import normalize_apply, normalize_fit
 from avfusion.fusion import (AllZeroPosterior, BnFusionModel, EmptyClassRow,
-                             MeasurementModel, UnknownChannel, bn_infer, build_joint_vector,
+                             MeasurementModel, UnknownChannel, bn_files, bn_infer,
+                             build_joint_vector,
                              feature_fusion_predict, feature_fusion_train, fit_bn,
                              fit_measurement_cpt, fusion_predictions, load_bn,
-                             read_decisions, save_bn, uniform_prior, write_decisions)
+                             read_decisions, uniform_prior, write_decisions)
 from avfusion.learn import svm_predict_batch, svm_train
 from avfusion.synth import BASELINE_INFORMATIVENESS, SynthConfig, synth_dataset
 
@@ -460,7 +461,7 @@ def test_measurement_model_validation():
 def test_bn_serialization_roundtrip(tmp_path):
     rng = np.random.default_rng(7)
     model = _random_bn(rng)
-    save_bn(model, tmp_path / "bn.json")
+    write_models(bn_files(model, tmp_path / "bn.json"))
     loaded = load_bn(tmp_path / "bn.json")
     assert loaded.channels == model.channels
     assert np.array_equal(loaded.prior, model.prior)
@@ -482,7 +483,7 @@ def test_bn_serialization_roundtrip(tmp_path):
     ("kind", "bad.json"), ("prior", "bad.json"), ("measurements", "bad.json"),
     ("channel", r"bad.json: measurements\[2\]"), ("cpt", r"bad.json: measurements\[2\]")])
 def test_load_bn_missing_key(tmp_path, drop, where):
-    save_bn(_random_bn(np.random.default_rng(8)), tmp_path / "bn.json")
+    write_models(bn_files(_random_bn(np.random.default_rng(8)), tmp_path / "bn.json"))
     doc = json.loads((tmp_path / "bn.json").read_text())
     del (doc["measurements"][2] if drop in ("channel", "cpt") else doc)[drop]
     (tmp_path / "bad.json").write_text(json.dumps(doc))
@@ -496,7 +497,7 @@ def test_load_bn_missing_key(tmp_path, drop, where):
     (lambda doc: doc["measurements"][1].update(channel=[1]), "channel must be a string"),
     (lambda doc: doc["measurements"][0].update(cpt="eye"), "audio CPT: expected an array")])
 def test_load_bn_wrong_typed_field(tmp_path, change, message):
-    save_bn(_random_bn(np.random.default_rng(9)), tmp_path / "bn.json")
+    write_models(bn_files(_random_bn(np.random.default_rng(9)), tmp_path / "bn.json"))
     doc = json.loads((tmp_path / "bn.json").read_text())
     change(doc)
     (tmp_path / "bad.json").write_text(json.dumps(doc))
@@ -532,6 +533,14 @@ def test_failed_decisions_write_keeps_the_old_file(tmp_path):
         write_decisions(path, [("c1", "audio", 4), ("c2", "audio", 1.5)])
     assert path.read_bytes() == before
     assert [f.name for f in tmp_path.iterdir()] == ["dec.csv"]
+
+
+def test_read_decisions_names_the_line_of_an_unknown_label(tmp_path):
+    path = tmp_path / "dec.csv"
+    path.write_text("clip_id,channel,predicted_label\nc0,audio,Happpy\n")
+    with pytest.raises(UnknownLabel, match=f"^{path}:2: unknown emotion label 'Happpy'; "
+                                           "expected one of"):
+        read_decisions([path])
 
 
 @pytest.mark.parametrize("row, cell", [(",audio,Angry", "clip_id"), ("c1,,Angry", "channel"),

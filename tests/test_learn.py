@@ -8,12 +8,12 @@ import pytest
 
 from avfusion import learn
 from avfusion.core import (CHANNELS, N_CLASSES, DimensionMismatch, MissingKey, UnknownLabel,
-                           read_tensor_array, write_tensor_array)
+                           read_tensor_array, write_models, write_tensor_array)
 from avfusion.features import normalize_apply, normalize_fit
 from avfusion.learn import (DegenerateInput, IslandLossParams, LinearSvmModel,
                             SingleClass, ZeroNormCenter, clustering_ratio,
                             island_loss, island_loss_grad, load_svm,
-                            probe_features, save_svm, softmax_probe_train,
+                            probe_features, softmax_probe_train, svm_files,
                             svm_predict_batch, svm_train, update_centers)
 from avfusion.synth import BASELINE_INFORMATIVENESS, SynthConfig, gaussian_blobs, synth_dataset
 
@@ -341,7 +341,7 @@ def test_svm_deterministic_bytes(tmp_path):
     y = rng.integers(0, 3, 40)
     for run in range(2):
         model = svm_train(X, y, C=2.0, epochs=10, seed=9)
-        save_svm(model, tmp_path / f"m{run}.json")
+        write_models(svm_files(model, tmp_path / f"m{run}.json"))
     w0 = (tmp_path / "m0.weights.fvt").read_bytes()
     w1 = (tmp_path / "m1.weights.fvt").read_bytes()
     assert w0 == w1
@@ -401,7 +401,7 @@ def test_svm_serialization_roundtrip(tmp_path):
     X = rng.standard_normal((30, 4))
     y = rng.integers(0, 4, 30)
     model = svm_train(X, y, C=0.5, epochs=8, seed=1)
-    save_svm(model, tmp_path / "svm.json")
+    write_models(svm_files(model, tmp_path / "svm.json"))
     loaded = load_svm(tmp_path / "svm.json")
     assert loaded.C == 0.5
     assert np.allclose(loaded.W, model.W, atol=1e-6)
@@ -513,7 +513,7 @@ def test_svm_train_memory_stays_below_the_input(n, budget):
 def _saved_svm(tmp_path):
     rng = np.random.default_rng(12)
     model = svm_train(rng.standard_normal((30, 4)), rng.integers(0, 7, 30), epochs=2)
-    save_svm(model, tmp_path / "svm.json")
+    write_models(svm_files(model, tmp_path / "svm.json"))
     return tmp_path / "svm.json"
 
 
