@@ -240,9 +240,9 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
     X = check_shape(X, (None, None), "features")
     y = check_labels(y, n=len(X))
     n, dim = X.shape
-    if np.unique(y).size < 2:
-        raise SingleClass(f"training labels hold {np.unique(y).size} classes; at least 2 "
-                          "are needed")
+    n_found = np.count_nonzero(np.bincount(y, minlength=N_CLASSES))  # np.unique loads numpy.ma
+    if n_found < 2:
+        raise SingleClass(f"training labels hold {n_found} classes; at least 2 are needed")
     lam = 1.0 / (C * n)
     block = np.ones((min(ROW_BLOCK, n), dim + 1))  # gathered samples; the bias's 1 last
     xs, rows = list(block), list(block[:, None, :])  # its rows as (D+1,) and (1, D+1) views

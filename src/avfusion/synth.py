@@ -118,15 +118,13 @@ def synth_generate(config, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     labels, rows = _draw(config)
-    clips = {channel: rows(channel) for channel in CHANNELS}
     base = os.path.join(out_dir, "")
-    entries = []
-    for i in range(config.n_clips):
-        clip_id = f"clip_{i:05d}"
-        cells = {channel: f"{clip_id}.{channel}.fvt" for channel in CHANNELS}
-        for channel, cell in cells.items():
-            write_tensor_array(base + cell, clips[channel][i])
-        entries.append((clip_id, int(labels[i]), cells))
+    ids = [f"clip_{i:05d}" for i in range(config.n_clips)]
+    for channel in CHANNELS:  # one channel's draws held at a time
+        for clip_id, clip in zip(ids, rows(channel)):
+            write_tensor_array(f"{base}{clip_id}.{channel}.fvt", clip)
+    entries = [(clip_id, int(label), {ch: f"{clip_id}.{ch}.fvt" for ch in CHANNELS})
+               for clip_id, label in zip(ids, labels)]
     manifest_path = out_dir / "manifest.csv"
     save_manifest(manifest_path, entries)
     return manifest_path

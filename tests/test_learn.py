@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,8 @@ from avfusion.learn import (DegenerateInput, IslandLossParams, LinearSvmModel,
                             island_loss, island_loss_grad, load_svm,
                             probe_features, softmax_probe_train, svm_files,
                             svm_predict_batch, svm_train, update_centers)
-from avfusion.synth import BASELINE_INFORMATIVENESS, SynthConfig, gaussian_blobs, synth_dataset
+from avfusion.synth import (BASELINE_INFORMATIVENESS, SynthConfig, gaussian_blobs, synth_dataset,
+                            synth_generate)
 
 
 def island_loss_reference(X, y, centers, lambda1):
@@ -381,6 +386,10 @@ def test_svm_predict_scale_invariant_label():
 def test_svm_errors():
     with pytest.raises(SingleClass):
         svm_train(np.zeros((4, 2)), [1, 1, 1, 1])
+    with pytest.raises(SingleClass, match=r"^training labels hold 1 classes; at least 2 are needed$"):
+        svm_train(np.zeros((3, 2)), [6, 6, 6])
+    with pytest.raises(SingleClass, match=r"^training labels hold 0 classes; at least 2 are needed$"):
+        svm_train(np.zeros((0, 2)), np.zeros(0, dtype=int))
     with pytest.raises(UnknownLabel):
         svm_train(np.zeros((20, 2)), np.arange(20) % 9)
     X = np.zeros((4, 3))
@@ -406,6 +415,23 @@ def test_svm_serialization_roundtrip(tmp_path):
     assert loaded.C == 0.5
     assert np.allclose(loaded.W, model.W, atol=1e-6)
     assert np.array_equal(svm_predict_batch(loaded, X), svm_predict_batch(model, X))
+
+
+def test_training_loads_no_numpy_ma(tmp_path):
+    """Neither svm_train nor the train-svm stage imports numpy.ma (np.unique
+    would).  A fresh interpreter, since an earlier test may have loaded it."""
+    manifest = synth_generate(SynthConfig(n_clips=21, seed=0), tmp_path / "data")
+    code = ("import sys, numpy as np, avfusion\n"
+            "from avfusion import cli, learn\n"
+            "learn.svm_train(np.eye(14, 3), np.arange(14) % 7, epochs=2)\n"
+            f"assert cli.main(['train-svm', '--manifest', {str(manifest)!r}, '--channel', 'audio',"
+            f" '--out', {str(tmp_path / 'audio.json')!r}, '--epochs', '2']) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def svm_train_reference(X, y, C, epochs, seed):
@@ -500,7 +526,7 @@ def test_svm_train_memory_stays_below_the_input(n, budget):
     alone is more than the input."""
     rng = np.random.default_rng(32)
     X, y = rng.standard_normal((n, 269)), np.arange(n) % N_CLASSES
-    svm_train(X[:50], y[:50], epochs=1)  # warm-up: numpy imports numpy.ma on a first call
+    svm_train(X[:50], y[:50], epochs=1)  # first-call allocations happen here
     tracemalloc.start()
     try:
         svm_train(X, y, epochs=2)

@@ -170,6 +170,21 @@ def test_synth_dataset_keeps_only_features_and_labels():
     assert kept <= 1.01 * (sum(f.nbytes for f in data.features.values()) + data.labels.nbytes)
 
 
+def test_synth_generate_holds_one_channel_at_a_time(tmp_path):
+    """synth_generate draws and writes one channel before the next, so a
+    2000-clip rewrite peaks below 2.5× its lbptop matrix above entry."""
+    cfg = SynthConfig(n_clips=2000, seed=0)
+    synth_generate(cfg, tmp_path)  # first-call allocations happen here
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        synth_generate(cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry < 2.5 * cfg.n_clips * SEGMENT_DIMS["lbptop"] * 8
+
+
 def test_generate_writes_loadable_dataset(tmp_path):
     cfg = SynthConfig(n_clips=12, seed=2)
     manifest_path = synth_generate(cfg, tmp_path / "data")
