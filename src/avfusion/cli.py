@@ -4,7 +4,8 @@ Subcommands: synth, lbptop, pca {fit,apply}, pool, train-svm,
 predict-svm, fuse-feat {train,predict}, fuse-bn {fit,infer},
 island-demo, evaluate.  Every stage is deterministic given its flags
 and --seed; usage errors exit 2, data errors exit 1 with a diagnostic
-on stderr.
+on stderr.  Each command imports the submodules it runs, so a stage's
+process loads only those.
 """
 
 import argparse
@@ -12,11 +13,9 @@ import sys
 
 import numpy as np
 
-from . import features, fusion, learn, metrics, synth
 from .core import (CHANNELS, JOINT_DIM, SEGMENT_DIMS, DimensionMismatch, check_scores,
                    check_shape, load_manifest, read_tensor_array, write_csv, write_models,
                    write_tensor_array)
-from .lbptop import lbp_top_descriptor
 
 
 def _channel_matrix(manifest, channel):
@@ -27,6 +26,7 @@ def _channel_matrix(manifest, channel):
     pooled into 7 bins, one call per frame count; any other tensor must be
     the channel's ``SEGMENT_DIMS``-long vector.  Errors name the file.
     """
+    from . import features
     width = (SEGMENT_DIMS[channel],)
     out, scores = np.empty((len(manifest.entries),) + width), {}
     for i, entry in enumerate(manifest.entries):
@@ -48,6 +48,7 @@ def _channel_matrix(manifest, channel):
 def _labelled_decisions(manifest, paths, one_channel=False):
     """Per-channel decisions in manifest order, and the manifest labels.
     With ``one_channel`` the files must hold exactly one channel."""
+    from . import fusion
     merged = fusion.read_decisions(paths)
     channels = sorted({ch for observed in merged.values() for ch in observed})
     if one_channel and len(channels) != 1:
@@ -63,6 +64,7 @@ def _labelled_decisions(manifest, paths, one_channel=False):
 
 
 def cmd_synth(args):
+    from . import synth
     rho = args.informativeness.split(",")  # a wrong count is SynthConfig's error
     for k, (channel, value) in enumerate(zip(CHANNELS, rho)):
         try:
@@ -80,18 +82,21 @@ def cmd_synth(args):
 
 
 def cmd_lbptop(args):
-    desc = lbp_top_descriptor(read_tensor_array(args.infile))
+    from . import lbptop
+    desc = lbptop.lbp_top_descriptor(read_tensor_array(args.infile))
     write_tensor_array(args.out, desc)
     print(f"wrote descriptor of length {desc.size} to {args.out}")
 
 
 def cmd_pca_fit(args):
+    from . import features
     X = read_tensor_array(args.infile)
     write_models(features.pca_files(features.pca_fit(X, args.q), args.out))
     print(f"fit PCA {X.shape[1]} -> {args.q} on {X.shape[0]} samples; saved to {args.out}")
 
 
 def cmd_pca_apply(args):
+    from . import features
     model = features.load_pca(args.model)
     X = read_tensor_array(args.infile)
     write_tensor_array(args.out, features.pca_transform(model, X))
@@ -99,12 +104,14 @@ def cmd_pca_apply(args):
 
 
 def cmd_pool(args):
+    from . import features
     scores = check_scores(read_tensor_array(args.infile), args.infile)
     write_tensor_array(args.out, features.k_average_pool(scores, args.k))
     print(f"pooled {scores.shape[0]} frames into {args.k} bins -> {args.out}")
 
 
 def cmd_train_svm(args):
+    from . import learn
     manifest = load_manifest(args.manifest)
     X = _channel_matrix(manifest, args.channel)
     model = learn.svm_train(X, manifest.labels(), epochs=args.epochs, seed=args.seed)
@@ -113,6 +120,7 @@ def cmd_train_svm(args):
 
 
 def cmd_predict_svm(args):
+    from . import fusion, learn
     model = learn.load_svm(args.model)
     width, expected = model.W.shape[1], SEGMENT_DIMS[args.channel]
     if width != expected:  # the widths of the channels and the joint vector all differ
@@ -129,6 +137,7 @@ def cmd_predict_svm(args):
 
 
 def cmd_fuse_feat_train(args):
+    from . import features, fusion, learn
     manifest = load_manifest(args.manifest)
     norm, svm = fusion.feature_fusion_train(  # holds no name for the raw joint rows
         fusion.build_joint_vector({ch: _channel_matrix(manifest, ch) for ch in CHANNELS}),
@@ -140,6 +149,7 @@ def cmd_fuse_feat_train(args):
 
 
 def cmd_fuse_feat_predict(args):
+    from . import features, fusion, learn
     manifest = load_manifest(args.manifest)
     joint = fusion.build_joint_vector({ch: _channel_matrix(manifest, ch) for ch in CHANNELS})
     labels = fusion.feature_fusion_predict(features.load_normalization(args.norm),
@@ -150,6 +160,7 @@ def cmd_fuse_feat_predict(args):
 
 
 def cmd_fuse_bn_fit(args):
+    from . import fusion
     decisions, truths = _labelled_decisions(load_manifest(args.manifest), args.decisions)
     model = fusion.fit_bn(decisions, truths)
     write_models(fusion.bn_files(model, args.out))
@@ -157,6 +168,7 @@ def cmd_fuse_bn_fit(args):
 
 
 def cmd_fuse_bn_infer(args):
+    from . import fusion
     model = fusion.load_bn(args.model)
     merged = fusion.read_decisions(args.decisions)
     fused = {}
@@ -169,6 +181,7 @@ def cmd_fuse_bn_infer(args):
 
 
 def cmd_island_demo(args):
+    from . import learn, synth
     X, y = synth.gaussian_blobs(args.n_per_class, seed=args.seed)
     baseline = learn.softmax_probe_train(X, y, learn.IslandLossParams(lam=0.0),
                                          epochs=args.epochs, seed=args.seed)
@@ -189,6 +202,7 @@ def cmd_island_demo(args):
 
 
 def cmd_evaluate(args):
+    from . import metrics
     decisions, truths = _labelled_decisions(load_manifest(args.manifest), [args.pred],
                                             one_channel=True)
     (preds,) = decisions.values()

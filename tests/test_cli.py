@@ -52,18 +52,67 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
+def _child_env():
+    """Environment for a fresh interpreter that imports this checkout's avfusion."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def test_module_entry_point():
     """``python -m avfusion.cli`` runs ``main`` and exits with its status."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
-
     def status(*argv):
-        return subprocess.run([sys.executable, "-m", "avfusion.cli", *argv], env=env,
+        return subprocess.run([sys.executable, "-m", "avfusion.cli", *argv], env=_child_env(),
                               capture_output=True).returncode
 
     assert status("--help") == 0
     assert status() == 2
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(tmp_path_factory):
+    """A 35-clip dataset, an audio SVM and its decisions, for one stage of each kind."""
+    base = tmp_path_factory.mktemp("stages")
+    assert main(["synth", "--out", str(base / "data"), "--n-clips", "35"]) == 0
+    assert main(["train-svm", "--manifest", str(base / "data/manifest.csv"), "--channel",
+                 "audio", "--out", str(base / "audio.json"), "--epochs", "2"]) == 0
+    assert main(["predict-svm", "--manifest", str(base / "data/manifest.csv"), "--channel",
+                 "audio", "--model", str(base / "audio.json"), "--out",
+                 str(base / "audio.csv")]) == 0
+    return base
+
+
+PIPELINE_MODULES = {"cli", "core", "features", "fusion", "learn", "metrics"}
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("import avfusion",), {"core"}),
+    (("import avfusion.cli",), {"core", "cli"}),
+    (("synth", "--out", "new", "--n-clips", "35", "--seed", "1"),
+     {"cli", "core", "features", "synth"}),
+    (("train-svm", "--manifest", "data/manifest.csv", "--channel", "audio", "--out",
+      "audio2.json", "--epochs", "2"), {"cli", "core", "features", "learn"}),
+    (("predict-svm", "--manifest", "data/manifest.csv", "--channel", "audio", "--model",
+      "audio.json", "--out", "audio2.csv"), PIPELINE_MODULES),
+    (("fuse-bn", "fit", "--manifest", "data/manifest.csv", "--decisions", "audio.csv",
+      "--out", "bn.json"), PIPELINE_MODULES),
+    (("fuse-feat", "train", "--manifest", "data/manifest.csv", "--out-norm", "norm.json",
+      "--out-svm", "joint.json", "--epochs", "2"), PIPELINE_MODULES),
+    (("evaluate", "--pred", "audio.csv", "--manifest", "data/manifest.csv"), PIPELINE_MODULES),
+], ids=["import-avfusion", "import-avfusion.cli", "synth", "train-svm", "predict-svm",
+        "fuse-bn-fit", "fuse-feat-train", "evaluate"])
+def test_each_stage_imports_only_the_modules_it_runs(stage_inputs, argv, expected):
+    """A fresh interpreter per case, since this process has imported every
+    module: importing the package or the CLI, or running one stage, loads
+    only its own avfusion submodules, and no stage loads lbptop."""
+    case = argv[0] if argv[0].startswith("import ") else (
+        "from avfusion.cli import main; assert main(sys.argv[1:]) == 0")
+    code = (f"import sys; {case}\n"
+            "print(*(m[9:] for m in sys.modules if m.startswith('avfusion.')))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=stage_inputs,
+                          env=_child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.splitlines()[-1].split()) == expected
 
 
 def test_lbptop_stage(tmp_path):

@@ -1,5 +1,6 @@
 import ast
 import gc
+import importlib
 import json
 import math
 import os
@@ -320,6 +321,47 @@ def test_tensor_rejects_nonfinite(tmp_path):
     path.write_bytes(b"FVT1" + struct.pack("<II", 1, 2) + struct.pack("<2f", 1.0, np.nan))
     with pytest.raises(ValueError, match="nan.fvt"):
         read_tensor(path)
+
+
+# Every name the package exported when it imported all its submodules eagerly,
+# as "<defining module>.<name>".
+PUBLIC_API = [
+    "core.CHANNELS", "core.EMOTION_NAMES", "core.JOINT_DIM", "core.N_CLASSES",
+    "core.SEGMENT_DIMS", "core.DatasetManifest", "core.emotion_index", "core.emotion_name",
+    "core.load_manifest", "core.read_tensor", "core.read_tensor_array", "core.write_tensor",
+    "core.write_tensor_array",
+    "features.NormalizationModel", "features.PcaModel", "features.k_average_pool",
+    "features.normalize_apply", "features.normalize_fit", "features.pca_fit",
+    "features.pca_transform",
+    "fusion.BnFusionModel", "fusion.MeasurementModel", "fusion.bn_infer",
+    "fusion.build_joint_vector", "fusion.feature_fusion_predict", "fusion.feature_fusion_train",
+    "fusion.fit_bn", "fusion.fit_measurement_cpt", "fusion.fusion_predictions",
+    "learn.IslandLossParams", "learn.LinearSvmModel", "learn.island_loss",
+    "learn.island_loss_grad", "learn.softmax_probe_train", "learn.svm_predict_batch",
+    "learn.svm_train", "learn.update_centers",
+    "lbptop.LbpTopParams", "lbptop.build_uniform_mapping", "lbptop.lbp_top_descriptor",
+    "metrics.EvalReport", "metrics.evaluate",
+    "synth.SynthConfig", "synth.synth_dataset", "synth.synth_generate",
+]
+
+
+def test_public_api_is_every_submodules_own_object(monkeypatch):
+    """The package serves its 45 names and its eight submodules on first use,
+    each the defining module's current object, and lists them all."""
+    names = [entry.split(".")[1] for entry in PUBLIC_API]
+    for entry in PUBLIC_API:
+        module, name = entry.split(".")
+        assert getattr(avfusion, name) is getattr(importlib.import_module(f"avfusion.{module}"),
+                                                  name), entry
+    star = {}
+    exec("from avfusion import *", star)
+    assert set(names) <= set(star) and set(names) <= set(dir(avfusion))
+    for module in ("core", "synth", "lbptop", "features", "learn", "fusion", "metrics", "cli"):
+        assert getattr(avfusion, module) is importlib.import_module(f"avfusion.{module}")
+    monkeypatch.setattr(avfusion.learn, "svm_train", "patched")
+    assert avfusion.svm_train == "patched"  # no copy is kept in the package
+    with pytest.raises(AttributeError, match="'nope'"):
+        avfusion.nope
 
 
 def test_isfinite_only_in_core():
