@@ -215,24 +215,26 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
     Pegasos schedule.
 
     Each of the 7 binary problems shares the epoch-wise sample order
-    drawn from the seed; step t uses learning rate 1/(lambda_reg * t)
+    drawn from the seed; step t uses learning rate eta = 1/(lambda_reg * t)
     with lambda_reg = 1/(C*n).  The bias rides along as a constant
     feature.  Identical inputs and seed give identical models.
 
-    Each step makes one dense update of all 7 rows into buffers
-    allocated once: W shrinks by 1 - eta*lambda_reg, then gains
-    (violated * s * eta) ⊗ x, where s holds the sample's ±1 class signs.
-    The margin test s*m < 1 is m > -1 on the rows where s = -1 and m < 1
-    on the own-class row, exact because negation is.  The outer
-    product's zeros (±0 where a margin holds, +0 where BLAS adds a -0
-    product to 0) leave W's bits alone: W starts at +0, and a sum is -0
-    only when both terms are.  Samples are gathered ``ROW_BLOCK`` at a
-    time, in epoch order, into one buffer whose last column is the
-    bias's 1, so no n×(D+1) copy is made; every dgemv and (7,1)·(1,D+1)
-    product still gets the same contiguous row in the same order, and
-    the model is byte-identical to updating only the violated rows.  Each
-    gather passes through one ROW_BLOCK×D temporary, since numpy buffers
-    any gather into the block's strided columns; it is freed at once.
+    Each step works only on the rows whose hinge is active: after the
+    margins and the shrink by 1 - eta*lambda_reg, the own-class row is
+    violated when m < 1 (as -m > -1; negation is exact) and any other
+    row when m > -1.  The first violated row computes eta*x once into a
+    buffer that the own row adds and other rows subtract.  Bit for bit,
+    that is adding (violated * s * eta) ⊗ x to W, s the ±1 class signs:
+    a - b is exactly a + (-b); W starts at +0 and the first shrink,
+    1 - fl(fl(1/lambda_reg)*lambda_reg), is never negative, so no weight
+    is -0 (short of underflow below the least subnormal) and a skipped
+    ±0 add changes no bit.  Speed rests on few violated rows per step:
+    with all 7 the update makes 8 numpy calls against an outer product's 2.
+    Samples are gathered ``ROW_BLOCK`` at a time, in epoch order, into
+    one buffer whose last column is the bias's 1, so no n×(D+1) copy is
+    made and every dgemv gets the same contiguous row in the same order.
+    Each gather passes through one ROW_BLOCK×D temporary, since numpy
+    buffers any gather into the block's strided columns; it is freed at once.
     """
     C = check_real(C, "C", positive=True)
     epochs = check_count(epochs, "epochs")
@@ -245,31 +247,29 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
         raise SingleClass(f"training labels hold {n_found} classes; at least 2 are needed")
     lam = 1.0 / (C * n)
     block = np.ones((min(ROW_BLOCK, n), dim + 1))  # gathered samples; the bias's 1 last
-    xs, rows = list(block), list(block[:, None, :])  # its rows as (D+1,) and (1, D+1) views
-    signs = np.where(y[:, None] == np.arange(N_CLASSES)[None, :], 1.0, -1.0)
     W = np.zeros((N_CLASSES, dim + 1))
-    margin = np.empty(N_CLASSES)
-    violated = np.empty(N_CLASSES, dtype=bool)
-    coef = np.empty(N_CLASSES)
-    update = np.empty_like(W)
-    w_dot, coef_dot = W.dot, coef[:, None].dot  # coef as a (7, 1) column for the outer product
-    greater, multiply, add = np.greater, np.multiply, np.add
+    xs, w_rows = list(block), list(W)  # their rows as (D+1,) views
+    margin, step = np.empty(N_CLASSES), np.empty(dim + 1)  # step: eta * x, for violated rows
+    w_dot, multiply, add, subtract = W.dot, np.multiply, np.add, np.subtract
     rng = np.random.default_rng(seed)
     for epoch in range(epochs):
         order = rng.permutation(n)
         eta = 1.0 / (lam * np.arange(epoch * n + 1, epoch * n + n + 1))
-        # zip takes left to right, so zip(xs, rows, steps) stops at a block's end
-        steps = zip(y[order].tolist(), signs[order] * eta[:, None], (1.0 - eta * lam).tolist())
+        # zip takes left to right, so zip(xs, steps) stops at a block's end
+        steps = zip(y[order].tolist(), eta.tolist(), (1.0 - eta * lam).tolist())
         for b0 in range(0, n, ROW_BLOCK):
             block[:n - b0, :dim] = X[order[b0:b0 + ROW_BLOCK]]
-            for x, row, (own, rate, shrink) in zip(xs, rows, steps):
-                w_dot(x, margin)
-                greater(margin, -1.0, violated)
-                violated[own] = margin[own] < 1.0
-                multiply(rate, violated, coef)
+            for x, (own, rate, shrink) in zip(xs, steps):
+                ms = w_dot(x, margin).tolist()
+                ms[own] = -ms[own]
                 multiply(W, shrink, W)
-                coef_dot(row, update)
-                add(W, update, W)
+                fresh = True
+                for k, m in enumerate(ms):
+                    if m > -1.0:
+                        if fresh:
+                            multiply(x, rate, step)
+                            fresh = False
+                        (add if k == own else subtract)(w_rows[k], step, w_rows[k])
     return LinearSvmModel(W=W[:, :dim].copy(), b=W[:, dim].copy(), C=C)
 
 
