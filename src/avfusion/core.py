@@ -39,7 +39,8 @@ _NAME_TO_INDEX = {name: i for i, name in enumerate(EMOTION_NAMES)}
 SEGMENT_DIMS = {"audio": 20, "lbptop": 150, "cnn": 49, "blstm": 50}
 CHANNELS = tuple(SEGMENT_DIMS)
 JOINT_DIM = sum(SEGMENT_DIMS.values())  # 269
-ROW_BLOCK = 256  # rows of an n×D matrix that svm_train and normalize_apply take at a time
+# Rows of an n×D matrix that svm_train and normalize_apply take at a time: 128,
+ROW_BLOCK = 128  # as svm_train's 3 blocks (gathered, eta-scaled, gather temp) < 2 of 256
 
 _MAGIC = b"FVT1"
 

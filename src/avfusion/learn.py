@@ -222,19 +222,19 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
     Each step works only on the rows whose hinge is active: after the
     margins and the shrink by 1 - eta*lambda_reg, the own-class row is
     violated when m < 1 (as -m > -1; negation is exact) and any other
-    row when m > -1.  The first violated row computes eta*x once into a
-    buffer that the own row adds and other rows subtract.  Bit for bit,
-    that is adding (violated * s * eta) ⊗ x to W, s the ±1 class signs:
-    a - b is exactly a + (-b); W starts at +0 and the first shrink,
-    1 - fl(fl(1/lambda_reg)*lambda_reg), is never negative, so no weight
-    is -0 (short of underflow below the least subnormal) and a skipped
-    ±0 add changes no bit.  Speed rests on few violated rows per step:
-    with all 7 the update makes 8 numpy calls against an outer product's 2.
-    Samples are gathered ``ROW_BLOCK`` at a time, in epoch order, into
-    one buffer whose last column is the bias's 1, so no n×(D+1) copy is
-    made and every dgemv gets the same contiguous row in the same order.
-    Each gather passes through one ROW_BLOCK×D temporary, since numpy
-    buffers any gather into the block's strided columns; it is freed at once.
+    row when m > -1; the own row adds eta*x, other violated rows subtract
+    it.  Bit for bit, that is adding (violated * s * eta) ⊗ x to W, s the
+    ±1 class signs: a - b is exactly a + (-b); W starts at +0 and the
+    first shrink, 1 - fl(fl(1/lambda_reg)*lambda_reg), is never negative,
+    so no weight is -0 (short of underflow below the least subnormal) and
+    a skipped ±0 add changes no bit.  Speed rests on few violated rows per
+    step: all 7 take 7 row-update calls (8 with eta*x per step) against
+    an outer product's 2.  Samples are gathered ``ROW_BLOCK`` at a time,
+    in epoch order, into a buffer whose last column is the bias's 1, so
+    every dgemv gets the same contiguous row in the same order.  eta*x is
+    taken once per gathered block, in one multiply, into its eta-scaled
+    twin: per entry the same IEEE product as per step, eta exact in the
+    bias column.  Memory: those two buffers and one gather temporary.
     """
     C = check_real(C, "C", positive=True)
     epochs = check_count(epochs, "epochs")
@@ -247,28 +247,26 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
         raise SingleClass(f"training labels hold {n_found} classes; at least 2 are needed")
     lam = 1.0 / (C * n)
     block = np.ones((min(ROW_BLOCK, n), dim + 1))  # gathered samples; the bias's 1 last
+    scaled = np.empty_like(block)  # each gathered sample times its step's eta
     W = np.zeros((N_CLASSES, dim + 1))
-    xs, w_rows = list(block), list(W)  # their rows as (D+1,) views
-    margin, step = np.empty(N_CLASSES), np.empty(dim + 1)  # step: eta * x, for violated rows
+    xs, steps_x, w_rows = list(block), list(scaled), list(W)  # their rows as (D+1,) views
+    margin = np.empty(N_CLASSES)
     w_dot, multiply, add, subtract = W.dot, np.multiply, np.add, np.subtract
     rng = np.random.default_rng(seed)
     for epoch in range(epochs):
         order = rng.permutation(n)
         eta = 1.0 / (lam * np.arange(epoch * n + 1, epoch * n + n + 1))
-        # zip takes left to right, so zip(xs, steps) stops at a block's end
-        steps = zip(y[order].tolist(), eta.tolist(), (1.0 - eta * lam).tolist())
+        # zip takes left to right, so zip(xs, steps_x, steps) stops at a block's end
+        steps = zip(y[order].tolist(), (1.0 - eta * lam).tolist())
         for b0 in range(0, n, ROW_BLOCK):
             block[:n - b0, :dim] = X[order[b0:b0 + ROW_BLOCK]]
-            for x, (own, rate, shrink) in zip(xs, steps):
+            multiply(block[:n - b0], eta[b0:b0 + ROW_BLOCK, None], scaled[:n - b0])
+            for x, step, (own, shrink) in zip(xs, steps_x, steps):
                 ms = w_dot(x, margin).tolist()
                 ms[own] = -ms[own]
                 multiply(W, shrink, W)
-                fresh = True
                 for k, m in enumerate(ms):
                     if m > -1.0:
-                        if fresh:
-                            multiply(x, rate, step)
-                            fresh = False
                         (add if k == own else subtract)(w_rows[k], step, w_rows[k])
     return LinearSvmModel(W=W[:, :dim].copy(), b=W[:, dim].copy(), C=C)
 
