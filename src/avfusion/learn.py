@@ -56,54 +56,56 @@ class LinearSvmModel:
         object.__setattr__(self, "C", check_real(self.C, "C", positive=True))
 
 
+def _check_training(X, y, epochs, seed):
+    epochs, seed = check_count(epochs, "epochs"), check_count(seed, "seed", least=0)
+    X = check_shape(X, (None, None), "features")
+    return X, check_labels(y, n=len(X)), epochs, seed
+
+
 def _check_batch(X, y, centers):
     centers = check_shape(centers, (None, None), "centers")
     X = check_shape(X, (None, centers.shape[1]), "batch")
     return X, check_labels(y, n=len(X), classes=len(centers)), centers
 
 
-def _unit_rows(centers):
-    norms = np.linalg.norm(centers, axis=1)
-    if np.any(norms == 0):
-        raise ZeroNormCenter("the pairwise cosine term needs centers with nonzero norm")
-    return centers / norms[:, None], norms
+def _island(X, y, centers, lambda1):
+    """One checked pass over a batch: labels, x - c_y, the island loss, each
+    center's summed pull sum(c_y - x), and lambda1 times the pairwise term's
+    center gradient (0.0 when lambda1 is 0), to which each unordered pair adds
+    d cos(c_k, c_j) / d c_j = c_k / (|c_k||c_j|) - cos(c_k, c_j) c_j / |c_j|^2 twice."""
+    X, y, centers = _check_batch(X, y, centers)
+    diffs = X - centers[y]
+    loss = 0.5 * np.sum(diffs ** 2)
+    pull = np.zeros_like(centers)  # starts at +0 and never holds -0, so + 0.0 changes no bit
+    np.add.at(pull, y, -diffs)
+    pair = 0.0
+    if lambda1 != 0:
+        norms = np.linalg.norm(centers, axis=1)
+        if np.any(norms == 0):
+            raise ZeroNormCenter("the pairwise cosine term needs centers with nonzero norm")
+        unit = centers / norms[:, None]
+        cosines = unit @ unit.T
+        n = centers.shape[0]
+        loss += lambda1 * (cosines.sum() - np.trace(cosines) + n * (n - 1))
+        cos_sum = cosines.sum(axis=1) - np.diag(cosines)
+        pair = lambda1 * (2.0 * (unit.sum(axis=0) - unit - cos_sum[:, None] * unit)
+                          / norms[:, None])
+    return y, diffs, float(loss), pull, pair
 
 
 def island_loss(X, y, centers, lambda1):
     """Island loss of a batch: center term plus pairwise cosine term."""
-    X, y, centers = _check_batch(X, y, centers)
-    loss = 0.5 * np.sum((X - centers[y]) ** 2)
-    if lambda1 != 0:
-        unit, _ = _unit_rows(centers)
-        cosines = unit @ unit.T
-        n = centers.shape[0]
-        loss += lambda1 * (cosines.sum() - np.trace(cosines) + n * (n - 1))
-    return float(loss)
-
-
-def _pairwise_center_grad(centers):
-    """Gradient of sum_j sum_{k != j} (cos(c_k, c_j) + 1) w.r.t. each c_j.
-
-    d cos(c_k, c_j) / d c_j = c_k / (|c_k||c_j|) - cos(c_k, c_j) c_j / |c_j|^2,
-    and every unordered pair contributes from both orderings.
-    """
-    unit, norms = _unit_rows(centers)
-    cosines = unit @ unit.T
-    cos_sum = cosines.sum(axis=1) - np.diag(cosines)
-    cross = unit.sum(axis=0) - unit
-    return 2.0 * (cross - cos_sum[:, None] * unit) / norms[:, None]
+    return _island(X, y, centers, lambda1)[2]
 
 
 def island_loss_grad(X, y, centers, lambda1):
     """Analytic gradients of the island loss w.r.t. the batch and centers."""
-    X, y, centers = _check_batch(X, y, centers)
-    diffs = X - centers[y]
-    dX = diffs.copy()
-    dC = np.zeros_like(centers)
-    np.add.at(dC, y, -diffs)
-    if lambda1 != 0:
-        dC += lambda1 * _pairwise_center_grad(centers)
-    return dX, dC
+    _, diffs, _, pull, pair = _island(X, y, centers, lambda1)
+    return diffs, pull + pair
+
+
+def _center_step(centers, y, pull, pair, alpha):
+    return centers - alpha * (pull / (1.0 + np.bincount(y, minlength=len(pull)))[:, None] + pair)
 
 
 def update_centers(X, y, centers, alpha, lambda1=0.0):
@@ -114,14 +116,8 @@ def update_centers(X, y, centers, alpha, lambda1=0.0):
     contributes its loss gradient scaled by lambda1.
     """
     alpha = check_real(alpha, "alpha", positive=True, high=1)
-    X, y, centers = _check_batch(X, y, centers)
-    pull = np.zeros_like(centers)
-    np.add.at(pull, y, centers[y] - X)
-    counts = np.bincount(y, minlength=centers.shape[0])
-    delta = pull / (1.0 + counts)[:, None]
-    if lambda1 != 0:
-        delta = delta + lambda1 * _pairwise_center_grad(centers)
-    return centers - alpha * delta
+    y, _, _, pull, pair = _island(X, y, centers, lambda1)
+    return _center_step(np.asarray(centers, dtype=np.float64), y, pull, pair, alpha)
 
 
 @dataclass(frozen=True)
@@ -145,10 +141,7 @@ def softmax_probe_train(X, y, params=None, epochs=400, seed=0, lr=0.02):
     """
     params = params or IslandLossParams()
     lr = check_real(lr, "lr", positive=True)
-    epochs = check_count(epochs, "epochs")
-    seed = check_count(seed, "seed", least=0)
-    X = check_shape(X, (None, None), "features")
-    y = check_labels(y, n=len(X))
+    X, y, epochs, seed = _check_training(X, y, epochs, seed)
     m, d = X.shape
     n_classes = int(y.max(initial=0)) + 1
     if m < n_classes:
@@ -161,24 +154,22 @@ def softmax_probe_train(X, y, params=None, epochs=400, seed=0, lr=0.02):
     centers = rng.standard_normal((n_classes, n_classes))
     onehot = np.eye(n_classes)[y]
     island_active = params.lam > 0
+    lambda1 = params.lambda1 if island_active else 0.0
     trace = np.empty(epochs)
     for epoch in range(epochs):
         z = X @ W.T + b
         shifted = z - z.max(axis=1, keepdims=True)
         log_norm = np.log(np.exp(shifted).sum(axis=1))
         ce = float(np.mean(log_norm - shifted[np.arange(m), y]))
-        total = ce
-        if island_active:
-            total += params.lam * island_loss(z, y, centers, params.lambda1)
-        trace[epoch] = total
+        _, diffs, loss, pull, pair = _island(z, y, centers, lambda1)
+        trace[epoch] = ce + params.lam * loss if island_active else ce
         probs = np.exp(shifted - log_norm[:, None])
         dz = (probs - onehot) / m
         if island_active:
-            dz = dz + params.lam * (z - centers[y])
+            dz = dz + params.lam * diffs
         W -= lr * (dz.T @ X)
         b -= lr * dz.sum(axis=0)
-        centers = update_centers(z, y, centers, params.alpha,
-                                 params.lambda1 if island_active else 0.0)
+        centers = _center_step(centers, y, pull, pair, params.alpha)
     return SoftmaxProbe(W=W, b=b, centers=centers, trace=trace)
 
 
@@ -194,19 +185,20 @@ def clustering_ratio(features, y, centers):
     feature vectors (averaged over classes with at least two samples);
     inter-center distance is the mean pairwise distance among centers.
     """
+    def mean_distance(rows):
+        k = rows.shape[0]
+        return np.linalg.norm(rows[:, None, :] - rows[None, :, :], axis=2).sum() / (k * (k - 1))
+
     features, y, centers = _check_batch(features, y, centers)
-    intra_terms = []
-    for j in range(centers.shape[0]):
-        grp = features[y == j]
-        if grp.shape[0] < 2:
-            continue
-        dists = np.linalg.norm(grp[:, None, :] - grp[None, :, :], axis=2)
-        intra_terms.append(dists.sum() / (grp.shape[0] * (grp.shape[0] - 1)))
+    groups = (features[y == j] for j in range(centers.shape[0]))
+    intra_terms = [mean_distance(grp) for grp in groups if grp.shape[0] >= 2]
     if not intra_terms:
         raise DegenerateInput("no class has two samples to measure intra-class distance")
-    center_dists = np.linalg.norm(centers[:, None, :] - centers[None, :, :], axis=2)
-    n = centers.shape[0]
-    inter = center_dists.sum() / (n * (n - 1))
+    if centers.shape[0] < 2:
+        raise DegenerateInput("one center has no inter-center distance to measure")
+    inter = mean_distance(centers)
+    if inter == 0:
+        raise DegenerateInput("the centers coincide: their mean pairwise distance is 0")
     return float(np.mean(intra_terms) / inter)
 
 
@@ -237,10 +229,7 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
     bias column.  Memory: those two buffers and one gather temporary.
     """
     C = check_real(C, "C", positive=True)
-    epochs = check_count(epochs, "epochs")
-    seed = check_count(seed, "seed", least=0)
-    X = check_shape(X, (None, None), "features")
-    y = check_labels(y, n=len(X))
+    X, y, epochs, seed = _check_training(X, y, epochs, seed)
     n, dim = X.shape
     n_found = np.count_nonzero(np.bincount(y, minlength=N_CLASSES))  # np.unique loads numpy.ma
     if n_found < 2:

@@ -11,13 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import avfusion
 from avfusion import features, synth
 from avfusion.cli import _channel_matrix, main
 from avfusion.core import (CHANNELS, EMOTION_NAMES, MANIFEST_COLUMNS, load_manifest,
                            read_tensor_array, save_manifest, write_models, write_tensor_array)
 from avfusion.features import k_average_pool
-from avfusion.fusion import (BnFusionModel, MeasurementModel, bn_infer, fusion_predictions,
-                             bn_files, load_bn, read_decisions, uniform_prior, write_decisions)
+from avfusion.fusion import (BnFusionModel, MeasurementModel, bn_infer, fit_bn,
+                             fusion_predictions, bn_files, load_bn, read_decisions,
+                             uniform_prior, write_decisions)
 from avfusion.learn import LinearSvmModel, svm_files
 from avfusion.synth import SynthConfig
 
@@ -53,8 +55,8 @@ def test_unknown_subcommand_exits_2():
 
 
 def _child_env():
-    """Environment for a fresh interpreter that imports this checkout's avfusion."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    """Environment for a fresh interpreter that imports the avfusion under test."""
+    src = str(Path(avfusion.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
@@ -381,6 +383,51 @@ def test_cli_matches_library_pipeline(tmp_path):
         merged = read_decisions([tmp_path / f"{key}_test.csv"])
         assert list(merged) == test_ids, key
         assert [observed[key] for observed in merged.values()] == labels.tolist(), key
+
+
+def test_hybrid_bn_takes_the_joint_decision_as_a_fifth_node(tmp_path, capsys):
+    """``fuse-feat predict`` on the val manifest writes joint decisions that
+    ``fuse-bn fit`` takes as a fifth channel after the four, and ``fuse-bn
+    infer`` on the five test files gives the library's labels for them."""
+    assert run("synth", "--out", tmp_path, "--n-clips", 70, "--seed", 4,
+               "--informativeness", "0.3,0.4,0.5,0.6") == 0
+    header, *rows = (tmp_path / "manifest.csv").read_text().splitlines(keepends=True)
+    split = {name: tmp_path / f"{name}.csv" for name in ("train", "val", "test")}
+    for name, part in zip(split, (slice(0, 30), slice(30, 50), slice(50, None))):
+        split[name].write_text(header + "".join(rows[part]))
+    for ch in CHANNELS:
+        assert run("train-svm", "--manifest", split["train"], "--channel", ch,
+                   "--epochs", 3, "--out", tmp_path / f"{ch}.json") == 0
+    assert run("fuse-feat", "train", "--manifest", split["train"], "--epochs", 3,
+               "--out-norm", tmp_path / "norm.json", "--out-svm", tmp_path / "joint.json") == 0
+    files = {}
+    for name in ("val", "test"):
+        for ch in CHANNELS:
+            assert run("predict-svm", "--manifest", split[name], "--channel", ch,
+                       "--model", tmp_path / f"{ch}.json",
+                       "--out", tmp_path / f"{ch}_{name}.csv") == 0
+        assert run("fuse-feat", "predict", "--manifest", split[name],
+                   "--norm", tmp_path / "norm.json", "--svm", tmp_path / "joint.json",
+                   "--out", tmp_path / f"joint_{name}.csv") == 0
+        files[name] = [tmp_path / f"{ch}_{name}.csv" for ch in (*CHANNELS, "joint")]
+    assert {ch for observed in read_decisions(files["val"][-1:]).values()
+            for ch in observed} == {"joint"}
+    capsys.readouterr()
+    assert run("fuse-bn", "fit", "--manifest", split["val"], "--decisions", *files["val"],
+               "--out", tmp_path / "bn.json") == 0
+    assert "channels ['audio', 'lbptop', 'cnn', 'blstm', 'joint']" in capsys.readouterr().out
+    assert run("fuse-bn", "infer", "--model", tmp_path / "bn.json",
+               "--decisions", *files["test"], "--out", tmp_path / "hybrid.csv") == 0
+
+    def by_channel(paths):
+        merged = read_decisions(paths)
+        return {ch: [observed[ch] for observed in merged.values()] for ch in (*CHANNELS, "joint")}
+
+    model = fit_bn(by_channel(files["val"]), load_manifest(split["val"]).labels())
+    expected, _ = bn_infer(model, by_channel(files["test"]))
+    fused = read_decisions([tmp_path / "hybrid.csv"])
+    assert list(fused) == [f"clip_{i:05d}" for i in range(50, 70)]
+    assert [observed["bn"] for observed in fused.values()] == expected.tolist()
 
 
 def test_cnn_rows_pool_once_per_frame_count(tmp_path, monkeypatch):

@@ -239,6 +239,48 @@ def test_probe_island_improves_clustering_ratio():
     assert r_isl < r_base
 
 
+def softmax_probe_reference(X, y, params, epochs, seed, lr):
+    """The probe's epoch loop spelled with the public island_loss and
+    update_centers: one softmax step, then one center step, per epoch."""
+    m, d = X.shape
+    n_classes = int(y.max()) + 1
+    rng = np.random.default_rng(seed)
+    W = 0.01 * rng.standard_normal((n_classes, d))
+    b = np.zeros(n_classes)
+    centers = rng.standard_normal((n_classes, n_classes))
+    onehot = np.eye(n_classes)[y]
+    active = params.lam > 0
+    trace = np.empty(epochs)
+    for epoch in range(epochs):
+        z = X @ W.T + b
+        shifted = z - z.max(axis=1, keepdims=True)
+        log_norm = np.log(np.exp(shifted).sum(axis=1))
+        total = float(np.mean(log_norm - shifted[np.arange(m), y]))
+        if active:
+            total += params.lam * island_loss(z, y, centers, params.lambda1)
+        trace[epoch] = total
+        dz = (np.exp(shifted - log_norm[:, None]) - onehot) / m
+        if active:
+            dz = dz + params.lam * (z - centers[y])
+        W -= lr * (dz.T @ X)
+        b -= lr * dz.sum(axis=0)
+        centers = update_centers(z, y, centers, params.alpha, params.lambda1 if active else 0.0)
+    return W, b, centers, trace
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("lam", [0.0, 0.01])
+def test_probe_matches_reference_loop(lam, seed):
+    """softmax_probe_train trains the public-function loop's W, b, centers
+    and loss trace, bit for bit, with and without the island term."""
+    X, y = gaussian_blobs(20, seed=seed)
+    params = IslandLossParams(lam=lam)
+    probe = softmax_probe_train(X, y, params, epochs=300, seed=seed, lr=0.05)
+    expected = softmax_probe_reference(X, y, params, epochs=300, seed=seed, lr=0.05)
+    for got, want in zip((probe.W, probe.b, probe.centers, probe.trace), expected):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_probe_deterministic():
     X, y = gaussian_blobs(10, seed=1)
     p1 = softmax_probe_train(X, y, epochs=50, seed=3)
@@ -267,6 +309,30 @@ def test_probe_and_ratio_refuse_fractional_labels():
         softmax_probe_train(X, [0, 0.5, 1, 1.5, 1, 0], epochs=3, seed=0)
     with pytest.raises(ValueError):
         clustering_ratio(X, [0, 0.7, 1, 1.2, 1, 0], np.eye(2))
+
+
+@pytest.mark.parametrize("centers, cause", [
+    (np.ones((1, 2)), "one center"),
+    (np.ones((3, 2)), "centers coincide"),
+])
+def test_clustering_ratio_refuses_degenerate_centers(centers, cause):
+    """One center, or centers that all coincide, leave no inter-center
+    distance to divide by."""
+    X = np.arange(12, dtype=float).reshape(6, 2)
+    with pytest.raises(DegenerateInput, match=cause):
+        clustering_ratio(X, [0, 0, 0, 0, 0, 0], centers)
+
+
+def test_trainers_check_epochs_before_features():
+    """Both trainers check epochs, then seed, then features, then labels."""
+    bad_features = np.full((4, 2), np.nan)
+    for train in (svm_train, softmax_probe_train):
+        with pytest.raises(ValueError, match="^epochs must be an integer >= 1"):
+            train(bad_features, [0, 1, 0, 1], epochs=0, seed=-1)
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+            train(bad_features, [0, 1, 0, 1], epochs=1, seed=-1)
+        with pytest.raises(ValueError, match="^features: contains non-finite values"):
+            train(bad_features, [0, 9], epochs=1)
 
 
 @pytest.mark.parametrize("epochs", [0, -3, True])
@@ -427,7 +493,7 @@ def test_training_loads_no_numpy_ma(tmp_path):
             f"assert cli.main(['train-svm', '--manifest', {str(manifest)!r}, '--channel', 'audio',"
             f" '--out', {str(tmp_path / 'audio.json')!r}, '--epochs', '2']) == 0\n"
             "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(Path(learn.__file__).resolve().parents[1])  # the avfusion under test
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
