@@ -1,11 +1,11 @@
 """Command-line pipeline driver.
 
-Subcommands: synth, lbptop, pca {fit,apply}, pool, train-svm,
-predict-svm, fuse-feat {train,predict}, fuse-bn {fit,infer},
-island-demo, evaluate.  Every stage is deterministic given its flags
-and --seed; usage errors exit 2, data errors exit 1 with a diagnostic
-on stderr.  Each command imports the submodules it runs, so a stage's
-process loads only those.
+Subcommands: synth, lbptop, pca {fit,apply}, pool, train-svm, predict-svm,
+fuse-feat {train,predict}, fuse-bn {fit,infer}, island-demo, evaluate.
+Every stage is deterministic given its flags and --seed; usage errors
+exit 2, data errors exit 1 with a diagnostic on stderr.  Each command
+imports the submodules it runs, so a stage's process loads only those:
+decisions files are ``core``'s, so only the fuse-* stages load ``fusion``.
 """
 
 import argparse
@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from .core import (CHANNELS, JOINT_DIM, SEGMENT_DIMS, DimensionMismatch, check_scores,
-                   check_shape, load_manifest, read_tensor_array, write_csv, write_models,
-                   write_tensor_array)
+                   check_shape, load_manifest, read_decisions, read_tensor_array, write_csv,
+                   write_decisions, write_models, write_tensor_array)
 
 
 def _channel_matrix(manifest, channel):
@@ -46,20 +46,22 @@ def _channel_matrix(manifest, channel):
 
 
 def _labelled_decisions(manifest, paths, one_channel=False):
-    """Per-channel decisions in manifest order, and the manifest labels.
-    With ``one_channel`` the files must hold exactly one channel."""
-    from . import fusion
-    merged = fusion.read_decisions(paths)
+    """Per-channel decisions in manifest order, and the manifest labels.  Each decided
+    clip must be in the manifest; with ``one_channel`` the files must hold one channel."""
+    merged = read_decisions(paths)
     channels = sorted({ch for observed in merged.values() for ch in observed})
     if one_channel and len(channels) != 1:
         raise ValueError(f"predictions must come from one channel, found {channels}")
     decisions = {ch: [] for ch in channels}
     for entry in manifest.entries:
-        observed = merged.get(entry.clip_id, {})
+        observed = merged.pop(entry.clip_id, {})  # manifest ids are unique
         for channel in channels:
             if channel not in observed:
                 raise ValueError(f"clip {entry.clip_id!r} has no {channel} decision")
             decisions[channel].append(observed[channel])
+    if merged:  # the clips left are not in the manifest
+        raise ValueError(f"{len(merged)} decided clip(s) not in the manifest, "
+                         f"the first {next(iter(merged))!r}")
     return decisions, manifest.labels()
 
 
@@ -120,7 +122,7 @@ def cmd_train_svm(args):
 
 
 def cmd_predict_svm(args):
-    from . import fusion, learn
+    from . import learn
     model = learn.load_svm(args.model)
     width, expected = model.W.shape[1], SEGMENT_DIMS[args.channel]
     if width != expected:  # the widths of the channels and the joint vector all differ
@@ -131,8 +133,8 @@ def cmd_predict_svm(args):
     manifest = load_manifest(args.manifest)
     X = _channel_matrix(manifest, args.channel)
     labels = learn.svm_predict_batch(model, X)
-    fusion.write_decisions(args.out, [(e.clip_id, args.channel, int(lab))
-                                      for e, lab in zip(manifest.entries, labels)])
+    write_decisions(args.out, [(e.clip_id, args.channel, int(lab))
+                               for e, lab in zip(manifest.entries, labels)])
     print(f"wrote {len(labels)} {args.channel} decisions to {args.out}")
 
 
@@ -154,8 +156,8 @@ def cmd_fuse_feat_predict(args):
     joint = fusion.build_joint_vector({ch: _channel_matrix(manifest, ch) for ch in CHANNELS})
     labels = fusion.feature_fusion_predict(features.load_normalization(args.norm),
                                            learn.load_svm(args.svm), joint)
-    fusion.write_decisions(args.out, [(e.clip_id, "joint", int(lab))
-                                      for e, lab in zip(manifest.entries, labels)])
+    write_decisions(args.out, [(e.clip_id, "joint", int(lab))
+                               for e, lab in zip(manifest.entries, labels)])
     print(f"wrote {len(labels)} joint decisions to {args.out}")
 
 
@@ -170,13 +172,13 @@ def cmd_fuse_bn_fit(args):
 def cmd_fuse_bn_infer(args):
     from . import fusion
     model = fusion.load_bn(args.model)
-    merged = fusion.read_decisions(args.decisions)
+    merged = read_decisions(args.decisions)
     fused = {}
     for channels in dict.fromkeys(frozenset(observed) for observed in merged.values()):
         group = [c for c in merged if merged[c].keys() == channels]
         labels, _ = fusion.bn_infer(model, {ch: [merged[c][ch] for c in group] for ch in channels})
         fused.update(zip(group, labels))
-    fusion.write_decisions(args.out, [(c, "bn", fused[c]) for c in sorted(fused)])
+    write_decisions(args.out, [(c, "bn", fused[c]) for c in sorted(fused)])
     print(f"wrote {len(fused)} fused decisions to {args.out}")
 
 

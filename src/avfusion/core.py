@@ -6,13 +6,13 @@ a little-endian u32 rank, ``rank`` little-endian u32 dims, then
 as float64 in memory and stored as float32 on disk; they must be finite
 as float32, which both writing and reading check.
 
-Dataset manifests are CSV files with the header
-``clip_id,label,audio,lbptop_video,cnn_scores,blstm_feat`` and at least
-one row; ``read_csv`` reads them and decisions files alike.  The label
-cell may be empty (test-set mode), and any path cell may be empty when
-that channel is absent.  A path cell is text relative to the manifest's
-directory, or absolute when it starts with '/'; it is checked when a stage
-reads its file, so a stage ignores the columns it does not read.
+Dataset manifests and decisions files are CSV tables with at least one row, read by
+``read_csv``.  A manifest's header is
+``clip_id,label,audio,lbptop_video,cnn_scores,blstm_feat``; its label cell may be empty
+(test-set mode), and any path cell may be empty when that channel is absent.  A path cell
+is text relative to the manifest's directory, or absolute when it starts with '/'; it is
+checked when a stage reads its file, so a stage ignores the columns it does not read.  A
+decisions file's header is ``clip_id,channel,predicted_label``, its labels emotion names.
 """
 
 import contextlib
@@ -46,6 +46,8 @@ _MAGIC = b"FVT1"
 
 # CSV columns of a dataset manifest; the last four hold CHANNELS' paths, in order.
 MANIFEST_COLUMNS = ("clip_id", "label", "audio", "lbptop_video", "cnn_scores", "blstm_feat")
+# CSV columns of a decisions file; the label is a canonical emotion name.
+DECISION_COLUMNS = ("clip_id", "channel", "predicted_label")
 
 
 class TensorFormatError(ValueError):
@@ -73,6 +75,10 @@ class UnknownLabel(ManifestError):
 
 
 class MalformedRow(ManifestError):
+    pass
+
+
+class DuplicateDecision(ValueError):
     pass
 
 
@@ -469,3 +475,34 @@ def save_manifest(path, entries):
         [clip_id, "" if label is None else EMOTION_NAMES[next(names)],
          *(os.fspath(paths.get(channel, "")) for channel in CHANNELS)]
         for clip_id, label, paths in entries)])
+
+
+def write_decisions(path, rows):
+    """Write a decisions CSV of (clip_id, channel, label index) rows."""
+    labels = check_labels([label for *_, label in rows], n=len(rows))
+    write_csv(path, [DECISION_COLUMNS, *((c, ch, EMOTION_NAMES[label])
+                                         for (c, ch, _), label in zip(rows, labels.tolist()))])
+
+
+def read_decisions(paths):
+    """Read decisions CSVs into clip_id -> {channel: label index}, clips in
+    the order they first appear across the files.
+
+    Each (clip, channel) pair may appear once across the files; a repeat
+    raises DuplicateDecision rather than letting one decision silently win.
+    Each file must hold a row below its header, else ValueError names it.
+    """
+    if isinstance(paths, (str, os.PathLike)):
+        raise TypeError(f"read_decisions takes a list of paths, got {paths!r}")
+    merged = {}
+
+    def decision(clip_id, channel, label):  # sees every row merged before it
+        if not (clip_id and channel):
+            raise ValueError(f"empty {'channel' if clip_id else 'clip_id'}")
+        if channel in merged.get(clip_id, ()):
+            raise DuplicateDecision(f"second {channel} decision for {clip_id!r}")
+        return clip_id, channel, emotion_index(label)
+    for path in paths:
+        for clip_id, channel, label in read_csv(path, DECISION_COLUMNS, ValueError, decision):
+            merged.setdefault(clip_id, {})[channel] = label
+    return merged

@@ -1,23 +1,21 @@
 """Fusion of the four channels.
 
-Feature-level fusion concatenates the per-channel features (audio 20,
-LBP-TOP 150, CNN 49, BLSTM 50) into a 269-dim joint vector, normalizes
-it in two stages, and classifies with a linear SVM.  Model-level fusion
-treats the four per-channel classifier decisions as discrete
-measurements of a hidden emotion node: each channel carries a 7×7
-conditional probability table P(measurement | emotion), and inference
-multiplies the prior with the observed channels' CPT columns.
+Feature-level fusion concatenates the per-channel features (audio 20, LBP-TOP 150,
+CNN 49, BLSTM 50) into a 269-dim joint vector, normalizes it in two stages, and
+classifies with a linear SVM.  Model-level fusion treats the four per-channel
+classifier decisions as discrete measurements of a hidden emotion node: each channel
+carries a 7×7 conditional probability table P(measurement | emotion), and inference
+multiplies the prior with the observed channels' CPT columns.  The decisions files
+that carry those decisions between CLI stages are ``core``'s to read and write.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (CHANNELS, EMOTION_NAMES, SEGMENT_DIMS, DimensionMismatch, MissingKey,
                    N_CLASSES, UnknownLabel, _as_numbers, check_labels, check_probabilities,
-                   check_real, check_shape, emotion_index, read_csv, read_model, require_key,
-                   write_csv)
+                   check_real, check_shape, read_model, require_key)
 from .features import normalize_apply, normalize_fit
 from .learn import svm_predict_batch, svm_train
 from .metrics import evaluate
@@ -33,14 +31,6 @@ class AllZeroPosterior(ValueError):
 
 class UnknownChannel(ValueError):
     pass
-
-
-class DuplicateDecision(ValueError):
-    pass
-
-
-# CSV columns of a decisions file; the label is a canonical emotion name.
-DECISION_COLUMNS = ("clip_id", "channel", "predicted_label")
 
 
 @dataclass(frozen=True)
@@ -228,34 +218,3 @@ def _measurements(doc):
         except MissingKey as exc:
             raise MissingKey(f"measurements[{k}]: {exc}") from None
         yield MeasurementModel(channel=channel, cpt=cpt)
-
-
-def write_decisions(path, rows):
-    """Write a decisions CSV of (clip_id, channel, label index) rows."""
-    labels = check_labels([label for *_, label in rows], n=len(rows))
-    write_csv(path, [DECISION_COLUMNS, *((c, ch, EMOTION_NAMES[label])
-                                         for (c, ch, _), label in zip(rows, labels.tolist()))])
-
-
-def read_decisions(paths):
-    """Read decisions CSVs into clip_id -> {channel: label index}, clips in
-    the order they first appear across the files.
-
-    Each (clip, channel) pair may appear once across the files; a repeat
-    raises DuplicateDecision rather than letting one decision silently win.
-    Each file must hold a row below its header, else ValueError names it.
-    """
-    if isinstance(paths, (str, os.PathLike)):
-        raise TypeError(f"read_decisions takes a list of paths, got {paths!r}")
-    merged = {}
-
-    def decision(clip_id, channel, label):  # sees every row merged before it
-        if not (clip_id and channel):
-            raise ValueError(f"empty {'channel' if clip_id else 'clip_id'}")
-        if channel in merged.get(clip_id, ()):
-            raise DuplicateDecision(f"second {channel} decision for {clip_id!r}")
-        return clip_id, channel, emotion_index(label)
-    for path in paths:
-        for clip_id, channel, label in read_csv(path, DECISION_COLUMNS, ValueError, decision):
-            merged.setdefault(clip_id, {})[channel] = label
-    return merged

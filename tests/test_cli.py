@@ -15,11 +15,11 @@ import avfusion
 from avfusion import features, synth
 from avfusion.cli import _channel_matrix, main
 from avfusion.core import (CHANNELS, EMOTION_NAMES, MANIFEST_COLUMNS, load_manifest,
-                           read_tensor_array, save_manifest, write_models, write_tensor_array)
+                           read_decisions, read_tensor_array, save_manifest, write_decisions,
+                           write_models, write_tensor_array)
 from avfusion.features import k_average_pool
 from avfusion.fusion import (BnFusionModel, MeasurementModel, bn_infer, fit_bn,
-                             fusion_predictions, bn_files, load_bn, read_decisions,
-                             uniform_prior, write_decisions)
+                             fusion_predictions, bn_files, load_bn, uniform_prior)
 from avfusion.learn import LinearSvmModel, svm_files
 from avfusion.synth import SynthConfig
 
@@ -73,18 +73,28 @@ def test_module_entry_point():
 
 @pytest.fixture(scope="module")
 def stage_inputs(tmp_path_factory):
-    """A 35-clip dataset, an audio SVM and its decisions, for one stage of each kind."""
+    """A 35-clip dataset, an audio SVM and its decisions, both fusion models
+    and the FVT inputs of the tensor stages, for one stage of each kind."""
     base = tmp_path_factory.mktemp("stages")
-    assert main(["synth", "--out", str(base / "data"), "--n-clips", "35"]) == 0
-    assert main(["train-svm", "--manifest", str(base / "data/manifest.csv"), "--channel",
-                 "audio", "--out", str(base / "audio.json"), "--epochs", "2"]) == 0
-    assert main(["predict-svm", "--manifest", str(base / "data/manifest.csv"), "--channel",
-                 "audio", "--model", str(base / "audio.json"), "--out",
-                 str(base / "audio.csv")]) == 0
+    manifest = base / "data/manifest.csv"
+    assert run("synth", "--out", base / "data", "--n-clips", 35) == 0
+    assert run("train-svm", "--manifest", manifest, "--channel", "audio",
+               "--out", base / "audio.json", "--epochs", 2) == 0
+    assert run("predict-svm", "--manifest", manifest, "--channel", "audio",
+               "--model", base / "audio.json", "--out", base / "audio.csv") == 0
+    assert run("fuse-feat", "train", "--manifest", manifest, "--out-norm", base / "norm0.json",
+               "--out-svm", base / "joint0.json", "--epochs", 2) == 0
+    assert run("fuse-bn", "fit", "--manifest", manifest, "--decisions", base / "audio.csv",
+               "--out", base / "bn0.json") == 0
+    rng = np.random.default_rng(0)
+    write_tensor_array(base / "clip.fvt", rng.integers(0, 256, size=(5, 12, 12)).astype(float))
+    write_tensor_array(base / "X.fvt", rng.standard_normal((30, 8)))
+    write_tensor_array(base / "scores.fvt", rng.random((16, 7)))
+    assert run("pca", "fit", "--in", base / "X.fvt", "--q", 3, "--out", base / "pca0.json") == 0
     return base
 
 
-PIPELINE_MODULES = {"cli", "core", "features", "fusion", "learn", "metrics"}
+FUSION_MODULES = {"cli", "core", "features", "fusion", "learn", "metrics"}
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -92,21 +102,35 @@ PIPELINE_MODULES = {"cli", "core", "features", "fusion", "learn", "metrics"}
     (("import avfusion.cli",), {"core", "cli"}),
     (("synth", "--out", "new", "--n-clips", "35", "--seed", "1"),
      {"cli", "core", "features", "synth"}),
+    (("lbptop", "--in", "clip.fvt", "--out", "desc.fvt"), {"cli", "core", "lbptop"}),
+    (("pca", "fit", "--in", "X.fvt", "--q", "3", "--out", "pca.json"),
+     {"cli", "core", "features"}),
+    (("pca", "apply", "--model", "pca0.json", "--in", "X.fvt", "--out", "Y.fvt"),
+     {"cli", "core", "features"}),
+    (("pool", "--in", "scores.fvt", "--out", "pooled.fvt"), {"cli", "core", "features"}),
     (("train-svm", "--manifest", "data/manifest.csv", "--channel", "audio", "--out",
       "audio2.json", "--epochs", "2"), {"cli", "core", "features", "learn"}),
     (("predict-svm", "--manifest", "data/manifest.csv", "--channel", "audio", "--model",
-      "audio.json", "--out", "audio2.csv"), PIPELINE_MODULES),
+      "audio.json", "--out", "audio2.csv"), {"cli", "core", "features", "learn"}),
     (("fuse-bn", "fit", "--manifest", "data/manifest.csv", "--decisions", "audio.csv",
-      "--out", "bn.json"), PIPELINE_MODULES),
+      "--out", "bn.json"), FUSION_MODULES),
+    (("fuse-bn", "infer", "--model", "bn0.json", "--decisions", "audio.csv",
+      "--out", "fused.csv"), FUSION_MODULES),
     (("fuse-feat", "train", "--manifest", "data/manifest.csv", "--out-norm", "norm.json",
-      "--out-svm", "joint.json", "--epochs", "2"), PIPELINE_MODULES),
-    (("evaluate", "--pred", "audio.csv", "--manifest", "data/manifest.csv"), PIPELINE_MODULES),
-], ids=["import-avfusion", "import-avfusion.cli", "synth", "train-svm", "predict-svm",
-        "fuse-bn-fit", "fuse-feat-train", "evaluate"])
+      "--out-svm", "joint.json", "--epochs", "2"), FUSION_MODULES),
+    (("fuse-feat", "predict", "--manifest", "data/manifest.csv", "--norm", "norm0.json",
+      "--svm", "joint0.json", "--out", "joint.csv"), FUSION_MODULES),
+    (("island-demo", "--epochs", "5", "--n-per-class", "5"),
+     {"cli", "core", "features", "learn", "synth"}),
+    (("evaluate", "--pred", "audio.csv", "--manifest", "data/manifest.csv"),
+     {"cli", "core", "metrics"}),
+], ids=["import-avfusion", "import-avfusion.cli", "synth", "lbptop", "pca-fit", "pca-apply",
+        "pool", "train-svm", "predict-svm", "fuse-bn-fit", "fuse-bn-infer", "fuse-feat-train",
+        "fuse-feat-predict", "island-demo", "evaluate"])
 def test_each_stage_imports_only_the_modules_it_runs(stage_inputs, argv, expected):
     """A fresh interpreter per case, since this process has imported every
     module: importing the package or the CLI, or running one stage, loads
-    only its own avfusion submodules, and no stage loads lbptop."""
+    only its own avfusion submodules; only the lbptop stage loads lbptop."""
     case = argv[0] if argv[0].startswith("import ") else (
         "from avfusion.cli import main; assert main(sys.argv[1:]) == 0")
     code = (f"import sys; {case}\n"
@@ -765,6 +789,15 @@ DATA_ERRORS = {
                        "ManifestError: clip 'clip_00002' has no label"),
     "missing-decision": (lambda d: _edit_text(d / "dec.csv", "clip_00002,", "clip_00099,"),
                          EVALUATE, "ValueError: clip 'clip_00002' has no audio decision"),
+    "stray-decision": (lambda d: _append(d / "dec.csv", b"clip_00009,audio,Sad\n"
+                                                      b"clip_00007,audio,Fear\n"), EVALUATE,
+                       "ValueError: 2 decided clip(s) not in the manifest, "
+                       "the first 'clip_00009'"),
+    "stray-decision-fit": (lambda d: _append(d / "dec.csv", b"clip_00007,audio,Fear\n"),
+                           ("fuse-bn", "fit", "--manifest", "{d}/manifest.csv",
+                            "--decisions", "{d}/dec.csv", "--out", "{d}/out"),
+                           "ValueError: 1 decided clip(s) not in the manifest, "
+                           "the first 'clip_00007'"),
     "two-channels": (lambda d: _append(d / "dec.csv", "".join(
                          row.replace(",audio,", ",cnn,") + "\n"
                          for row in (d / "dec.csv").read_text().splitlines()[1:]).encode()),

@@ -23,8 +23,7 @@ from avfusion.features import (NormalizationModel, PcaModel, k_average_pool, loa
                                load_pca, normalization_files, normalize_apply, normalize_fit,
                                pca_files, pca_fit, pca_transform)
 from avfusion.fusion import (BnFusionModel, MeasurementModel, bn_files, bn_infer,
-                             build_joint_vector, fit_measurement_cpt, load_bn, read_decisions,
-                             uniform_prior, write_decisions)
+                             build_joint_vector, fit_measurement_cpt, load_bn, uniform_prior)
 from avfusion.lbptop import lbp_top_descriptor
 from avfusion.learn import (IslandLossParams, LinearSvmModel, island_loss, load_svm,
                             probe_features, softmax_probe_train, svm_files, svm_predict_batch,
@@ -34,9 +33,9 @@ from avfusion.synth import SynthConfig, gaussian_blobs
 from avfusion.core import (CHANNELS, SEGMENT_DIMS, BadMagic, DuplicateClipId, DimensionMismatch,
                            EMOTION_NAMES, MalformedRow, TensorFormatError, Truncated,
                            UnknownLabel, check_count, check_labels, check_real, emotion_index,
-                           emotion_name, load_manifest, read_tensor, read_tensor_array,
-                           save_manifest, write_csv, write_models, write_tensor,
-                           write_tensor_array)
+                           emotion_name, load_manifest, read_decisions, read_tensor,
+                           read_tensor_array, save_manifest, write_csv, write_decisions,
+                           write_models, write_tensor, write_tensor_array)
 
 
 def test_label_bijection():

@@ -9,14 +9,15 @@ import pytest
 
 from avfusion import fusion
 from avfusion.core import (CHANNELS, JOINT_DIM, SEGMENT_DIMS, DimensionMismatch,
-                           LengthMismatch, MissingKey, UnknownLabel, write_models)
+                           LengthMismatch, MissingKey, UnknownLabel, read_decisions,
+                           write_decisions, write_models)
 from avfusion.features import normalize_apply, normalize_fit
 from avfusion.fusion import (AllZeroPosterior, BnFusionModel, EmptyClassRow,
                              MeasurementModel, UnknownChannel, bn_files, bn_infer,
                              build_joint_vector,
                              feature_fusion_predict, feature_fusion_train, fit_bn,
                              fit_measurement_cpt, fusion_predictions, load_bn,
-                             read_decisions, uniform_prior, write_decisions)
+                             uniform_prior)
 from avfusion.learn import svm_predict_batch, svm_train
 from avfusion.synth import BASELINE_INFORMATIVENESS, SynthConfig, synth_dataset
 

@@ -8,9 +8,9 @@ import pytest
 import avfusion
 from avfusion import synth
 from avfusion.cli import build_parser, main
-from avfusion.core import CHANNELS
+from avfusion.core import CHANNELS, read_decisions
 from avfusion.features import pool_clips
-from avfusion.fusion import fusion_predictions, read_decisions
+from avfusion.fusion import fusion_predictions
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 LOOP = re.compile(r"^for (\w+) in ([^;\n]*); do\n(.*?)^done$", re.M | re.S)
