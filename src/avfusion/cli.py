@@ -108,8 +108,8 @@ def cmd_pca_apply(args):
 def cmd_pool(args):
     from . import features
     scores = check_scores(read_tensor_array(args.infile), args.infile)
-    write_tensor_array(args.out, features.k_average_pool(scores, args.k))
-    print(f"pooled {scores.shape[0]} frames into {args.k} bins -> {args.out}")
+    write_tensor_array(args.out, features.k_average_pool(scores))
+    print(f"pooled {scores.shape[0]} frames into 7 bins -> {args.out}")
 
 
 def cmd_train_svm(args):
@@ -184,10 +184,10 @@ def cmd_fuse_bn_infer(args):
 
 def cmd_island_demo(args):
     from . import learn, synth
-    X, y = synth.gaussian_blobs(args.n_per_class, seed=args.seed)
+    X, y = synth.gaussian_blobs(40, seed=args.seed)
     baseline = learn.softmax_probe_train(X, y, learn.IslandLossParams(lam=0.0),
-                                         epochs=args.epochs, seed=args.seed)
-    island = learn.softmax_probe_train(X, y, epochs=args.epochs, seed=args.seed)
+                                         epochs=800, seed=args.seed)
+    island = learn.softmax_probe_train(X, y, epochs=800, seed=args.seed)
     ratios = {}
     for name, probe in (("baseline", baseline), ("island", island)):
         feats = learn.probe_features(probe, X)
@@ -255,7 +255,6 @@ def build_parser():
     p = sub.add_parser("pool", help="k-average pool a score matrix")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=7)
     p.set_defaults(func=cmd_pool)
 
     p = sub.add_parser("train-svm", help="train a per-channel SVM")
@@ -302,8 +301,6 @@ def build_parser():
 
     p = sub.add_parser("island-demo", help="island loss vs plain softmax on toy blobs")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epochs", type=int, default=800)
-    p.add_argument("--n-per-class", type=int, default=40)
     p.add_argument("--out", default=None, help="optional loss-trace CSV")
     p.set_defaults(func=cmd_island_demo)
 

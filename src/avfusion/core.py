@@ -39,8 +39,8 @@ _NAME_TO_INDEX = {name: i for i, name in enumerate(EMOTION_NAMES)}
 SEGMENT_DIMS = {"audio": 20, "lbptop": 150, "cnn": 49, "blstm": 50}
 CHANNELS = tuple(SEGMENT_DIMS)
 JOINT_DIM = sum(SEGMENT_DIMS.values())  # 269
-# Rows of an n×D matrix that svm_train and normalize_apply take at a time: 128,
-ROW_BLOCK = 128  # as svm_train's 3 blocks (gathered, eta-scaled, gather temp) < 2 of 256
+# Rows of an n×D matrix that svm_train and normalize_apply take at a time; svm_train
+ROW_BLOCK = 128  # holds 3 such blocks (gathered, eta-scaled, gather temporary) at once
 
 _MAGIC = b"FVT1"
 
@@ -121,10 +121,10 @@ def emotion_name(index):
 
 def check_labels(labels, name="label", n=None, classes=N_CLASSES):
     """Return a label, or an array of them, as int64 when each equals an
-    integer in 0..classes-1; else raise UnknownLabel naming the first
-    one at fault.  Strings, None, ragged nesting and array elements are
-    compared as objects, one element at a time, so "1" is not 1 and an
-    element that is not a scalar is no label.  When ``n`` is given the
+    integer in 0..classes-1 and is no bool; else raise UnknownLabel naming
+    the first one at fault.  Strings, None, ragged nesting and array
+    elements are compared as objects, one element at a time, so "1" is not
+    1 and an element that is not a scalar is no label.  When ``n`` is given the
     labels must be a 1-D sequence of ``n``, else LengthMismatch.  Errors
     start with ``name``."""
     try:
@@ -135,8 +135,8 @@ def check_labels(labels, name="label", n=None, classes=N_CLASSES):
         except ValueError:  # array elements of differing shapes
             raw = np.fromiter(labels, dtype=object)
         known = np.vectorize(lambda v: np.isscalar(v) and v in range(classes), otypes=[bool])(raw)
-    else:
-        known = (raw[..., None] == np.arange(classes)).any(axis=-1)
+    else:  # a bool array is compared with no class at all, so every bool is refused
+        known = (raw[..., None] == np.arange(classes * (raw.dtype.kind != "b"))).any(axis=-1)
     if n is not None and raw.shape != (n,):
         raise LengthMismatch(f"{name}: expected {n} labels, got shape {raw.shape}")
     if not known.all():
@@ -327,9 +327,12 @@ def require_key(doc, key):
 def _committed(paths):
     """Yield a temporary sibling ``.<name>.tmp`` per path, renamed into place
     in order once the block succeeds and removed if it fails.  A path that
-    exists but is not a regular file is refused before the block runs."""
+    exists but is not a regular file, or two paths of one file, are refused
+    before the block runs."""
     finals = [Path(path) for path in paths]
-    for final in finals:
+    for i, final in enumerate(finals):  # a file's second rename would find no temporary
+        if os.path.realpath(final) in map(os.path.realpath, finals[:i]):
+            raise ValueError(f"{final}: named twice in one save; refusing to write it")
         with contextlib.suppress(FileNotFoundError):
             if not stat.S_ISREG(os.stat(final).st_mode):
                 raise OSError(f"{final}: exists and is not a regular file; refusing to replace it")

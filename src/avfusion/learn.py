@@ -220,13 +220,13 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
     first shrink, 1 - fl(fl(1/lambda_reg)*lambda_reg), is never negative,
     so no weight is -0 (short of underflow below the least subnormal) and
     a skipped ±0 add changes no bit.  Speed rests on few violated rows per
-    step: all 7 take 7 row-update calls (8 with eta*x per step) against
-    an outer product's 2.  Samples are gathered ``ROW_BLOCK`` at a time,
-    in epoch order, into a buffer whose last column is the bias's 1, so
-    every dgemv gets the same contiguous row in the same order.  eta*x is
-    taken once per gathered block, in one multiply, into its eta-scaled
-    twin: per entry the same IEEE product as per step, eta exact in the
-    bias column.  Memory: those two buffers and one gather temporary.
+    step: all 7 take 7 row-update calls.  Samples are gathered
+    ``ROW_BLOCK`` at a time, in epoch order, into a buffer whose last
+    column is the bias's 1, so every dgemv gets the same contiguous row in
+    the same order.  eta*x is taken once per gathered block, in one
+    multiply, into its eta-scaled twin: per entry the same IEEE product as
+    per step, eta exact in the bias column.  Memory: those two buffers and
+    one gather temporary.
     """
     C = check_real(C, "C", positive=True)
     X, y, epochs, seed = _check_training(X, y, epochs, seed)

@@ -130,17 +130,12 @@ def synth_generate(config, out_dir):
     return manifest_path
 
 
-def gaussian_blobs(n_per_class, n_classes=7, dim=2, radius=3.0, noise=1.0, seed=0):
-    """Toy blobs with class means spaced on a circle (first two dims)."""
-    n_per_class = check_count(n_per_class, "n_per_class")
-    n_classes = check_count(n_classes, "n_classes")
-    dim = check_count(dim, "dim", least=2)  # the class means fill two columns
-    radius, noise = check_real(radius, "radius"), check_real(noise, "noise")
+def gaussian_blobs(n_per_class, seed=0):
+    """Toy 2-D blobs of the 7 classes: unit-noise Gaussians whose means lie
+    evenly spaced on a circle of radius 3."""
+    labels = np.repeat(np.arange(7), check_count(n_per_class, "n_per_class"))
     rng = np.random.default_rng(check_count(seed, "seed", least=0))
-    angles = 2.0 * np.pi * np.arange(n_classes) / n_classes
-    means = np.zeros((n_classes, dim))
-    means[:, 0] = radius * np.cos(angles)
-    means[:, 1] = radius * np.sin(angles)
-    labels = np.repeat(np.arange(n_classes), n_per_class)
-    X = means[labels] + noise * rng.standard_normal((labels.size, dim))
+    angles = 2.0 * np.pi * np.arange(7) / 7
+    means = 3.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+    X = means[labels] + rng.standard_normal((labels.size, 2))
     return X, labels

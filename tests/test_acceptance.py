@@ -283,8 +283,7 @@ def test_criterion_10_cli_determinism(tmp_path):
             "--out", d / "bn.json")
         run("fuse-bn", "infer", "--model", d / "bn.json", "--decisions", d / "dec.csv",
             "--out", d / "fused.csv")
-        run("island-demo", "--epochs", 40, "--n-per-class", 8, "--seed", 3,
-            "--out", d / "trace.csv")
+        run("island-demo", "--seed", 3, "--out", d / "trace.csv")
         run("evaluate", "--pred", d / "joint_dec.csv", "--manifest", manifest,
             "--out", d / "report.csv")
         outputs[tag] = d

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -13,7 +14,7 @@ import pytest
 
 import avfusion
 from avfusion import features, synth
-from avfusion.cli import _channel_matrix, main
+from avfusion.cli import _channel_matrix, build_parser, main
 from avfusion.core import (CHANNELS, EMOTION_NAMES, MANIFEST_COLUMNS, load_manifest,
                            read_decisions, read_tensor_array, save_manifest, write_decisions,
                            write_models, write_tensor_array)
@@ -42,10 +43,27 @@ def test_usage_error_exits_2():
                  ("synth", "--out", "data", "--frames-min", 4),
                  ("train-svm", "--manifest", "m.csv", "--channel", "cnn", "--out", "m.json",
                   "--c", 2),
-                 ("island-demo", "--lam", 0)):
+                 ("island-demo", "--lam", 0),
+                 ("pool", "--in", "s.fvt", "--out", "p.fvt", "--k", 7),
+                 ("island-demo", "--epochs", 5),
+                 ("island-demo", "--n-per-class", 5)):
         with pytest.raises(SystemExit) as exc:  # fixed at the library defaults
             run(*argv)
         assert exc.value.code == 2, argv
+
+
+def test_option_count():
+    """The CLI's surface, every option of every (sub)command but --help:
+    a setting with one value in use is a constant, not a flag."""
+    def options(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for subparser in action.choices.values():
+                    yield from options(subparser)
+            elif action.option_strings and not isinstance(action, argparse._HelpAction):
+                yield action.option_strings[0]
+
+    assert len(list(options(build_parser()))) == 44
 
 
 def test_unknown_subcommand_exits_2():
@@ -120,7 +138,7 @@ FUSION_MODULES = {"cli", "core", "features", "fusion", "learn", "metrics"}
       "--out-svm", "joint.json", "--epochs", "2"), FUSION_MODULES),
     (("fuse-feat", "predict", "--manifest", "data/manifest.csv", "--norm", "norm0.json",
       "--svm", "joint0.json", "--out", "joint.csv"), FUSION_MODULES),
-    (("island-demo", "--epochs", "5", "--n-per-class", "5"),
+    (("island-demo",),
      {"cli", "core", "features", "learn", "synth"}),
     (("evaluate", "--pred", "audio.csv", "--manifest", "data/manifest.csv"),
      {"cli", "core", "metrics"}),
@@ -503,13 +521,12 @@ def test_cnn_matrix_of_wrong_width_names_its_file(tmp_path, capsys):
 
 
 def test_island_demo(tmp_path, capsys):
-    assert run("island-demo", "--epochs", 60, "--n-per-class", 10,
-               "--out", tmp_path / "trace.csv") == 0
+    assert run("island-demo", "--out", tmp_path / "trace.csv") == 0
     out = capsys.readouterr().out
     assert "baseline" in out and "island" in out
     lines = (tmp_path / "trace.csv").read_text().splitlines()
     assert lines[0] == "epoch,baseline_loss,island_loss"
-    assert len(lines) == 61
+    assert len(lines) == 801
 
 
 def test_csv_out_onto_a_fifo_or_directory_exits_1(synth_dirs, tmp_path, capsys):
@@ -526,8 +543,7 @@ def test_csv_out_onto_a_fifo_or_directory_exits_1(synth_dirs, tmp_path, capsys):
     try:
         for argv, target in ((("evaluate", "--pred", dec, "--manifest", manifest, "--out", fifo),
                               fifo),
-                             (("island-demo", "--epochs", 5, "--n-per-class", 5, "--out", folder),
-                              folder)):
+                             (("island-demo", "--out", folder), folder)):
             capsys.readouterr()
             assert run(*argv) == 1, argv[0]
             assert capsys.readouterr().err == (f"error: OSError: {target}: exists and is not "
@@ -558,6 +574,22 @@ def test_fuse_feat_train_saves_both_models_or_neither(synth_dirs, tmp_path, caps
                                        "a regular file; refusing to replace it\n")
     assert {f.name: f.read_bytes() for f in tmp_path.iterdir() if f.is_file()} == old
     assert not any(folder.iterdir())
+
+
+def test_fuse_feat_train_onto_one_file_twice_exits_1(synth_dirs, tmp_path, capsys):
+    """``--out-norm`` and ``--out-svm`` naming one existing file exit 1
+    before anything is written: the file keeps its bytes, and no tensor
+    sibling or temporary appears."""
+    _, train_manifest, _ = synth_dirs
+    model = tmp_path / "m.json"
+    model.write_text('{"old": 1}\n')
+    capsys.readouterr()
+    assert run("fuse-feat", "train", "--manifest", train_manifest, "--epochs", 1,
+               "--out-norm", model, "--out-svm", model) == 1
+    assert capsys.readouterr().err == (f"error: ValueError: {model}: named twice in one save; "
+                                       "refusing to write it\n")
+    assert [f.name for f in tmp_path.iterdir()] == ["m.json"]
+    assert model.read_text() == '{"old": 1}\n'
 
 
 @pytest.mark.parametrize("argv", [
@@ -613,8 +645,7 @@ def test_wrong_typed_bn_field_exits_1(synth_dirs, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ("train-svm", "--manifest", "{manifest}", "--channel", "audio", "--out", "{out}"),
     ("fuse-feat", "train", "--manifest", "{manifest}", "--out-norm", "{norm}", "--out-svm", "{out}"),
-    ("island-demo", "--n-per-class", 5, "--out", "{out}"),
-], ids=["train-svm", "fuse-feat-train", "island-demo"])
+], ids=["train-svm", "fuse-feat-train"])
 def test_zero_epochs_exits_1(synth_dirs, tmp_path, capsys, argv):
     _, manifest, _ = synth_dirs
     paths = {"manifest": manifest, "norm": tmp_path / "norm.json", "out": tmp_path / "out"}

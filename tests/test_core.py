@@ -118,8 +118,6 @@ REAL_SETTINGS = {
                         lambda v: SynthConfig(informativeness=(1.0, 1.0, v, 1.0))),
     "svm-model-C": ("C", "(0, inf)", -5.0,
                     lambda v: LinearSvmModel(W=np.zeros((7, 2)), b=np.zeros(7), C=v)),
-    "radius": ("radius", "[0, inf)", -1.0, lambda v: gaussian_blobs(3, radius=v)),
-    "noise": ("noise", "[0, inf)", -1.0, lambda v: gaussian_blobs(3, noise=v)),
 }
 REAL_VALUES = {"None": None, "str": "1", "bool": True, "nan": math.nan, "inf": math.inf,
                "-inf": -math.inf}
@@ -197,6 +195,27 @@ def test_array_label_refused_at_its_entry_point(entry, tmp_path):
     with pytest.raises(UnknownLabel, match=r" \[1 2\] is not a class index in 0\.\.6$"):
         CLASS_INDEX_ENTRY_POINTS[entry](np.array([1, 2]), tmp_path)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("labels", [True, np.bool_(False), np.array([False, True]),
+                                    [True, True]], ids=["True", "np.bool_", "array", "list"])
+def test_bool_is_no_class_index(labels):
+    """A bool is no label, as it is no count or real setting: a bool scalar,
+    a bool array and an all-bool list raise UnknownLabel naming the first
+    bool.  (A list that mixes bools and integers becomes an integer array
+    before the check sees it.)"""
+    first = np.asarray(labels).flat[0]
+    with pytest.raises(UnknownLabel, match=f"^label {first} is not a class index in 0\\.\\.6$"):
+        check_labels(labels)
+    if np.ndim(labels) == 0:
+        with pytest.raises(UnknownLabel, match=f"^emotion index {first} is not a class index"):
+            emotion_name(labels)
+
+
+def test_bool_mask_is_refused_as_svm_labels():
+    X = np.random.default_rng(0).standard_normal((20, 3))
+    with pytest.raises(UnknownLabel, match=r"^label False is not a class index in 0\.\.6$"):
+        svm_train(X, np.arange(20) % 7 == 3, epochs=1)
 
 
 def test_label_column_of_array_elements_is_refused_under_its_name():
@@ -556,6 +575,21 @@ def test_model_save_refuses_a_target_that_is_not_a_regular_file(tmp_path, kind, 
         assert stat.S_ISDIR(blocker.stat().st_mode) if target == "directory" else \
             stat.S_ISFIFO(blocker.stat().st_mode)
         blocker.rmdir() if target == "directory" else blocker.unlink()
+
+
+def test_model_save_naming_one_file_twice_is_refused(tmp_path):
+    """Two specs of one save that name one file, under any spelling, raise a
+    ValueError naming its second path before any file is written."""
+    svm = LinearSvmModel(W=np.ones((7, 3)), b=np.zeros(7), C=1.0)
+    bn = BnFusionModel(prior=uniform_prior(), measurements=[MeasurementModel("audio", np.eye(7))])
+    path = tmp_path / "m.json"
+    path.write_text('{"old": 1}\n')
+    (tmp_path / "d").mkdir()
+    for twin in (path, tmp_path / "d" / ".." / "m.json"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(twin))}: named twice in one save"):
+            write_models(svm_files(svm, path), bn_files(bn, twin))
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["d", "m.json"]
+        assert path.read_text() == '{"old": 1}\n'
 
 
 def test_failed_manifest_save_keeps_the_old_file(tmp_path):

@@ -558,7 +558,7 @@ def test_svm_train_matches_reference_loop(seed, C):
     # C·n <= 0.5 and |x_j| < 0.05 hold every |margin| below 1: all 7 rows violated every step
     _assert_matches_reference(0.01 * signed_zeros, data.labels, C / (2 * len(signed_zeros)),
                               epochs=3, seed=seed)
-    X, y = gaussian_blobs(n_per_class=30, dim=5, radius=12.0, noise=0.5, seed=seed)
+    X, y = gaussian_blobs(30, seed=seed)
     assert _assert_matches_reference(X, y, C, epochs=10, seed=seed) > 0
 
 
