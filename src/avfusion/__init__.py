@@ -18,8 +18,8 @@ _LAZY = {
     "fusion": ("BnFusionModel", "MeasurementModel", "bn_infer", "build_joint_vector",
                "feature_fusion_predict", "feature_fusion_train", "fit_bn",
                "fit_measurement_cpt", "fusion_predictions"),
-    "learn": ("IslandLossParams", "LinearSvmModel", "island_loss", "island_loss_grad",
-              "softmax_probe_train", "svm_predict_batch", "svm_train", "update_centers"),
+    "learn": ("LinearSvmModel", "island_loss", "island_loss_grad", "svm_predict_batch",
+              "svm_train", "update_centers"),
     "lbptop": ("LbpTopParams", "build_uniform_mapping", "lbp_top_descriptor"),
     "metrics": ("EvalReport", "evaluate"),
     "synth": ("SynthConfig", "synth_dataset", "synth_generate"),

@@ -1,11 +1,12 @@
 """Command-line pipeline driver.
 
 Subcommands: synth, lbptop, pca {fit,apply}, pool, train-svm, predict-svm,
-fuse-feat {train,predict}, fuse-bn {fit,infer}, island-demo, evaluate.
-Every stage is deterministic given its flags and --seed; usage errors
-exit 2, data errors exit 1 with a diagnostic on stderr.  Each command
-imports the submodules it runs, so a stage's process loads only those:
-decisions files are ``core``'s, so only the fuse-* stages load ``fusion``.
+fuse-feat {train,predict}, fuse-bn {fit,infer}, evaluate.
+Every stage is deterministic given its flags, --seed and the BLAS thread
+count; usage errors exit 2, data errors exit 1 with a diagnostic on
+stderr.  Each command imports the submodules it runs, so a stage's
+process loads only those: decisions files are ``core``'s, so only the
+fuse-* stages load ``fusion``.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import sys
 import numpy as np
 
 from .core import (CHANNELS, JOINT_DIM, SEGMENT_DIMS, DimensionMismatch, check_scores,
-                   check_shape, load_manifest, read_decisions, read_tensor_array, write_csv,
+                   check_shape, load_manifest, read_decisions, read_tensor_array,
                    write_decisions, write_models, write_tensor_array)
 
 
@@ -182,27 +183,6 @@ def cmd_fuse_bn_infer(args):
     print(f"wrote {len(fused)} fused decisions to {args.out}")
 
 
-def cmd_island_demo(args):
-    from . import learn, synth
-    X, y = synth.gaussian_blobs(40, seed=args.seed)
-    baseline = learn.softmax_probe_train(X, y, learn.IslandLossParams(lam=0.0),
-                                         epochs=800, seed=args.seed)
-    island = learn.softmax_probe_train(X, y, epochs=800, seed=args.seed)
-    ratios = {}
-    for name, probe in (("baseline", baseline), ("island", island)):
-        feats = learn.probe_features(probe, X)
-        ratios[name] = learn.clustering_ratio(feats, y, probe.centers)
-        accuracy = float(np.mean(np.argmax(feats, axis=1) == y))
-        print(f"{name:>9}: intra/inter ratio {ratios[name]:.4f}, "
-              f"train accuracy {accuracy:.4f}")
-    print(f"ratio shrink with island loss: {ratios['baseline'] - ratios['island']:+.4f}")
-    if args.out:
-        write_csv(args.out, [("epoch", "baseline_loss", "island_loss"),
-                             *((i, repr(float(lb)), repr(float(li)))
-                               for i, (lb, li) in enumerate(zip(baseline.trace, island.trace)))])
-        print(f"wrote loss traces to {args.out}")
-
-
 def cmd_evaluate(args):
     from . import metrics
     decisions, truths = _labelled_decisions(load_manifest(args.manifest), [args.pred],
@@ -298,11 +278,6 @@ def build_parser():
     bi.add_argument("--decisions", nargs="+", required=True)
     bi.add_argument("--out", required=True)
     bi.set_defaults(func=cmd_fuse_bn_infer)
-
-    p = sub.add_parser("island-demo", help="island loss vs plain softmax on toy blobs")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="optional loss-trace CSV")
-    p.set_defaults(func=cmd_island_demo)
 
     p = sub.add_parser("evaluate", help="score decisions against manifest labels")
     p.add_argument("--pred", required=True)

@@ -128,13 +128,16 @@ def check_labels(labels, name="label", n=None, classes=N_CLASSES):
     labels must be a 1-D sequence of ``n``, else LengthMismatch.  Errors
     start with ``name``."""
     try:
+        if isinstance(labels, (list, tuple)) and _holds_bool(labels):
+            raise ValueError("numpy would make each bool 0 or 1")
         raw = _as_numbers(labels, name)
-    except ValueError:  # not an array of numbers
+    except ValueError:  # not an array of numbers, or a list that holds a bool
         try:
             raw = np.asarray(labels, dtype=object)
         except ValueError:  # array elements of differing shapes
             raw = np.fromiter(labels, dtype=object)
-        known = np.vectorize(lambda v: np.isscalar(v) and v in range(classes), otypes=[bool])(raw)
+        known = np.vectorize(lambda v: np.isscalar(v) and not isinstance(v, (bool, np.bool_))
+                             and v in range(classes), otypes=[bool])(raw)
     else:  # a bool array is compared with no class at all, so every bool is refused
         known = (raw[..., None] == np.arange(classes * (raw.dtype.kind != "b"))).any(axis=-1)
     if n is not None and raw.shape != (n,):
@@ -142,6 +145,14 @@ def check_labels(labels, name="label", n=None, classes=N_CLASSES):
     if not known.all():
         raise UnknownLabel(f"{name} {raw[~known][0]} is not a class index in 0..{classes - 1}")
     return raw.astype(np.int64)
+
+
+def _holds_bool(items):
+    """Whether a list or tuple holds a bool at any depth."""
+    kinds = set(map(type, items))  # bool and np.bool_ take no subclasses
+    return (bool in kinds or np.bool_ in kinds
+            or any(issubclass(k, (list, tuple)) for k in kinds)
+            and any(_holds_bool(v) for v in items if isinstance(v, (list, tuple))))
 
 
 def check_count(value, name, least=1):

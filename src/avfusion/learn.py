@@ -1,7 +1,7 @@
 """Discriminative-feature training pieces: the island loss (center loss
-plus a pairwise center-cosine penalty) with its analytic gradients,
-center maintenance, a small softmax probe that demonstrates the loss on
-toy data, and the one-vs-rest linear SVM used by both fusion paths.
+plus a pairwise center-cosine penalty) with its analytic gradients and
+center maintenance, and the one-vs-rest linear SVM used by both fusion
+paths.
 
 The island loss over a batch (x_i, y_i) with per-class centers c_j is
 
@@ -28,22 +28,6 @@ class SingleClass(ValueError):
     pass
 
 
-class DegenerateInput(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class IslandLossParams:
-    lambda1: float = 10.0  # weight of the pairwise center term inside the island loss
-    lam: float = 0.01      # weight of the island loss against the softmax loss
-    alpha: float = 0.5     # center learning rate
-
-    def __post_init__(self):
-        check_real(self.lambda1, "lambda1")
-        check_real(self.lam, "lam")
-        check_real(self.alpha, "alpha", positive=True, high=1)
-
-
 @dataclass(frozen=True)
 class LinearSvmModel:
     W: np.ndarray  # (7, D)
@@ -56,24 +40,15 @@ class LinearSvmModel:
         object.__setattr__(self, "C", check_real(self.C, "C", positive=True))
 
 
-def _check_training(X, y, epochs, seed):
-    epochs, seed = check_count(epochs, "epochs"), check_count(seed, "seed", least=0)
-    X = check_shape(X, (None, None), "features")
-    return X, check_labels(y, n=len(X)), epochs, seed
-
-
-def _check_batch(X, y, centers):
-    centers = check_shape(centers, (None, None), "centers")
-    X = check_shape(X, (None, centers.shape[1]), "batch")
-    return X, check_labels(y, n=len(X), classes=len(centers)), centers
-
-
 def _island(X, y, centers, lambda1):
-    """One checked pass over a batch: labels, x - c_y, the island loss, each
+    """One checked pass over a batch: lambda1, labels, x - c_y, the island loss, each
     center's summed pull sum(c_y - x), and lambda1 times the pairwise term's
     center gradient (0.0 when lambda1 is 0), to which each unordered pair adds
     d cos(c_k, c_j) / d c_j = c_k / (|c_k||c_j|) - cos(c_k, c_j) c_j / |c_j|^2 twice."""
-    X, y, centers = _check_batch(X, y, centers)
+    lambda1 = check_real(lambda1, "lambda1")
+    centers = check_shape(centers, (None, None), "centers")
+    X = check_shape(X, (None, centers.shape[1]), "batch")
+    y = check_labels(y, n=len(X), classes=len(centers))
     diffs = X - centers[y]
     loss = 0.5 * np.sum(diffs ** 2)
     pull = np.zeros_like(centers)  # starts at +0 and never holds -0, so + 0.0 changes no bit
@@ -104,10 +79,6 @@ def island_loss_grad(X, y, centers, lambda1):
     return diffs, pull + pair
 
 
-def _center_step(centers, y, pull, pair, alpha):
-    return centers - alpha * (pull / (1.0 + np.bincount(y, minlength=len(pull)))[:, None] + pair)
-
-
 def update_centers(X, y, centers, alpha, lambda1=0.0):
     """One damped center-maintenance step; returns the new centers.
 
@@ -117,89 +88,8 @@ def update_centers(X, y, centers, alpha, lambda1=0.0):
     """
     alpha = check_real(alpha, "alpha", positive=True, high=1)
     y, _, _, pull, pair = _island(X, y, centers, lambda1)
-    return _center_step(np.asarray(centers, dtype=np.float64), y, pull, pair, alpha)
-
-
-@dataclass(frozen=True)
-class SoftmaxProbe:
-    W: np.ndarray        # (n_classes, d)
-    b: np.ndarray        # (n_classes,)
-    centers: np.ndarray  # (n_classes, n_classes), centers in logit space
-    trace: np.ndarray    # per-epoch total loss
-
-
-def softmax_probe_train(X, y, params=None, epochs=400, seed=0, lr=0.02):
-    """Train a linear softmax classifier with island-loss regularization.
-
-    The probe's logits z = Wx + b act as the feature layer: the island
-    loss is evaluated on them and its centers live in logit space, so a
-    positive ``params.lam`` pulls same-class logits toward their center
-    while the pairwise term pushes centers apart.  With ``lam == 0`` the
-    probe reduces to plain softmax regression (centers still track the
-    class means of z, so clustering ratios stay comparable).  Fully
-    deterministic given the seed.
-    """
-    params = params or IslandLossParams()
-    lr = check_real(lr, "lr", positive=True)
-    X, y, epochs, seed = _check_training(X, y, epochs, seed)
-    m, d = X.shape
-    n_classes = int(y.max(initial=0)) + 1
-    if m < n_classes:
-        raise DegenerateInput(f"{m} samples cannot cover {n_classes} classes")
-    rng = np.random.default_rng(seed)
-    W = 0.01 * rng.standard_normal((n_classes, d))
-    b = np.zeros(n_classes)
-    # Unit-scale center init: the pairwise cosine gradient scales with
-    # 1/|c_j|, so near-zero centers would blow up the first updates.
-    centers = rng.standard_normal((n_classes, n_classes))
-    onehot = np.eye(n_classes)[y]
-    island_active = params.lam > 0
-    lambda1 = params.lambda1 if island_active else 0.0
-    trace = np.empty(epochs)
-    for epoch in range(epochs):
-        z = X @ W.T + b
-        shifted = z - z.max(axis=1, keepdims=True)
-        log_norm = np.log(np.exp(shifted).sum(axis=1))
-        ce = float(np.mean(log_norm - shifted[np.arange(m), y]))
-        _, diffs, loss, pull, pair = _island(z, y, centers, lambda1)
-        trace[epoch] = ce + params.lam * loss if island_active else ce
-        probs = np.exp(shifted - log_norm[:, None])
-        dz = (probs - onehot) / m
-        if island_active:
-            dz = dz + params.lam * diffs
-        W -= lr * (dz.T @ X)
-        b -= lr * dz.sum(axis=0)
-        centers = _center_step(centers, y, pull, pair, params.alpha)
-    return SoftmaxProbe(W=W, b=b, centers=centers, trace=trace)
-
-
-def probe_features(probe, X):
-    """The probe's feature-layer output (its logits) for a batch."""
-    return check_shape(X, (None, probe.W.shape[1]), "features") @ probe.W.T + probe.b
-
-
-def clustering_ratio(features, y, centers):
-    """Mean intra-class distance over mean inter-center distance.
-
-    Intra-class distance is the mean pairwise distance among same-class
-    feature vectors (averaged over classes with at least two samples);
-    inter-center distance is the mean pairwise distance among centers.
-    """
-    def mean_distance(rows):
-        k = rows.shape[0]
-        return np.linalg.norm(rows[:, None, :] - rows[None, :, :], axis=2).sum() / (k * (k - 1))
-
-    features, y, centers = _check_batch(features, y, centers)
-    groups = (features[y == j] for j in range(centers.shape[0]))
-    intra_terms = [mean_distance(grp) for grp in groups if grp.shape[0] >= 2]
-    if not intra_terms:
-        raise DegenerateInput("no class has two samples to measure intra-class distance")
-    if centers.shape[0] < 2:
-        raise DegenerateInput("one center has no inter-center distance to measure")
-    inter = mean_distance(centers)
-    if inter == 0:
-        raise DegenerateInput("the centers coincide: their mean pairwise distance is 0")
-    return float(np.mean(intra_terms) / inter)
+    damped = pull / (1.0 + np.bincount(y, minlength=len(pull)))[:, None]
+    return np.asarray(centers, dtype=np.float64) - alpha * (damped + pair)
 
 
 def svm_train(X, y, C=1.0, epochs=30, seed=0):
@@ -229,7 +119,9 @@ def svm_train(X, y, C=1.0, epochs=30, seed=0):
     one gather temporary.
     """
     C = check_real(C, "C", positive=True)
-    X, y, epochs, seed = _check_training(X, y, epochs, seed)
+    epochs, seed = check_count(epochs, "epochs"), check_count(seed, "seed", least=0)
+    X = check_shape(X, (None, None), "features")
+    y = check_labels(y, n=len(X))
     n, dim = X.shape
     n_found = np.count_nonzero(np.bincount(y, minlength=N_CLASSES))  # np.unique loads numpy.ma
     if n_found < 2:

@@ -128,14 +128,3 @@ def synth_generate(config, out_dir):
     manifest_path = out_dir / "manifest.csv"
     save_manifest(manifest_path, entries)
     return manifest_path
-
-
-def gaussian_blobs(n_per_class, seed=0):
-    """Toy 2-D blobs of the 7 classes: unit-noise Gaussians whose means lie
-    evenly spaced on a circle of radius 3."""
-    labels = np.repeat(np.arange(7), check_count(n_per_class, "n_per_class"))
-    rng = np.random.default_rng(check_count(seed, "seed", least=0))
-    angles = 2.0 * np.pi * np.arange(7) / 7
-    means = 3.0 * np.column_stack([np.cos(angles), np.sin(angles)])
-    X = means[labels] + rng.standard_normal((labels.size, 2))
-    return X, labels

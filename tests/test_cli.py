@@ -43,10 +43,7 @@ def test_usage_error_exits_2():
                  ("synth", "--out", "data", "--frames-min", 4),
                  ("train-svm", "--manifest", "m.csv", "--channel", "cnn", "--out", "m.json",
                   "--c", 2),
-                 ("island-demo", "--lam", 0),
-                 ("pool", "--in", "s.fvt", "--out", "p.fvt", "--k", 7),
-                 ("island-demo", "--epochs", 5),
-                 ("island-demo", "--n-per-class", 5)):
+                 ("pool", "--in", "s.fvt", "--out", "p.fvt", "--k", 7)):
         with pytest.raises(SystemExit) as exc:  # fixed at the library defaults
             run(*argv)
         assert exc.value.code == 2, argv
@@ -63,7 +60,7 @@ def test_option_count():
             elif action.option_strings and not isinstance(action, argparse._HelpAction):
                 yield action.option_strings[0]
 
-    assert len(list(options(build_parser()))) == 44
+    assert len(list(options(build_parser()))) == 42
 
 
 def test_unknown_subcommand_exits_2():
@@ -138,13 +135,11 @@ FUSION_MODULES = {"cli", "core", "features", "fusion", "learn", "metrics"}
       "--out-svm", "joint.json", "--epochs", "2"), FUSION_MODULES),
     (("fuse-feat", "predict", "--manifest", "data/manifest.csv", "--norm", "norm0.json",
       "--svm", "joint0.json", "--out", "joint.csv"), FUSION_MODULES),
-    (("island-demo",),
-     {"cli", "core", "features", "learn", "synth"}),
     (("evaluate", "--pred", "audio.csv", "--manifest", "data/manifest.csv"),
      {"cli", "core", "metrics"}),
 ], ids=["import-avfusion", "import-avfusion.cli", "synth", "lbptop", "pca-fit", "pca-apply",
         "pool", "train-svm", "predict-svm", "fuse-bn-fit", "fuse-bn-infer", "fuse-feat-train",
-        "fuse-feat-predict", "island-demo", "evaluate"])
+        "fuse-feat-predict", "evaluate"])
 def test_each_stage_imports_only_the_modules_it_runs(stage_inputs, argv, expected):
     """A fresh interpreter per case, since this process has imported every
     module: importing the package or the CLI, or running one stage, loads
@@ -520,30 +515,22 @@ def test_cnn_matrix_of_wrong_width_names_its_file(tmp_path, capsys):
                                        "expected shape (None, 7), got (12, 10)\n")
 
 
-def test_island_demo(tmp_path, capsys):
-    assert run("island-demo", "--out", tmp_path / "trace.csv") == 0
-    out = capsys.readouterr().out
-    assert "baseline" in out and "island" in out
-    lines = (tmp_path / "trace.csv").read_text().splitlines()
-    assert lines[0] == "epoch,baseline_loss,island_loss"
-    assert len(lines) == 801
-
-
 def test_csv_out_onto_a_fifo_or_directory_exits_1(synth_dirs, tmp_path, capsys):
-    """``evaluate --out`` onto a FIFO and ``island-demo --out`` onto a
-    directory exit 1 naming the target; nothing is written into the FIFO,
+    """``evaluate --out`` onto a FIFO or onto a directory exits 1 naming
+    the target; nothing is written into the FIFO,
     and no file is created or renamed."""
     _, manifest, _ = synth_dirs
     dec = tmp_path / "dec.csv"
     write_decisions(dec, [(e.clip_id, "audio", e.label) for e in load_manifest(manifest).entries])
-    fifo, folder = tmp_path / "report.csv", tmp_path / "trace.csv"
+    fifo, folder = tmp_path / "report.csv", tmp_path / "folder.csv"
     os.mkfifo(fifo)
     folder.mkdir()
     reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # a write would not block
     try:
         for argv, target in ((("evaluate", "--pred", dec, "--manifest", manifest, "--out", fifo),
                               fifo),
-                             (("island-demo", "--out", folder), folder)):
+                             (("evaluate", "--pred", dec, "--manifest", manifest, "--out", folder),
+                              folder)):
             capsys.readouterr()
             assert run(*argv) == 1, argv[0]
             assert capsys.readouterr().err == (f"error: OSError: {target}: exists and is not "
@@ -552,7 +539,7 @@ def test_csv_out_onto_a_fifo_or_directory_exits_1(synth_dirs, tmp_path, capsys):
     finally:
         os.close(reader)
     assert stat.S_ISFIFO(fifo.stat().st_mode) and folder.is_dir() and not any(folder.iterdir())
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["dec.csv", "report.csv", "trace.csv"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["dec.csv", "folder.csv", "report.csv"]
 
 
 def test_fuse_feat_train_saves_both_models_or_neither(synth_dirs, tmp_path, capsys):

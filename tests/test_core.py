@@ -25,17 +25,18 @@ from avfusion.features import (NormalizationModel, PcaModel, k_average_pool, loa
 from avfusion.fusion import (BnFusionModel, MeasurementModel, bn_files, bn_infer,
                              build_joint_vector, fit_measurement_cpt, load_bn, uniform_prior)
 from avfusion.lbptop import lbp_top_descriptor
-from avfusion.learn import (IslandLossParams, LinearSvmModel, island_loss, load_svm,
-                            probe_features, softmax_probe_train, svm_files, svm_predict_batch,
+from avfusion.learn import (LinearSvmModel, island_loss, load_svm, svm_files, svm_predict_batch,
                             svm_train, update_centers)
 from avfusion.metrics import evaluate
-from avfusion.synth import SynthConfig, gaussian_blobs
+from avfusion.synth import SynthConfig
 from avfusion.core import (CHANNELS, SEGMENT_DIMS, BadMagic, DuplicateClipId, DimensionMismatch,
                            EMOTION_NAMES, MalformedRow, TensorFormatError, Truncated,
                            UnknownLabel, check_count, check_labels, check_real, emotion_index,
                            emotion_name, load_manifest, read_decisions, read_tensor,
                            read_tensor_array, save_manifest, write_csv, write_decisions,
                            write_models, write_tensor, write_tensor_array)
+
+from test_learn import gaussian_blobs
 
 
 def test_label_bijection():
@@ -105,13 +106,10 @@ def test_check_real():
 _BLOB_X, _BLOB_Y = gaussian_blobs(3, seed=0)
 REAL_SETTINGS = {
     "C": ("C", "(0, inf)", 0.0, lambda v: svm_train(_BLOB_X, _BLOB_Y, C=v, epochs=1)),
-    "lr": ("lr", "(0, inf)", -1.0,
-           lambda v: softmax_probe_train(_BLOB_X, _BLOB_Y, epochs=1, lr=v)),
     "smoothing-alpha": ("alpha", "[0, inf)", -1.0,
                         lambda v: fit_measurement_cpt([0, 1], [0, 1], alpha=v)),
-    "lambda1": ("lambda1", "[0, inf)", -1.0, lambda v: IslandLossParams(lambda1=v)),
-    "lam": ("lam", "[0, inf)", -0.01, lambda v: IslandLossParams(lam=v)),
-    "center-alpha": ("alpha", "(0, 1]", 1.5, lambda v: IslandLossParams(alpha=v)),
+    "lambda1": ("lambda1", "[0, inf)", -1.0,
+                lambda v: island_loss(np.eye(2), [0, 1], np.eye(2), v)),
     "update-centers-alpha": ("alpha", "(0, 1]", 0.0,
                              lambda v: update_centers(np.ones((1, 2)), [0], np.eye(2), v)),
     "informativeness": ("informativeness of cnn", "[0, 1]", 1.5,
@@ -197,14 +195,16 @@ def test_array_label_refused_at_its_entry_point(entry, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("labels", [True, np.bool_(False), np.array([False, True]),
-                                    [True, True]], ids=["True", "np.bool_", "array", "list"])
+@pytest.mark.parametrize("labels", [
+    True, np.bool_(False), np.array([False, True]), [True, True], [True, 2], (3, np.bool_(False)),
+    [1, True, "x"], [[0, 1], [2, True]]], ids=["True", "np.bool_", "array", "list", "mixed-list",
+                                               "mixed-tuple", "mixed-objects", "mixed-nested"])
 def test_bool_is_no_class_index(labels):
     """A bool is no label, as it is no count or real setting: a bool scalar,
-    a bool array and an all-bool list raise UnknownLabel naming the first
-    bool.  (A list that mixes bools and integers becomes an integer array
-    before the check sees it.)"""
-    first = np.asarray(labels).flat[0]
+    a bool array and a list or tuple holding a bool raise UnknownLabel
+    naming the first bool, although numpy would make a bool among integers
+    0 or 1, and although a later value may be at fault too."""
+    first = next(v for v in np.asarray(labels, dtype=object).flat if isinstance(v, (bool, np.bool_)))
     with pytest.raises(UnknownLabel, match=f"^label {first} is not a class index in 0\\.\\.6$"):
         check_labels(labels)
     if np.ndim(labels) == 0:
@@ -216,6 +216,8 @@ def test_bool_mask_is_refused_as_svm_labels():
     X = np.random.default_rng(0).standard_normal((20, 3))
     with pytest.raises(UnknownLabel, match=r"^label False is not a class index in 0\.\.6$"):
         svm_train(X, np.arange(20) % 7 == 3, epochs=1)
+    with pytest.raises(UnknownLabel, match=r"^label True is not a class index in 0\.\.6$"):
+        svm_train(X, [2, True] * 10, epochs=1)
 
 
 def test_label_column_of_array_elements_is_refused_under_its_name():
@@ -238,14 +240,10 @@ def test_misaligned_labels_are_a_dimension_mismatch():
 _SVM = svm_train(_BLOB_X, _BLOB_Y, epochs=1)
 _PCA = pca_fit(_BLOB_X, 1)
 _NORM = normalize_fit(_BLOB_X)
-_PROBE = softmax_probe_train(_BLOB_X, _BLOB_Y, epochs=1)
 _JOINT_ROWS = {ch: np.zeros((2, dim)) for ch, dim in SEGMENT_DIMS.items()}
 ARRAY_INPUTS = {
     "svm_train": ("features", _BLOB_X, lambda a: svm_train(a, _BLOB_Y, epochs=1)),
     "svm_predict_batch": ("features", _BLOB_X, lambda a: svm_predict_batch(_SVM, a)),
-    "softmax_probe_train": ("features", _BLOB_X,
-                            lambda a: softmax_probe_train(a, _BLOB_Y, epochs=1)),
-    "probe_features": ("features", _BLOB_X, lambda a: probe_features(_PROBE, a)),
     "island-batch": ("batch", np.eye(2), lambda a: island_loss(a, [0, 1], np.eye(2), 1.0)),
     "island-centers": ("centers", np.eye(2), lambda a: island_loss(np.eye(2), [0, 1], a, 1.0)),
     "pca_fit": ("features", _BLOB_X, lambda a: pca_fit(a, 1)),
@@ -354,9 +352,8 @@ PUBLIC_API = [
     "fusion.BnFusionModel", "fusion.MeasurementModel", "fusion.bn_infer",
     "fusion.build_joint_vector", "fusion.feature_fusion_predict", "fusion.feature_fusion_train",
     "fusion.fit_bn", "fusion.fit_measurement_cpt", "fusion.fusion_predictions",
-    "learn.IslandLossParams", "learn.LinearSvmModel", "learn.island_loss",
-    "learn.island_loss_grad", "learn.softmax_probe_train", "learn.svm_predict_batch",
-    "learn.svm_train", "learn.update_centers",
+    "learn.LinearSvmModel", "learn.island_loss", "learn.island_loss_grad",
+    "learn.svm_predict_batch", "learn.svm_train", "learn.update_centers",
     "lbptop.LbpTopParams", "lbptop.build_uniform_mapping", "lbptop.lbp_top_descriptor",
     "metrics.EvalReport", "metrics.evaluate",
     "synth.SynthConfig", "synth.synth_dataset", "synth.synth_generate",
@@ -364,7 +361,7 @@ PUBLIC_API = [
 
 
 def test_public_api_is_every_submodules_own_object(monkeypatch):
-    """The package serves its 45 names and its eight submodules on first use,
+    """The package serves its 43 names and its eight submodules on first use,
     each the defining module's current object, and lists them all."""
     names = [entry.split(".")[1] for entry in PUBLIC_API]
     for entry in PUBLIC_API:

@@ -14,13 +14,19 @@ from avfusion import learn
 from avfusion.core import (CHANNELS, N_CLASSES, DimensionMismatch, MissingKey, UnknownLabel,
                            read_tensor_array, write_models, write_tensor_array)
 from avfusion.features import normalize_apply, normalize_fit
-from avfusion.learn import (DegenerateInput, IslandLossParams, LinearSvmModel,
-                            SingleClass, ZeroNormCenter, clustering_ratio,
-                            island_loss, island_loss_grad, load_svm,
-                            probe_features, softmax_probe_train, svm_files,
-                            svm_predict_batch, svm_train, update_centers)
-from avfusion.synth import (BASELINE_INFORMATIVENESS, SynthConfig, gaussian_blobs, synth_dataset,
-                            synth_generate)
+from avfusion.learn import (LinearSvmModel, SingleClass, ZeroNormCenter, island_loss,
+                            island_loss_grad, load_svm, svm_files, svm_predict_batch, svm_train,
+                            update_centers)
+from avfusion.synth import BASELINE_INFORMATIVENESS, SynthConfig, synth_dataset, synth_generate
+
+
+def gaussian_blobs(n_per_class, seed):
+    """Toy 2-D blobs of the 7 classes: unit-noise Gaussians whose means lie
+    evenly spaced on a circle of radius 3."""
+    labels = np.repeat(np.arange(7), n_per_class)
+    angles = 2.0 * np.pi * np.arange(7) / 7
+    means = 3.0 * np.column_stack([np.cos(angles), np.sin(angles)])
+    return means[labels] + np.random.default_rng(seed).standard_normal((labels.size, 2)), labels
 
 
 def island_loss_reference(X, y, centers, lambda1):
@@ -125,18 +131,16 @@ def test_island_batch_errors():
             call(np.ones((2, 3)), [0, 1], centers)
 
 
-def test_island_params_and_ratio_reject_degenerate_settings():
-    with pytest.raises(ValueError, match=r"^lam must be a real number in \[0, inf\), got -0\.01$"):
-        IslandLossParams(lam=-0.01)
-    for name in ("lambda1", "lam"):
-        for value in (math.nan, math.inf):
-            with pytest.raises(ValueError,
-                               match=rf"^{name} must be a real number in \[0, inf\), got {value}$"):
-                IslandLossParams(**{name: value})
-    with pytest.raises(ValueError, match=r"^alpha must be a real number in \(0, 1\], got 0$"):
-        IslandLossParams(alpha=0)
-    with pytest.raises(DegenerateInput, match="no class has two samples"):
-        clustering_ratio(np.eye(3), [0, 1, 2], np.eye(3))
+@pytest.mark.parametrize("lambda1", [math.nan, -1.0, math.inf, True])
+def test_island_functions_refuse_a_bad_lambda1(lambda1):
+    """The loss, its gradients and the center step share one lambda1 check."""
+    calls = (lambda: island_loss(np.eye(2), [0, 1], np.eye(2), lambda1),
+             lambda: island_loss_grad(np.eye(2), [0, 1], np.eye(2), lambda1),
+             lambda: update_centers(np.eye(2), [0, 1], np.eye(2), 0.5, lambda1))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^lambda1 must be a real number in \[0, inf\), "
+                                             rf"got {lambda1!r}$"):
+            call()
 
 
 def test_grad_at_stationary_point():
@@ -218,38 +222,23 @@ def test_update_centers_rejects_alpha_outside_unit_interval(alpha):
         update_centers(np.array([[2.0, 4.0]]), [0], centers, alpha)
 
 
-def test_probe_plain_softmax_separable():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((30, 2)) + [5, 0]
-    b = rng.standard_normal((30, 2)) + [-5, 0]
-    X = np.vstack([a, b])
-    y = np.array([0] * 30 + [1] * 30)
-    probe = softmax_probe_train(X, y, IslandLossParams(lam=0.0), epochs=600, seed=0, lr=0.2)
-    z = probe_features(probe, X)
-    assert np.mean(np.argmax(z, axis=1) == y) == 1.0
-
-
-def test_probe_island_improves_clustering_ratio():
-    X, y = gaussian_blobs(40, seed=0)
-    base = softmax_probe_train(X, y, IslandLossParams(lam=0.0), epochs=800, seed=0)
-    isl = softmax_probe_train(X, y, IslandLossParams(lam=0.01, lambda1=10.0),
-                              epochs=800, seed=0)
-    r_base = clustering_ratio(probe_features(base, X), y, base.centers)
-    r_isl = clustering_ratio(probe_features(isl, X), y, isl.centers)
-    assert r_isl < r_base
-
-
-def softmax_probe_reference(X, y, params, epochs, seed, lr):
-    """The probe's epoch loop spelled with the public island_loss and
-    update_centers: one softmax step, then one center step, per epoch."""
+def softmax_probe_reference(X, y, lam, lambda1, alpha, epochs, seed, lr):
+    """A linear softmax classifier whose logits z = Wx + b act as the feature
+    layer of the island loss, written with the public island_loss and
+    update_centers: one softmax step, then one center step, per epoch.  The
+    centers live in logit space; at lam 0 the loop is plain softmax
+    regression, and its centers still track the class means of z, so
+    clustering ratios stay comparable.  Returns W, b, the centers and the
+    per-epoch total loss."""
     m, d = X.shape
     n_classes = int(y.max()) + 1
     rng = np.random.default_rng(seed)
     W = 0.01 * rng.standard_normal((n_classes, d))
     b = np.zeros(n_classes)
+    # Unit-scale centers: the pairwise cosine gradient scales with 1/|c_j|.
     centers = rng.standard_normal((n_classes, n_classes))
     onehot = np.eye(n_classes)[y]
-    active = params.lam > 0
+    active = lam > 0
     trace = np.empty(epochs)
     for epoch in range(epochs):
         z = X @ W.T + b
@@ -257,96 +246,60 @@ def softmax_probe_reference(X, y, params, epochs, seed, lr):
         log_norm = np.log(np.exp(shifted).sum(axis=1))
         total = float(np.mean(log_norm - shifted[np.arange(m), y]))
         if active:
-            total += params.lam * island_loss(z, y, centers, params.lambda1)
+            total += lam * island_loss(z, y, centers, lambda1)
         trace[epoch] = total
         dz = (np.exp(shifted - log_norm[:, None]) - onehot) / m
         if active:
-            dz = dz + params.lam * (z - centers[y])
+            dz = dz + lam * (z - centers[y])
         W -= lr * (dz.T @ X)
         b -= lr * dz.sum(axis=0)
-        centers = update_centers(z, y, centers, params.alpha, params.lambda1 if active else 0.0)
+        centers = update_centers(z, y, centers, alpha, lambda1 if active else 0.0)
     return W, b, centers, trace
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-@pytest.mark.parametrize("lam", [0.0, 0.01])
-def test_probe_matches_reference_loop(lam, seed):
-    """softmax_probe_train trains the public-function loop's W, b, centers
-    and loss trace, bit for bit, with and without the island term."""
-    X, y = gaussian_blobs(20, seed=seed)
-    params = IslandLossParams(lam=lam)
-    probe = softmax_probe_train(X, y, params, epochs=300, seed=seed, lr=0.05)
-    expected = softmax_probe_reference(X, y, params, epochs=300, seed=seed, lr=0.05)
-    for got, want in zip((probe.W, probe.b, probe.centers, probe.trace), expected):
-        assert got.tobytes() == want.tobytes()
+def clustering_ratio(features, y, centers):
+    """Mean intra-class distance over mean inter-center distance.
+
+    Intra-class distance is the mean pairwise distance among same-class
+    feature vectors (averaged over classes with at least two samples);
+    inter-center distance is the mean pairwise distance among centers.
+    """
+    def mean_distance(rows):
+        k = rows.shape[0]
+        return np.linalg.norm(rows[:, None, :] - rows[None, :, :], axis=2).sum() / (k * (k - 1))
+
+    groups = (features[y == j] for j in range(centers.shape[0]))
+    return float(np.mean([mean_distance(g) for g in groups if g.shape[0] >= 2])
+                 / mean_distance(centers))
 
 
-def test_probe_deterministic():
-    X, y = gaussian_blobs(10, seed=1)
-    p1 = softmax_probe_train(X, y, epochs=50, seed=3)
-    p2 = softmax_probe_train(X, y, epochs=50, seed=3)
-    assert np.array_equal(p1.trace, p2.trace)
-    assert np.array_equal(p1.W, p2.W)
-    assert np.array_equal(p1.centers, p2.centers)
+def test_probe_plain_softmax_separable():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((30, 2)) + [5, 0]
+    b = rng.standard_normal((30, 2)) + [-5, 0]
+    X = np.vstack([a, b])
+    y = np.array([0] * 30 + [1] * 30)
+    W, b, _, _ = softmax_probe_reference(X, y, lam=0.0, lambda1=10.0, alpha=0.5, epochs=600,
+                                         seed=0, lr=0.2)
+    assert np.mean(np.argmax(X @ W.T + b, axis=1) == y) == 1.0
 
 
 def test_probe_loss_trace_decreases_with_small_steps():
     X, y = gaussian_blobs(20, seed=2)
-    probe = softmax_probe_train(X, y, IslandLossParams(lam=0.0), epochs=200,
-                                seed=0, lr=0.01)
-    diffs = np.diff(probe.trace)
-    assert np.all(diffs <= 1e-12)
-
-
-def test_probe_degenerate_input():
-    with pytest.raises(DegenerateInput):
-        softmax_probe_train(np.zeros((3, 2)), [0, 1, 6], epochs=5, seed=0)
-
-
-def test_probe_and_ratio_refuse_fractional_labels():
-    X = np.arange(12, dtype=float).reshape(6, 2)
-    with pytest.raises(UnknownLabel):
-        softmax_probe_train(X, [0, 0.5, 1, 1.5, 1, 0], epochs=3, seed=0)
-    with pytest.raises(ValueError):
-        clustering_ratio(X, [0, 0.7, 1, 1.2, 1, 0], np.eye(2))
-
-
-@pytest.mark.parametrize("centers, cause", [
-    (np.ones((1, 2)), "one center"),
-    (np.ones((3, 2)), "centers coincide"),
-])
-def test_clustering_ratio_refuses_degenerate_centers(centers, cause):
-    """One center, or centers that all coincide, leave no inter-center
-    distance to divide by."""
-    X = np.arange(12, dtype=float).reshape(6, 2)
-    with pytest.raises(DegenerateInput, match=cause):
-        clustering_ratio(X, [0, 0, 0, 0, 0, 0], centers)
+    *_, trace = softmax_probe_reference(X, y, lam=0.0, lambda1=10.0, alpha=0.5, epochs=200,
+                                        seed=0, lr=0.01)
+    assert np.all(np.diff(trace) <= 1e-12)
 
 
 def test_trainers_check_epochs_before_features():
-    """Both trainers check epochs, then seed, then features, then labels."""
+    """svm_train checks epochs, then seed, then features, then labels."""
     bad_features = np.full((4, 2), np.nan)
-    for train in (svm_train, softmax_probe_train):
-        with pytest.raises(ValueError, match="^epochs must be an integer >= 1"):
-            train(bad_features, [0, 1, 0, 1], epochs=0, seed=-1)
-        with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
-            train(bad_features, [0, 1, 0, 1], epochs=1, seed=-1)
-        with pytest.raises(ValueError, match="^features: contains non-finite values"):
-            train(bad_features, [0, 9], epochs=1)
-
-
-@pytest.mark.parametrize("epochs", [0, -3, True])
-def test_probe_rejects_too_few_epochs(epochs):
-    X, y = gaussian_blobs(3, seed=0)
-    with pytest.raises(ValueError, match="epochs must be an integer >= 1"):
-        softmax_probe_train(X, y, epochs=epochs)
-
-
-@pytest.mark.parametrize("lr", [-1.0, 0.0, np.nan, np.inf])
-def test_probe_rejects_bad_lr(lr):
-    X, y = gaussian_blobs(3, seed=0)
-    with pytest.raises(ValueError, match=rf"^lr must be a real number in \(0, inf\), got {lr}$"):
-        softmax_probe_train(X, y, epochs=2, lr=lr)
+    with pytest.raises(ValueError, match="^epochs must be an integer >= 1"):
+        svm_train(bad_features, [0, 1, 0, 1], epochs=0, seed=-1)
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+        svm_train(bad_features, [0, 1, 0, 1], epochs=1, seed=-1)
+    with pytest.raises(ValueError, match="^features: contains non-finite values"):
+        svm_train(bad_features, [0, 9], epochs=1)
 
 
 @pytest.mark.parametrize("seed", [2.5, -1, True, "0", None, np.float64(1.0)])
@@ -354,16 +307,14 @@ def test_trainers_reject_bad_seed(seed):
     X, y = gaussian_blobs(3, seed=0)
     with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
         svm_train(X, y, epochs=1, seed=seed)
-    with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
-        softmax_probe_train(X, y, epochs=1, seed=seed)
 
 
 def test_trainers_take_numpy_integer_seeds():
     X, y = gaussian_blobs(3, seed=0)
     assert np.array_equal(svm_train(X, y, epochs=2, seed=np.int64(4)).W,
                           svm_train(X, y, epochs=2, seed=4).W)
-    assert np.array_equal(softmax_probe_train(X, y, epochs=2, seed=np.uint8(0)).W,
-                          softmax_probe_train(X, y, epochs=2, seed=0).W)
+    assert np.array_equal(svm_train(X, y, epochs=2, seed=np.uint8(0)).W,
+                          svm_train(X, y, epochs=2, seed=0).W)
 
 
 @pytest.mark.parametrize("C", [0, -1.0, np.nan, np.inf])

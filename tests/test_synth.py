@@ -8,8 +8,7 @@ from avfusion import synth
 from avfusion.core import CHANNELS, SEGMENT_DIMS, load_manifest, read_tensor_array
 from avfusion.features import k_average_pool
 from avfusion.learn import svm_predict_batch, svm_train
-from avfusion.synth import (BASELINE_INFORMATIVENESS, SynthConfig, gaussian_blobs,
-                            synth_dataset, synth_generate)
+from avfusion.synth import BASELINE_INFORMATIVENESS, SynthConfig, synth_dataset, synth_generate
 
 
 def test_config_validation():
@@ -19,8 +18,6 @@ def test_config_validation():
     for seed in (2.5, -1, True, "0"):
         with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
             SynthConfig(n_clips=5, seed=seed)
-        with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
-            gaussian_blobs(3, seed=seed)
     assert synth_dataset(SynthConfig(n_clips=7, seed=np.int64(0))).labels.size == 7
     with pytest.raises(ValueError):
         SynthConfig(informativeness=(1.0, 1.0, 1.0))
@@ -211,18 +208,3 @@ def test_generate_deterministic_bytes(tmp_path):
 def test_baseline_profile_is_valid_config():
     SynthConfig(n_clips=10, informativeness=BASELINE_INFORMATIVENESS)
 
-
-def test_gaussian_blobs_deterministic():
-    X1, y1 = gaussian_blobs(10, seed=4)
-    X2, y2 = gaussian_blobs(10, seed=4)
-    assert np.array_equal(X1, X2)
-    assert np.array_equal(y1, y2)
-    assert X1.shape == (70, 2)
-    assert np.array_equal(np.bincount(y1), np.full(7, 10))
-
-
-def test_gaussian_blobs_checks_its_sizes():
-    for kwargs, name in (({"n_per_class": 0}, "n_per_class"),
-                         ({"n_per_class": 2.5}, "n_per_class")):
-        with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
-            gaussian_blobs(**kwargs)
