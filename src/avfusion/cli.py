@@ -74,12 +74,8 @@ def cmd_synth(args):
             rho[k] = float(value)
         except ValueError:
             raise ValueError(f"--informativeness: {value!r} ({channel}) is not a number") from None
-    config = synth.SynthConfig(
-        n_clips=args.n_clips,
-        informativeness=tuple(rho),
-        failed_channels=tuple(c for c in args.fail.split(",") if c),
-        seed=args.seed,
-    )
+    config = synth.SynthConfig(n_clips=args.n_clips, informativeness=tuple(rho), seed=args.seed,
+                               failed_channels=tuple(c for c in args.fail.split(",") if c))
     manifest_path = synth.synth_generate(config, args.out)
     print(f"wrote {config.n_clips} clips under {args.out} (manifest: {manifest_path})")
 

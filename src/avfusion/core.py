@@ -17,7 +17,6 @@ decisions file's header is ``clip_id,channel,predicted_label``, its labels emoti
 
 import contextlib
 import csv
-import errno
 import json
 import math
 import os
@@ -277,20 +276,8 @@ def read_tensor(path):
     BadMagic on a wrong magic, Truncated when the file ends early and
     ValueError when a value is not finite.
     """
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        info = os.fstat(fd)
-        if stat.S_ISDIR(info.st_mode):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
-        # A regular file's size is known, so its first read takes it all
-        # and the second finds the end; a pipe's is not.
-        size = info.st_size + 1 if stat.S_ISREG(info.st_mode) else 1 << 16
-        chunks = []
-        while chunk := os.read(fd, size):
-            chunks.append(chunk)
-    finally:
-        os.close(fd)
-    blob = b"".join(chunks)
+    with open(path, "rb", buffering=0) as fh:
+        blob = fh.readall()
     if len(blob) < 4:
         raise Truncated(f"{path}: file shorter than the magic")
     if blob[:4] != _MAGIC:
@@ -439,7 +426,7 @@ def read_model(path, kind, build):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ManifestEntry:
     clip_id: str
     label: int | None
@@ -452,12 +439,9 @@ class DatasetManifest:
 
     def labels(self):
         """Label indices in entry order; raises if any entry is unlabeled."""
-        out = []
-        for e in self.entries:
-            if e.label is None:
-                raise ManifestError(f"clip {e.clip_id!r} has no label")
-            out.append(e.label)
-        return out
+        if unlabeled := [e.clip_id for e in self.entries if e.label is None]:
+            raise ManifestError(f"clip {unlabeled[0]!r} has no label")
+        return [e.label for e in self.entries]
 
 
 def load_manifest(path):
@@ -472,28 +456,47 @@ def load_manifest(path):
         if clip_id in seen:
             raise DuplicateClipId(f"clip_id {clip_id!r} repeats")
         seen.add(clip_id)
-        return ManifestEntry(clip_id=clip_id, label=emotion_index(label) if label else None,
-                             paths={channel: os.path.join(folder, cell)
-                                    for channel, cell in zip(CHANNELS, cells) if cell})
+        return ManifestEntry(clip_id, emotion_index(label) if label else None, {
+            channel: os.path.join(folder, cell) for channel, cell in zip(CHANNELS, cells) if cell})
     return DatasetManifest(entries=list(read_csv(path, MANIFEST_COLUMNS, MalformedRow, entry)))
 
 
+def _cell(text, name, error):
+    """``text`` if ``read_csv`` reads it back as written, else ``error`` naming ``name``."""
+    if not (isinstance(text, str) and text.strip() == text != ""):
+        raise error(f"{name} {text!r} is not a non-empty str without whitespace at either end")
+    return text
+
+
 def save_manifest(path, entries):
-    """Write a manifest CSV from (clip_id, label index or None,
-    channel->cell) entries; None leaves the label cell empty.  Each cell,
-    a str or os.PathLike, is written as given; a channel with no cell gets
-    an empty one."""
-    entries = list(entries)
+    """Write a manifest CSV from (clip_id, label index or None, channel->cell)
+    entries; None leaves the label cell empty, and a channel with no cell
+    gets an empty one.  Each cell, a str or os.PathLike, is written as given.
+    A row the reader would refuse or read back otherwise raises first: a repeated
+    clip_id DuplicateClipId, an empty, non-str or padded cell or a key no channel MalformedRow."""
+    entries, seen = list(entries), set()
     names = iter(check_labels([label for _, label, _ in entries if label is not None]).tolist())
+    for clip_id, _, paths in entries:
+        if _cell(clip_id, "clip_id", MalformedRow) in seen:
+            raise DuplicateClipId(f"clip_id {clip_id!r} repeats")
+        seen.add(clip_id)
+        if unknown := [key for key in paths if key not in SEGMENT_DIMS]:
+            raise MalformedRow(f"clip {clip_id!r}: {unknown[0]!r} is not a channel of {CHANNELS}")
     write_csv(path, [MANIFEST_COLUMNS, *(
         [clip_id, "" if label is None else EMOTION_NAMES[next(names)],
-         *(os.fspath(paths.get(channel, "")) for channel in CHANNELS)]
-        for clip_id, label, paths in entries)])
+         *(_cell(os.fspath(paths[ch]), f"{ch} path", MalformedRow) if ch in paths else ""
+           for ch in CHANNELS)] for clip_id, label, paths in entries)])
 
 
 def write_decisions(path, rows):
-    """Write a decisions CSV of (clip_id, channel, label index) rows."""
-    labels = check_labels([label for *_, label in rows], n=len(rows))
+    """Write a decisions CSV of (clip_id, channel, label index) rows.  A row the
+    reader would refuse or read back otherwise raises first: a repeated (clip_id,
+    channel) pair DuplicateDecision, an empty, non-str or padded cell ValueError."""
+    labels, seen = check_labels([label for *_, label in rows], n=len(rows)), set()
+    for clip_id, channel, _ in rows:
+        if (_cell(clip_id, "clip_id", ValueError), _cell(channel, "channel", ValueError)) in seen:
+            raise DuplicateDecision(f"second {channel} decision for {clip_id!r}")
+        seen.add((clip_id, channel))
     write_csv(path, [DECISION_COLUMNS, *((c, ch, EMOTION_NAMES[label])
                                          for (c, ch, _), label in zip(rows, labels.tolist()))])
 

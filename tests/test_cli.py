@@ -293,7 +293,9 @@ def test_duplicate_decision_exits_1(synth_dirs, tmp_path, capsys, argv):
     _, _, manifest = synth_dirs
     ids = [e.clip_id for e in load_manifest(manifest).entries]
     dec = tmp_path / "dec.csv"
-    write_decisions(dec, [(cid, "audio", 0) for cid in ids] + [(ids[3], "audio", 1)])
+    write_decisions(dec, [(cid, "audio", 0) for cid in ids])
+    with open(dec, "a", newline="") as fh:  # write_decisions refuses the repeat itself
+        csv.writer(fh).writerow([ids[3], "audio", "Disgust"])
     bn = tmp_path / "bn.json"
     write_models(bn_files(BnFusionModel(prior=uniform_prior(), measurements=(
         MeasurementModel(channel="audio", cpt=np.eye(7)),)), bn))

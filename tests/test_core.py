@@ -29,8 +29,9 @@ from avfusion.learn import (LinearSvmModel, island_loss, load_svm, svm_files, sv
                             svm_train, update_centers)
 from avfusion.metrics import evaluate
 from avfusion.synth import SynthConfig
-from avfusion.core import (CHANNELS, SEGMENT_DIMS, BadMagic, DuplicateClipId, DimensionMismatch,
-                           EMOTION_NAMES, MalformedRow, TensorFormatError, Truncated,
+from avfusion.core import (CHANNELS, DECISION_COLUMNS, MANIFEST_COLUMNS, SEGMENT_DIMS, BadMagic,
+                           DuplicateClipId, DuplicateDecision, DimensionMismatch, EMOTION_NAMES,
+                           MalformedRow, ManifestEntry, TensorFormatError, Truncated,
                            UnknownLabel, check_count, check_labels, check_real, emotion_index,
                            emotion_name, load_manifest, read_decisions, read_tensor,
                            read_tensor_array, save_manifest, write_csv, write_decisions,
@@ -940,6 +941,78 @@ def test_manifest_duplicate_clip_id(tmp_path):
                      "c1,Happy,,,,\nc1,Fear,,,,\n")
     with pytest.raises(DuplicateClipId):
         load_manifest(mpath)
+
+
+# Entries that save_manifest refuses, each with the error load_manifest raises on it.
+MANIFEST_REFUSALS = {
+    "repeated-id": ([("x", 0, {}), ("x", 1, {})], DuplicateClipId),
+    "empty-id": ([("", 0, {})], MalformedRow),
+    "padded-id": ([(" x", 0, {"audio": "a.fvt"})], MalformedRow),
+    "padded-path": ([("x", 0, {"audio": " b.fvt"})], MalformedRow),
+    "empty-path": ([("x", 0, {"audio": ""})], MalformedRow),
+    "unknown-channel": ([("x", 0, {"vidoe": "v.fvt"})], MalformedRow),
+    "id-not-str": ([(5, 0, {})], MalformedRow),
+}
+
+
+@pytest.mark.parametrize("case", MANIFEST_REFUSALS)
+def test_save_manifest_refuses_what_load_manifest_refuses_or_rewrites(tmp_path, case):
+    """Written unchecked, each of these entries is refused by load_manifest
+    or read back as other entries; save_manifest refuses it with the
+    reader's error type before anything is written."""
+    entries, error = MANIFEST_REFUSALS[case]
+    raw = tmp_path / "raw.csv"
+    write_csv(raw, [MANIFEST_COLUMNS, *([clip_id, EMOTION_NAMES[label],
+                                         *(paths.get(ch, "") for ch in CHANNELS)]
+                                        for clip_id, label, paths in entries)])
+    try:
+        loaded = [(e.clip_id, e.label, e.paths) for e in load_manifest(raw).entries]
+    except error:
+        pass
+    else:
+        assert loaded != [(clip_id, label, {ch: os.path.join(tmp_path, cell)
+                                            for ch, cell in paths.items()})
+                          for clip_id, label, paths in entries]
+    with pytest.raises(error) as exc:
+        save_manifest(tmp_path / "m.csv", entries)
+    assert exc.type is error
+    assert [f.name for f in tmp_path.iterdir()] == ["raw.csv"]
+
+
+# Rows that write_decisions refuses, each with the error read_decisions raises on it.
+DECISION_REFUSALS = {
+    "repeated-pair": ([("x", "audio", 0), ("x", "audio", 1)], DuplicateDecision),
+    "empty-id": ([("", "audio", 0)], ValueError),
+    "empty-channel": ([("x", "", 0)], ValueError),
+    "padded-id": ([("x\t", "audio", 0)], ValueError),
+    "padded-channel": ([("x", "audio ", 0)], ValueError),
+    "channel-not-str": ([("x", None, 0)], ValueError),
+}
+
+
+@pytest.mark.parametrize("case", DECISION_REFUSALS)
+def test_write_decisions_refuses_what_read_decisions_refuses_or_rewrites(tmp_path, case):
+    """Written unchecked, each of these rows is refused by read_decisions or
+    read back as other decisions; write_decisions refuses it with the
+    reader's error type before anything is written."""
+    rows, error = DECISION_REFUSALS[case]
+    raw = tmp_path / "raw.csv"
+    write_csv(raw, [DECISION_COLUMNS, *((c, ch, EMOTION_NAMES[label]) for c, ch, label in rows)])
+    try:
+        merged = read_decisions([raw])
+    except error:
+        pass
+    else:
+        assert merged != {c: {ch: label} for c, ch, label in rows}
+    with pytest.raises(error) as exc:
+        write_decisions(tmp_path / "dec.csv", rows)
+    assert exc.type is error
+    assert [f.name for f in tmp_path.iterdir()] == ["raw.csv"]
+
+
+def test_manifest_entry_holds_no_dict():
+    """A manifest holds one entry per clip; slots keep a __dict__ off each."""
+    assert not hasattr(ManifestEntry("c1", 0, {}), "__dict__")
 
 
 def test_manifest_unknown_label(tmp_path):
