@@ -119,39 +119,29 @@ def emotion_name(index):
 
 
 def check_labels(labels, name="label", n=None, classes=N_CLASSES):
-    """Return a label, or an array of them, as int64 when each equals an
-    integer in 0..classes-1 and is no bool; else raise UnknownLabel naming
-    the first one at fault.  Strings, None, ragged nesting and array
-    elements are compared as objects, one element at a time, so "1" is not
-    1 and an element that is not a scalar is no label.  When ``n`` is given the
+    """Return a label, or an array of them, as int64 when each is a real
+    number (int, float, numpy integer or floating; no bool) equal to an
+    integer in 0..classes-1; else raise UnknownLabel naming the first one at
+    fault.  An integer or float ndarray is checked at once; anything else is
+    checked one element at a time as objects, so "1", None, a complex value or
+    an element that is not a scalar is no label.  When ``n`` is given the
     labels must be a 1-D sequence of ``n``, else LengthMismatch.  Errors
     start with ``name``."""
-    try:
-        if isinstance(labels, (list, tuple)) and _holds_bool(labels):
-            raise ValueError("numpy would make each bool 0 or 1")
-        raw = _as_numbers(labels, name)
-    except ValueError:  # not an array of numbers, or a list that holds a bool
+    if isinstance(labels, np.ndarray) and labels.dtype.kind in "iuf":  # no bool, str or object
+        raw, known = labels, (labels[..., None] == np.arange(classes)).any(axis=-1)
+        bad = () if known.all() else raw[~known]  # indexing only on the error path
+    else:  # equal numbers hash equal, so the set finds 2.0 and np.int64(2) too
         try:
             raw = np.asarray(labels, dtype=object)
         except ValueError:  # array elements of differing shapes
             raw = np.fromiter(labels, dtype=object)
-        known = np.vectorize(lambda v: np.isscalar(v) and not isinstance(v, (bool, np.bool_))
-                             and v in range(classes), otypes=[bool])(raw)
-    else:  # a bool array is compared with no class at all, so every bool is refused
-        known = (raw[..., None] == np.arange(classes * (raw.dtype.kind != "b"))).any(axis=-1)
+        real, known = (int, float, np.integer, np.floating), set(range(classes))
+        bad = [v for v in raw.flat if type(v) is bool or not isinstance(v, real) or v not in known]
     if n is not None and raw.shape != (n,):
         raise LengthMismatch(f"{name}: expected {n} labels, got shape {raw.shape}")
-    if not known.all():
-        raise UnknownLabel(f"{name} {raw[~known][0]} is not a class index in 0..{classes - 1}")
+    if len(bad):
+        raise UnknownLabel(f"{name} {bad[0]} is not a class index in 0..{classes - 1}")
     return raw.astype(np.int64)
-
-
-def _holds_bool(items):
-    """Whether a list or tuple holds a bool at any depth."""
-    kinds = set(map(type, items))  # bool and np.bool_ take no subclasses
-    return (bool in kinds or np.bool_ in kinds
-            or any(issubclass(k, (list, tuple)) for k in kinds)
-            and any(_holds_bool(v) for v in items if isinstance(v, (list, tuple))))
 
 
 def check_count(value, name, least=1):
@@ -276,7 +266,7 @@ def read_tensor(path):
     BadMagic on a wrong magic, Truncated when the file ends early and
     ValueError when a value is not finite.
     """
-    with open(path, "rb", buffering=0) as fh:
+    with open(os.fspath(path), "rb", buffering=0) as fh:  # an int path is no descriptor
         blob = fh.readall()
     if len(blob) < 4:
         raise Truncated(f"{path}: file shorter than the magic")
@@ -358,7 +348,7 @@ def read_csv(path, columns, error, parse):
     a row not ``len(columns)`` cells wide, or a file with no rows raises
     ``error`` naming the file, and for a row its line; a ValueError from
     ``parse`` is re-raised with ``path:line:`` in front, its type kept."""
-    with open(path, newline="") as fh:
+    with open(os.fspath(path), newline="") as fh:
         reader = csv.reader(fh)
         if tuple(h.strip() for h in next(reader, ())) != columns:
             raise error(f"{path}: header must be {','.join(columns)}")
@@ -472,9 +462,12 @@ def save_manifest(path, entries):
     """Write a manifest CSV from (clip_id, label index or None, channel->cell)
     entries; None leaves the label cell empty, and a channel with no cell
     gets an empty one.  Each cell, a str or os.PathLike, is written as given.
-    A row the reader would refuse or read back otherwise raises first: a repeated
-    clip_id DuplicateClipId, an empty, non-str or padded cell or a key no channel MalformedRow."""
+    A table the reader would refuse or read back otherwise raises first: a repeated
+    clip_id DuplicateClipId; no entries, an empty, non-str or padded cell or a key no
+    channel MalformedRow."""
     entries, seen = list(entries), set()
+    if not entries:
+        raise MalformedRow(f"{path}: no entries to write")
     names = iter(check_labels([label for _, label, _ in entries if label is not None]).tolist())
     for clip_id, _, paths in entries:
         if _cell(clip_id, "clip_id", MalformedRow) in seen:
@@ -489,9 +482,11 @@ def save_manifest(path, entries):
 
 
 def write_decisions(path, rows):
-    """Write a decisions CSV of (clip_id, channel, label index) rows.  A row the
+    """Write a decisions CSV of (clip_id, channel, label index) rows.  A table the
     reader would refuse or read back otherwise raises first: a repeated (clip_id,
-    channel) pair DuplicateDecision, an empty, non-str or padded cell ValueError."""
+    channel) pair DuplicateDecision; no rows, an empty, non-str or padded cell ValueError."""
+    if not rows:
+        raise ValueError(f"{path}: no rows to write")
     labels, seen = check_labels([label for *_, label in rows], n=len(rows)), set()
     for clip_id, channel, _ in rows:
         if (_cell(clip_id, "clip_id", ValueError), _cell(channel, "channel", ValueError)) in seen:
@@ -509,7 +504,7 @@ def read_decisions(paths):
     raises DuplicateDecision rather than letting one decision silently win.
     Each file must hold a row below its header, else ValueError names it.
     """
-    if isinstance(paths, (str, os.PathLike)):
+    if isinstance(paths, (str, bytes, os.PathLike)):
         raise TypeError(f"read_decisions takes a list of paths, got {paths!r}")
     merged = {}
 

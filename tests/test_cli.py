@@ -15,9 +15,9 @@ import pytest
 import avfusion
 from avfusion import features, synth
 from avfusion.cli import _channel_matrix, build_parser, main
-from avfusion.core import (CHANNELS, EMOTION_NAMES, MANIFEST_COLUMNS, load_manifest,
-                           read_decisions, read_tensor_array, save_manifest, write_decisions,
-                           write_models, write_tensor_array)
+from avfusion.core import (CHANNELS, DECISION_COLUMNS, EMOTION_NAMES, MANIFEST_COLUMNS,
+                           load_manifest, read_decisions, read_tensor_array, save_manifest,
+                           write_csv, write_decisions, write_models, write_tensor_array)
 from avfusion.features import k_average_pool
 from avfusion.fusion import (BnFusionModel, MeasurementModel, bn_infer, fit_bn,
                              fusion_predictions, bn_files, load_bn, uniform_prior)
@@ -752,7 +752,7 @@ def _append(path, data):
 def _bn_without_decisions(d):
     write_models(bn_files(BnFusionModel(prior=uniform_prior(), measurements=(
         MeasurementModel(channel="audio", cpt=np.eye(7)),)), d / "bn.json"))
-    write_decisions(d / "dec.csv", [])
+    write_csv(d / "dec.csv", [DECISION_COLUMNS])
 
 
 def _svm_of_width(d, width):
@@ -841,9 +841,9 @@ DATA_ERRORS = {
                         ("fuse-bn", "infer", "--model", "{d}/bn.json",
                          "--decisions", "{d}/dec.csv", "--out", "{d}/out"),
                         "ValueError: {d}/dec.csv: no rows below the header"),
-    "decisions-empty-evaluate": (lambda d: write_decisions(d / "dec.csv", []), EVALUATE,
+    "decisions-empty-evaluate": (lambda d: write_csv(d / "dec.csv", [DECISION_COLUMNS]), EVALUATE,
                                  "ValueError: {d}/dec.csv: no rows below the header"),
-    "decisions-empty-fit": (lambda d: write_decisions(d / "dec.csv", []),
+    "decisions-empty-fit": (lambda d: write_csv(d / "dec.csv", [DECISION_COLUMNS]),
                             ("fuse-bn", "fit", "--manifest", "{d}/manifest.csv",
                              "--decisions", "{d}/dec.csv", "--out", "{d}/out"),
                             "ValueError: {d}/dec.csv: no rows below the header"),

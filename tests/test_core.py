@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import gc
 import importlib
 import json
@@ -150,12 +151,13 @@ CLASS_INDEX_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("value", [1.5, 7, -1, "1", None], ids=repr)
+@pytest.mark.parametrize("value", [1.5, 7, -1, "1", None, 1 + 0j, np.complex128(2)], ids=repr)
 @pytest.mark.parametrize("entry", CLASS_INDEX_ENTRY_POINTS)
 def test_class_index_refused_at_its_entry_point(entry, value, tmp_path):
-    """One rule, core.check_labels: only a value equal to an integer in
-    0..6 is a label, and the error names that value as given.  In a
-    manifest None marks an unlabeled clip, so save_manifest takes it."""
+    """One rule, core.check_labels: only a real value equal to an integer in
+    0..6 is a label, so a complex one is not, and the error names that value
+    as given.  In a manifest None marks an unlabeled clip, so save_manifest
+    takes it."""
     if entry == "save_manifest" and value is None:
         save_manifest(tmp_path / "m.csv", [("a", 0, {}), ("b", None, {})])
         return
@@ -227,6 +229,24 @@ def test_label_column_of_array_elements_is_refused_under_its_name():
     for labels in ([np.array([1, 2]), 3], [np.zeros((2, 3)), np.zeros((2, 4))]):
         with pytest.raises(UnknownLabel, match=r"(?s)^label \[.* is not a class index in 0\.\.6$"):
             check_labels(labels)
+
+
+@pytest.mark.parametrize("bad", [None, 1.5, 7, -1, math.nan, math.inf], ids=repr)
+def test_label_column_checked_alike_as_ndarray_list_and_tuple(bad):
+    """An int or float ndarray is checked at once and anything else one
+    element at a time: the same column as an ndarray, a list or a tuple
+    gives the same int64 labels or, with one bad value, the same error."""
+    column = [0, 3, 6, 2] if bad is None else [0, 3, bad, 2]
+    for dtype in [np.int64, np.float64] if all(isinstance(v, int) for v in column) else [np.float64]:
+        array = np.array(column, dtype=dtype)
+        for labels in (array, array.tolist(), tuple(array.tolist())):
+            if bad is None:
+                got = check_labels(labels)
+                assert got.dtype == np.int64 and got.tolist() == column
+            else:
+                with pytest.raises(UnknownLabel, match=f"^label {re.escape(str(array[2]))} "
+                                                       r"is not a class index in 0\.\.6$"):
+                    check_labels(labels)
 
 
 def test_misaligned_labels_are_a_dimension_mismatch():
@@ -913,16 +933,47 @@ def test_header_only_files_are_refused_by_their_reader(tmp_path):
     it is read, naming itself; a header-only decisions file is refused
     even beside a full one."""
     mpath = tmp_path / "manifest.csv"
-    save_manifest(mpath, [])
+    write_csv(mpath, [MANIFEST_COLUMNS])
     with pytest.raises(MalformedRow, match=f"^{mpath}: no rows below the header$"):
         load_manifest(mpath)
     empty, full = tmp_path / "empty.csv", tmp_path / "full.csv"
-    write_decisions(empty, [])
+    write_csv(empty, [DECISION_COLUMNS])
     write_decisions(full, [("c1", "audio", 3)])
     assert read_decisions([full]) == {"c1": {"audio": 3}}
     for paths in ([empty, full], [full, empty]):
         with pytest.raises(ValueError, match=f"^{empty}: no rows below the header$"):
             read_decisions(paths)
+
+
+# Paths that open() would take as a file descriptor, read and then close.
+DESCRIPTOR_PATHS = {
+    "read_tensor(fd)": lambda fd: read_tensor(fd),
+    "read_tensor(True)": lambda fd: read_tensor(True),
+    "read_decisions([fd])": lambda fd: read_decisions([fd]),
+    "read_decisions(b'dec.csv')": lambda fd: read_decisions(b"dec.csv"),
+}
+
+
+@pytest.mark.parametrize("case", DESCRIPTOR_PATHS)
+def test_readers_take_no_descriptor_for_a_path(case, tmp_path):
+    """A path is str, bytes or os.PathLike, and read_decisions takes a list
+    of them: an int or bool path, or bytes for the list, raises TypeError
+    and leaves every descriptor open."""
+    write_tensor(tmp_path / "t.fvt", [1], [0.0])
+    write_decisions(tmp_path / "dec.csv", [("a", "cnn", 0)])
+    fd = os.open(tmp_path / ("t.fvt" if "tensor" in case else "dec.csv"), os.O_RDONLY)
+    stdout = os.dup(1)
+    os.dup2(fd, 1)  # True is descriptor 1
+    try:
+        with pytest.raises(TypeError):
+            DESCRIPTOR_PATHS[case](fd)
+        os.fstat(fd)
+        os.fstat(1)
+    finally:
+        os.dup2(stdout, 1)
+        os.close(stdout)
+        with contextlib.suppress(OSError):
+            os.close(fd)
 
 
 def test_manifest_unlabeled_and_missing_channels(tmp_path):
@@ -952,6 +1003,7 @@ MANIFEST_REFUSALS = {
     "empty-path": ([("x", 0, {"audio": ""})], MalformedRow),
     "unknown-channel": ([("x", 0, {"vidoe": "v.fvt"})], MalformedRow),
     "id-not-str": ([(5, 0, {})], MalformedRow),
+    "no-rows": ([], MalformedRow),
 }
 
 
@@ -987,6 +1039,7 @@ DECISION_REFUSALS = {
     "padded-id": ([("x\t", "audio", 0)], ValueError),
     "padded-channel": ([("x", "audio ", 0)], ValueError),
     "channel-not-str": ([("x", None, 0)], ValueError),
+    "no-rows": ([], ValueError),
 }
 
 
