@@ -7,8 +7,8 @@ __version__ = "0.1.0"
 import importlib
 
 from .core import (CHANNELS, EMOTION_NAMES, JOINT_DIM, N_CLASSES, SEGMENT_DIMS,
-                   DatasetManifest, emotion_index, emotion_name, load_manifest,
-                   read_tensor, read_tensor_array, write_tensor, write_tensor_array)
+                   DatasetManifest, emotion_index, load_manifest, read_tensor,
+                   read_tensor_array, write_tensor, write_tensor_array)
 
 # The other submodules' package-level names.  A submodule is imported when
 # one of its names is first looked up, so a process loads only what it uses.
@@ -28,8 +28,8 @@ _OWNER = {name: module for module, names in _LAZY.items() for name in names}
 _SUBMODULES = ("core", *_LAZY, "cli")
 
 __all__ = ["CHANNELS", "EMOTION_NAMES", "JOINT_DIM", "N_CLASSES", "SEGMENT_DIMS",
-           "DatasetManifest", "emotion_index", "emotion_name", "load_manifest",
-           "read_tensor", "read_tensor_array", "write_tensor", "write_tensor_array", *_OWNER]
+           "DatasetManifest", "emotion_index", "load_manifest", "read_tensor",
+           "read_tensor_array", "write_tensor", "write_tensor_array", *_OWNER]
 
 
 def __getattr__(name):

@@ -109,15 +109,6 @@ def emotion_index(name):
         raise UnknownLabel(f"unknown emotion label {name!r}; expected one of {EMOTION_NAMES}")
 
 
-def emotion_name(index):
-    """Map one class index (0..6) back to its canonical name; anything
-    ``check_labels`` refuses, and any array but a 0-d one, raises UnknownLabel."""
-    label = check_labels(index, "emotion index")
-    if label.ndim:
-        raise UnknownLabel(f"emotion index {index} is not a class index in 0..{N_CLASSES - 1}")
-    return EMOTION_NAMES[int(label)]
-
-
 def check_labels(labels, name="label", n=None, classes=N_CLASSES):
     """Return a label, or an array of them, as int64 when each is a real
     number (int, float, numpy integer or floating; no bool) equal to an
@@ -317,7 +308,7 @@ def _committed(paths):
     in order once the block succeeds and removed if it fails.  A path that
     exists but is not a regular file, or two paths of one file, are refused
     before the block runs."""
-    finals = [Path(path) for path in paths]
+    finals = [Path(os.fsdecode(path)) for path in paths]
     for i, final in enumerate(finals):  # a file's second rename would find no temporary
         if os.path.realpath(final) in map(os.path.realpath, finals[:i]):
             raise ValueError(f"{final}: named twice in one save; refusing to write it")
@@ -374,7 +365,7 @@ def write_models(*models):
     write succeeded, so a failed save leaves every old file untouched."""
     files = []
     for path, kind, tensors, fields in models:
-        path = Path(path)
+        path = Path(os.fsdecode(path))
         names = {name: f"{path.stem}.{name}.fvt" for name in tensors}
         files += [(path.parent / names[name], array) for name, array in tensors.items()]
         files.append((path, {"kind": kind, **fields, **({"tensors": names} if names else {})}))
@@ -394,7 +385,7 @@ def read_model(path, kind, build):
     reads the bundle tensor it records under ``name``.  A ValueError on
     the way is re-raised with the path in front: as ModelFormatError when
     the file is not UTF-8 JSON, else with its type kept."""
-    path = Path(path)
+    path = Path(os.fsdecode(path))
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -438,7 +429,7 @@ def load_manifest(path):
     """Load a dataset manifest CSV; validates labels and ids.  A relative path
     cell is joined to the manifest's directory as text, not opened: a
     missing file fails where a stage reads it."""
-    folder, seen = os.path.dirname(path), set()
+    folder, seen = os.path.dirname(os.fsdecode(path)), set()
 
     def entry(clip_id, label, *cells):
         if not clip_id:

@@ -134,20 +134,18 @@ def normalize_fit(X):
 
 
 def normalize_apply(model, x):
-    """Two-stage normalization of a D-vector (or rows of an n×D matrix).
+    """Two-stage normalization of the rows of an n×D matrix.
 
     Stage 1 standardizes each dimension with the fitted statistics
-    (constant dimensions map to 0).  Stage 2 re-standardizes the vector
-    across its own entries; a stage-1 vector with zero spread maps to
+    (constant dimensions map to 0).  Stage 2 re-standardizes each row
+    across its own entries; a stage-1 row with zero spread maps to
     the zero vector.
     """
-    d = model.per_dim_mean.shape[0]
-    x = check_shape(x, (d,) if _as_numbers(x, "features").ndim == 1 else (None, d), "features")
+    x = check_shape(x, (None, model.per_dim_mean.shape[0]), "features")
     out = np.subtract(x, model.per_dim_mean, order="C")  # C order: the same std in any block
     out /= np.where(model.per_dim_std > 0, model.per_dim_std, 1.0)
     np.copyto(out, 0.0, where=model.per_dim_std == 0)
-    rows = np.atleast_2d(out)  # a view; a vector is one row
-    for block in np.split(rows, range(ROW_BLOCK, len(rows), ROW_BLOCK)):
+    for block in np.split(out, range(ROW_BLOCK, len(out), ROW_BLOCK)):
         own_std = block.std(axis=-1, keepdims=True)  # its temporary: one block, not out
         block -= block.mean(axis=-1, keepdims=True)
         block /= np.where(own_std > 0, own_std, 1.0)

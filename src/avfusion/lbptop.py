@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmptyVolume, check_count, check_volume  # EmptyVolume: re-exported for callers
+from .core import check_count, check_volume
 
 N_BINS = 59
 N_PLANES = 3

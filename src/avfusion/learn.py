@@ -159,11 +159,11 @@ def svm_predict_batch(model, X):
     return np.argmax(X @ model.W.T + model.b, axis=1)
 
 
-def svm_files(model, path, epochs=None, seed=None):
+def svm_files(model, path, epochs, seed):
     """The model as a ``(path, kind, tensors, fields)`` save spec."""
     return (path, "linear_svm", {"weights": model.W, "bias": model.b},
             {"C": model.C, "shapes": {"weights": list(model.W.shape), "bias": list(model.b.shape)},
-             **{key: int(v) for key, v in (("epochs", epochs), ("seed", seed)) if v is not None}})
+             "epochs": int(epochs), "seed": int(seed)})
 
 
 def load_svm(path):

@@ -115,7 +115,7 @@ def synth_generate(config, out_dir):
     T×7 CNN score matrix, and a 50-dim BLSTM vector, all referenced from
     ``manifest.csv``.  Byte-identical for identical configs.
     """
-    out_dir = Path(out_dir)
+    out_dir = Path(os.fsdecode(out_dir))
     out_dir.mkdir(parents=True, exist_ok=True)
     labels, rows = _draw(config)
     base = os.path.join(out_dir, "")

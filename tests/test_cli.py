@@ -757,7 +757,7 @@ def _bn_without_decisions(d):
 
 def _svm_of_width(d, width):
     write_models(svm_files(LinearSvmModel(W=np.zeros((7, width)), b=np.zeros(7), C=1.0),
-                           d / "svm.json"))
+                           d / "svm.json", epochs=1, seed=0))
 
 
 # Each data error: how to make it in a fresh 7-clip dataset ``d`` whose

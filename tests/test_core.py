@@ -29,14 +29,14 @@ from avfusion.lbptop import lbp_top_descriptor
 from avfusion.learn import (LinearSvmModel, island_loss, load_svm, svm_files, svm_predict_batch,
                             svm_train, update_centers)
 from avfusion.metrics import evaluate
-from avfusion.synth import SynthConfig
+from avfusion.synth import SynthConfig, synth_generate
 from avfusion.core import (CHANNELS, DECISION_COLUMNS, MANIFEST_COLUMNS, SEGMENT_DIMS, BadMagic,
                            DuplicateClipId, DuplicateDecision, DimensionMismatch, EMOTION_NAMES,
                            MalformedRow, ManifestEntry, TensorFormatError, Truncated,
                            UnknownLabel, check_count, check_labels, check_real, emotion_index,
-                           emotion_name, load_manifest, read_decisions, read_tensor,
-                           read_tensor_array, save_manifest, write_csv, write_decisions,
-                           write_models, write_tensor, write_tensor_array)
+                           load_manifest, read_decisions, read_tensor, read_tensor_array,
+                           save_manifest, write_csv, write_decisions, write_models, write_tensor,
+                           write_tensor_array)
 
 from test_learn import gaussian_blobs
 
@@ -45,7 +45,6 @@ def test_label_bijection():
     assert len(EMOTION_NAMES) == 7
     for i, name in enumerate(EMOTION_NAMES):
         assert emotion_index(name) == i
-        assert emotion_name(i) == name
 
 
 def test_label_canonical_order():
@@ -56,23 +55,6 @@ def test_label_canonical_order():
 def test_unknown_label_rejected():
     with pytest.raises(UnknownLabel):
         emotion_index("Joy")
-    with pytest.raises(UnknownLabel):
-        emotion_name(7)
-
-
-def test_emotion_name_takes_only_class_indices(tmp_path):
-    """A value that only rounds or parses to a class index names no emotion."""
-    for value in (1.5, -0.5, 6.9, "1"):
-        with pytest.raises(UnknownLabel, match="is not a class index in 0..6"):
-            emotion_name(value)
-    assert [emotion_name(v) for v in (np.int64(1), 6.0, np.array(3))] == ["Disgust", "Surprise",
-                                                                          "Happy"]
-    for value in ([1, 2], [3], np.array([[3]])):  # one label, not an array of them
-        with pytest.raises(UnknownLabel, match=f"^emotion index {re.escape(str(value))} is not "
-                                               r"a class index in 0\.\.6$"):
-            emotion_name(value)
-    with pytest.raises(UnknownLabel):
-        write_decisions(tmp_path / "dec.csv", [("c1", "audio", 2), ("c2", "audio", 1.5)])
 
 
 def test_check_count():
@@ -138,7 +120,6 @@ def test_real_setting_refused_at_its_entry_point(setting, value):
 _BN = BnFusionModel(prior=uniform_prior(), measurements=tuple(
     MeasurementModel(channel=ch, cpt=np.full((7, 7), 1 / 7)) for ch in ("audio", "cnn")))
 CLASS_INDEX_ENTRY_POINTS = {
-    "emotion_name": lambda v, d: emotion_name(v),
     "check_labels": lambda v, d: check_labels([0, v]),
     "bn_infer-one-clip": lambda v, d: bn_infer(_BN, {"audio": 0, "cnn": v}),
     "bn_infer-arrays": lambda v, d: bn_infer(_BN, {"audio": [0, 1], "cnn": [0, v]}),
@@ -210,9 +191,6 @@ def test_bool_is_no_class_index(labels):
     first = next(v for v in np.asarray(labels, dtype=object).flat if isinstance(v, (bool, np.bool_)))
     with pytest.raises(UnknownLabel, match=f"^label {first} is not a class index in 0\\.\\.6$"):
         check_labels(labels)
-    if np.ndim(labels) == 0:
-        with pytest.raises(UnknownLabel, match=f"^emotion index {first} is not a class index"):
-            emotion_name(labels)
 
 
 def test_bool_mask_is_refused_as_svm_labels():
@@ -270,7 +248,7 @@ ARRAY_INPUTS = {
     "pca_fit": ("features", _BLOB_X, lambda a: pca_fit(a, 1)),
     "pca_transform": ("features", _BLOB_X, lambda a: pca_transform(_PCA, a)),
     "normalize_fit": ("features", _BLOB_X, normalize_fit),
-    "normalize_apply": ("features", _BLOB_X[0], lambda a: normalize_apply(_NORM, a)),
+    "normalize_apply": ("features", _BLOB_X[:1], lambda a: normalize_apply(_NORM, a)),
     "k_average_pool": ("scores", np.full((2, 9, 7), 1 / 7), k_average_pool),
     "build_joint_vector": ("audio", _JOINT_ROWS["audio"],
                            lambda a: build_joint_vector({**_JOINT_ROWS, "audio": a})),
@@ -360,13 +338,11 @@ def test_tensor_rejects_nonfinite(tmp_path):
         read_tensor(path)
 
 
-# Every name the package exported when it imported all its submodules eagerly,
-# as "<defining module>.<name>".
+# Every name the package exports, as "<defining module>.<name>".
 PUBLIC_API = [
     "core.CHANNELS", "core.EMOTION_NAMES", "core.JOINT_DIM", "core.N_CLASSES",
-    "core.SEGMENT_DIMS", "core.DatasetManifest", "core.emotion_index", "core.emotion_name",
-    "core.load_manifest", "core.read_tensor", "core.read_tensor_array", "core.write_tensor",
-    "core.write_tensor_array",
+    "core.SEGMENT_DIMS", "core.DatasetManifest", "core.emotion_index", "core.load_manifest",
+    "core.read_tensor", "core.read_tensor_array", "core.write_tensor", "core.write_tensor_array",
     "features.NormalizationModel", "features.PcaModel", "features.k_average_pool",
     "features.normalize_apply", "features.normalize_fit", "features.pca_fit",
     "features.pca_transform",
@@ -382,7 +358,7 @@ PUBLIC_API = [
 
 
 def test_public_api_is_every_submodules_own_object(monkeypatch):
-    """The package serves its 43 names and its eight submodules on first use,
+    """The package serves its 42 names and its eight submodules on first use,
     each the defining module's current object, and lists them all."""
     names = [entry.split(".")[1] for entry in PUBLIC_API]
     for entry in PUBLIC_API:
@@ -605,7 +581,7 @@ def test_model_save_naming_one_file_twice_is_refused(tmp_path):
     (tmp_path / "d").mkdir()
     for twin in (path, tmp_path / "d" / ".." / "m.json"):
         with pytest.raises(ValueError, match=f"^{re.escape(str(twin))}: named twice in one save"):
-            write_models(svm_files(svm, path), bn_files(bn, twin))
+            write_models(svm_files(svm, path, epochs=1, seed=0), bn_files(bn, twin))
         assert sorted(f.name for f in tmp_path.iterdir()) == ["d", "m.json"]
         assert path.read_text() == '{"old": 1}\n'
 
@@ -974,6 +950,47 @@ def test_readers_take_no_descriptor_for_a_path(case, tmp_path):
         os.close(stdout)
         with contextlib.suppress(OSError):
             os.close(fd)
+
+
+def _save_and_read_back(folder, at):
+    """Write a tensor, a synthetic dataset, a manifest, a decisions file and
+    an SVM under ``folder``, each path given as ``at(name)``, and read each
+    back the same way; return what was read and every file's bytes."""
+    def relative(entries):  # cells relative to ``folder``, the same for any folder
+        return [(e.clip_id, e.label, {ch: os.path.relpath(cell, folder)
+                                      for ch, cell in e.paths.items()}) for e in entries]
+    folder.mkdir()
+    write_tensor_array(at("t.fvt"), np.arange(6.0).reshape(2, 3))
+    synth_generate(SynthConfig(n_clips=3), at("d"))
+    entries = load_manifest(at("d/manifest.csv")).entries
+    save_manifest(at("m.csv"), relative(entries))
+    write_decisions(at("dec.csv"), [(e.clip_id, "audio", e.label) for e in entries])
+    write_models(svm_files(LinearSvmModel(W=np.eye(7, 3), b=np.zeros(7), C=1.0), at("svm.json"),
+                           epochs=1, seed=0))
+    read = (read_tensor_array(at("t.fvt")).tolist(), read_decisions([at("dec.csv")]),
+            relative(load_manifest(at("m.csv")).entries), load_svm(at("svm.json")).W.tolist())
+    return read, {str(f.relative_to(folder)): f.read_bytes() for f in folder.rglob("*")
+                  if f.is_file()}
+
+
+@pytest.mark.parametrize("form", [str, os.fsencode, Path], ids=["str", "bytes", "Path"])
+def test_paths_are_str_bytes_or_pathlike(form, tmp_path):
+    """Each core reader and writer, and synth_generate, takes a path as open()
+    does: a bytes or Path one gives what a str one gives, byte for byte, and
+    an int one raises TypeError before any file is made."""
+    reference = _save_and_read_back(tmp_path / "str", lambda name: str(tmp_path / "str" / name))
+    assert _save_and_read_back(tmp_path / "form", lambda name: form(tmp_path / "form" / name)) \
+        == reference
+    svm = LinearSvmModel(W=np.eye(7, 3), b=np.zeros(7), C=1.0)
+    for call in (lambda bad: write_tensor_array(bad, [1.0]), read_tensor_array,
+                 lambda bad: synth_generate(SynthConfig(n_clips=3), bad), load_manifest,
+                 lambda bad: save_manifest(bad, [("a", 0, {})]),
+                 lambda bad: write_decisions(bad, [("a", "audio", 0)]),
+                 lambda bad: read_decisions([bad]), load_svm,
+                 lambda bad: write_models(svm_files(svm, bad, epochs=1, seed=0))):
+        with pytest.raises(TypeError):
+            call(2 ** 20)  # no open descriptor, so an int taken for one fails with OSError
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["form", "str"]
 
 
 def test_manifest_unlabeled_and_missing_channels(tmp_path):

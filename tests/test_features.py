@@ -284,7 +284,7 @@ def test_normalize_fit_hand_case():
 def test_normalize_stage1_zero_std_column():
     X = np.array([[1.0, 5.0], [3.0, 5.0], [2.0, 5.0]])
     model = normalize_fit(X)
-    out = normalize_apply(model, np.array([9.0, 5.0]))
+    out = normalize_apply(model, np.array([[9.0, 5.0]]))
     # constant column stayed 0 after stage 1, so stage 2 sees (z, 0)
     z = (9.0 - 2.0) / X[:, 0].std()
     stage1 = np.array([z, 0.0])
@@ -324,8 +324,7 @@ def test_normalize_stage2_per_vector():
     out = _assert_normalize_is_the_formula(model, held_out)
     assert np.max(np.abs(out.mean(axis=1))) < 1e-9
     assert np.max(np.abs(out.std(axis=1) - 1.0)) < 1e-9
-    for x in (held_out[0], held_out[:1]):  # one vector, and a single row
-        _assert_normalize_is_the_formula(model, x)
+    _assert_normalize_is_the_formula(model, held_out[:1])  # a single row
     joint = build_joint_vector(synth_dataset(SynthConfig(n_clips=2000, seed=0)).features)
     _assert_normalize_is_the_formula(normalize_fit(joint), joint)
 
@@ -334,26 +333,26 @@ def test_normalize_double_zero():
     rng = np.random.default_rng(16)
     X = rng.standard_normal((12, 5))
     model = normalize_fit(X)
-    assert np.allclose(normalize_apply(model, model.per_dim_mean), 0.0, atol=1e-12)
+    assert np.allclose(normalize_apply(model, model.per_dim_mean[None]), 0.0, atol=1e-12)
     X[:, 2] = 4.0  # a std-0 column, and a row at the training mean beside others
     model = normalize_fit(X)
     rows = np.vstack([X[:3], model.per_dim_mean, X[3:]])
     out = _assert_normalize_is_the_formula(model, rows)
     assert not out[3].any() and out[[0, 1, 2, 4]].all()
-    assert not _assert_normalize_is_the_formula(model, model.per_dim_mean).any()
+    assert not _assert_normalize_is_the_formula(model, model.per_dim_mean[None]).any()
 
 
 @pytest.mark.parametrize("block", [4, features.ROW_BLOCK, 256])  # 256: the former default
 def test_normalize_apply_is_the_formula_across_block_edges(monkeypatch, block):
     """Stage 2 a block of rows at a time gives the formula's bytes for one
-    row, a vector, no rows, and one block, one row short of it and one
-    row past it; a Fortran-ordered input gives the bytes of its C copy."""
+    row, no rows, and one block, one row short of it and one row past it;
+    a Fortran-ordered input gives the bytes of its C copy."""
     monkeypatch.setattr(features, "ROW_BLOCK", block)
     rng = np.random.default_rng(34)
     X = rng.standard_normal((block + 1, 9)) * 3.0 + 1.0
     model = normalize_fit(X)
     X[1] = model.per_dim_mean  # zero spread after stage 1
-    for x in (X[:1], X[0], X[:0], X[:block - 1], X[:block], X):
+    for x in (X[:1], X[:0], X[:block - 1], X[:block], X):
         _assert_normalize_is_the_formula(model, x)
     assert normalize_apply(model, np.asfortranarray(X)).tobytes() == \
         normalize_apply(model, X).tobytes()
@@ -389,13 +388,14 @@ def test_normalize_errors():
     with pytest.raises(TooFewSamples):
         normalize_fit(np.zeros((1, 4)))
     model = normalize_fit(np.random.default_rng(0).standard_normal((5, 4)))
-    with pytest.raises(DimensionMismatch):
-        normalize_apply(model, np.zeros(5))
+    for x in (np.zeros(5), np.zeros((1, 5)), np.zeros(4)):  # rows only: a vector is refused
+        with pytest.raises(DimensionMismatch):
+            normalize_apply(model, x)
     nan_row = np.array([1.0, np.nan, 0.0, 2.0])
     with pytest.raises(ValueError):
         normalize_fit(np.stack([np.zeros(4), nan_row, np.ones(4)]))
     with pytest.raises(ValueError):
-        normalize_apply(model, nan_row)
+        normalize_apply(model, nan_row[None])
 
 
 def test_pca_and_normalization_serialization(tmp_path):

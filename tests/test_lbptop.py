@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from avfusion import lbptop
-from avfusion.core import DimensionMismatch
-from avfusion.lbptop import (EmptyVolume, GridLargerThanFrame, LbpTopParams,
-                             build_uniform_mapping, lbp_top_descriptor)
+from avfusion.core import DimensionMismatch, EmptyVolume
+from avfusion.lbptop import (GridLargerThanFrame, LbpTopParams, build_uniform_mapping,
+                             lbp_top_descriptor)
 
 
 def naive_lbp_top(volume, params):

@@ -363,7 +363,7 @@ def test_svm_deterministic_bytes(tmp_path):
     y = rng.integers(0, 3, 40)
     for run in range(2):
         model = svm_train(X, y, C=2.0, epochs=10, seed=9)
-        write_models(svm_files(model, tmp_path / f"m{run}.json"))
+        write_models(svm_files(model, tmp_path / f"m{run}.json", epochs=10, seed=9))
     w0 = (tmp_path / "m0.weights.fvt").read_bytes()
     w1 = (tmp_path / "m1.weights.fvt").read_bytes()
     assert w0 == w1
@@ -427,7 +427,7 @@ def test_svm_serialization_roundtrip(tmp_path):
     X = rng.standard_normal((30, 4))
     y = rng.integers(0, 4, 30)
     model = svm_train(X, y, C=0.5, epochs=8, seed=1)
-    write_models(svm_files(model, tmp_path / "svm.json"))
+    write_models(svm_files(model, tmp_path / "svm.json", epochs=8, seed=1))
     loaded = load_svm(tmp_path / "svm.json")
     assert loaded.C == 0.5
     assert np.allclose(loaded.W, model.W, atol=1e-6)
@@ -578,7 +578,7 @@ def test_svm_train_memory_stays_below_the_input(n, budget):
 def _saved_svm(tmp_path):
     rng = np.random.default_rng(12)
     model = svm_train(rng.standard_normal((30, 4)), rng.integers(0, 7, 30), epochs=2)
-    write_models(svm_files(model, tmp_path / "svm.json"))
+    write_models(svm_files(model, tmp_path / "svm.json", epochs=2, seed=0))
     return tmp_path / "svm.json"
 
 
